@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "collective/cost.hpp"
 
@@ -112,11 +114,23 @@ std::optional<Algo> AlgoSelector::parse(std::string_view name, bool* ok) {
   return std::nullopt;
 }
 
+std::optional<Algo> AlgoSelector::parse_env(const char* value) {
+  if (value == nullptr) return std::nullopt;
+  bool ok = false;
+  const auto algo = parse(value, &ok);
+  if (!ok) {
+    throw std::invalid_argument(
+        "bad CA_COLLECTIVE_ALGO '" + std::string(value) +
+        "' (want auto|chunked|ring|hierarchical|single_root)");
+  }
+  return algo;
+}
+
 std::optional<Algo> AlgoSelector::env_override() {
-  static const std::optional<Algo> cached = [] {
-    const char* v = std::getenv("CA_COLLECTIVE_ALGO");
-    return v != nullptr ? parse(v) : std::nullopt;
-  }();
+  // A throwing initializer leaves the static uninitialized, so garbage keeps
+  // throwing on every call rather than silently meaning "auto".
+  static const std::optional<Algo> cached =
+      parse_env(std::getenv("CA_COLLECTIVE_ALGO"));
   return cached;
 }
 
@@ -125,13 +139,21 @@ Algo AlgoSelector::select(Op op, std::int64_t bytes,
                           std::span<const int> ranks,
                           const TwoLevelPlan& plan,
                           std::int64_t elem_bytes) const {
-  const int group_size = static_cast<int>(ranks.size());
+  return select(op, bytes, make_cost_profile(topo, ranks, plan), elem_bytes);
+}
+
+Algo AlgoSelector::select(Op op, std::int64_t bytes,
+                          const CostProfile& profile,
+                          std::int64_t elem_bytes) const {
+  const int group_size = profile.size;
   if (!schedule_selectable(op) || group_size < 2) return Algo::kChunked;
 
   std::optional<Algo> forced = env_override();
   if (!forced && policy_ != nullptr) forced = policy_->forced;
   if (forced) {
-    if (*forced == Algo::kHierarchical && !plan.viable()) return Algo::kChunked;
+    if (*forced == Algo::kHierarchical && !profile.viable()) {
+      return Algo::kChunked;
+    }
     return *forced;
   }
 
@@ -149,15 +171,17 @@ Algo AlgoSelector::select(Op op, std::int64_t bytes,
   // the symmetric schedule compilation relies on. Strict < keeps ties on the
   // first candidate, making the pick order-deterministic.
   Algo best = Algo::kChunked;
-  double best_t = collective_time(op, Algo::kChunked, topo, ranks, bytes, plan);
+  double best_t = collective_time(op, Algo::kChunked, profile, bytes);
   const auto consider = [&](Algo a) {
-    const double t = collective_time(op, a, topo, ranks, bytes, plan);
+    const double t = collective_time(op, a, profile, bytes);
     if (t < best_t) {
       best = a;
       best_t = t;
     }
   };
-  if (plan.viable() && bytes >= kHierMinBytes) consider(Algo::kHierarchical);
+  if (profile.viable() && bytes >= kHierMinBytes) {
+    consider(Algo::kHierarchical);
+  }
   if (bytes >= kRingMinBytes) consider(Algo::kRing);
   return best;
 }

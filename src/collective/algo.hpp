@@ -10,7 +10,8 @@
 
 namespace ca::collective {
 
-enum class Op;  // cost.hpp
+enum class Op;        // cost.hpp
+struct CostProfile;  // cost.hpp
 
 /// Collective algorithm family. Every Group collective is compiled into a
 /// CommSchedule by one of these builders and executed by the shared schedule
@@ -111,11 +112,22 @@ class AlgoSelector {
                             const TwoLevelPlan& plan,
                             std::int64_t elem_bytes = 4) const;
 
+  /// The same decision for a group whose link data is already in `profile`
+  /// (Group keeps one per group): O(#blocks) arithmetic, no allocation.
+  [[nodiscard]] Algo select(Op op, std::int64_t bytes,
+                            const CostProfile& profile,
+                            std::int64_t elem_bytes = 4) const;
+
   /// Parse a knob value; "auto"/"" -> nullopt, unknown -> nullopt with
   /// `ok=false` for callers that want to reject bad config.
   static std::optional<Algo> parse(std::string_view name, bool* ok = nullptr);
 
-  /// The process-wide CA_COLLECTIVE_ALGO override (read once, cached).
+  /// Parse a CA_COLLECTIVE_ALGO value (nullptr = unset -> nullopt); throws
+  /// std::invalid_argument naming the value and the accepted set on garbage.
+  static std::optional<Algo> parse_env(const char* value);
+
+  /// The process-wide CA_COLLECTIVE_ALGO override (read once, cached; throws
+  /// like parse_env on garbage — every Group constructor checks it).
   static std::optional<Algo> env_override();
 
  private:

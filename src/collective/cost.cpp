@@ -35,14 +35,12 @@ double member_ring_bottleneck(const sim::Topology& topo,
 
 /// One intra-block pass (the reduce-scatter or all-gather half): every block
 /// runs concurrently, so the phase costs the slowest block.
-double intra_pass_time(const sim::Topology& topo, std::span<const int> ranks,
-                       const TwoLevelPlan& plan, double b, double alpha) {
+double intra_pass_time(const CostProfile& prof, double b) {
   double t = 0.0;
-  for (const auto& block : plan.blocks) {
-    const auto m = static_cast<double>(block.size());
-    if (block.size() < 2) continue;
-    const double bw = member_ring_bottleneck(topo, ranks, block);
-    t = std::max(t, (m - 1.0) * (alpha + b / m / bw));
+  for (const auto& block : prof.blocks) {
+    const double m = block.size;
+    if (m < 2.0) continue;
+    t = std::max(t, (m - 1.0) * (prof.alpha + b / m / block.bottleneck));
   }
   return t;
 }
@@ -50,20 +48,17 @@ double intra_pass_time(const sim::Topology& topo, std::span<const int> ranks,
 /// The inter-block all-reduce: each block's 1/m share is exchanged across
 /// the leader ring (slot j of every block exchanges with slot j of the
 /// others; the leader ring's bottleneck link bounds all slots).
-double inter_pass_time(const sim::Topology& topo, std::span<const int> ranks,
-                       const TwoLevelPlan& plan, double b, double alpha) {
-  const auto l = static_cast<double>(plan.num_blocks());
-  if (plan.num_blocks() < 2) return 0.0;
-  const double bw = member_ring_bottleneck(topo, ranks, plan.leaders);
-  const double share = b / static_cast<double>(std::max(plan.min_block(), 1));
-  return 2.0 * (l - 1.0) * (alpha + share / l / bw);
+double inter_pass_time(const CostProfile& prof, double b) {
+  const auto l = static_cast<double>(prof.blocks.size());
+  if (prof.blocks.size() < 2) return 0.0;
+  const double share = b / static_cast<double>(std::max(prof.min_block, 1));
+  return 2.0 * (l - 1.0) *
+         (prof.alpha + share / l / prof.leader_bottleneck);
 }
 
-double hierarchical_time(Op op, const sim::Topology& topo,
-                         std::span<const int> ranks, const TwoLevelPlan& plan,
-                         double b, double alpha) {
-  const double intra = intra_pass_time(topo, ranks, plan, b, alpha);
-  const double inter = inter_pass_time(topo, ranks, plan, b, alpha);
+double hierarchical_time(Op op, const CostProfile& prof, double b) {
+  const double intra = intra_pass_time(prof, b);
+  const double inter = inter_pass_time(prof, b);
   switch (op) {
     case Op::kAllReduce:
       return intra + inter + intra;  // RS intra, AR inter, AG intra
@@ -78,15 +73,12 @@ double hierarchical_time(Op op, const sim::Topology& topo,
   }
 }
 
-}  // namespace
-
-double collective_time(Op op, const sim::Topology& topo,
-                       std::span<const int> ranks, std::int64_t bytes) {
-  const auto p = static_cast<double>(ranks.size());
-  if (ranks.size() < 2 || bytes == 0) return 0.0;
-  const double bw = topo.ring_bottleneck(ranks);
-  const double alpha = topo.latency();
-  const double b = static_cast<double>(bytes);
+/// The store-and-forward ring formulas: kChunked, and the fallback of every
+/// other algorithm for the ops it does not model.
+double chunked_time(Op op, const CostProfile& prof, double b) {
+  const auto p = static_cast<double>(prof.size);
+  const double bw = prof.bottleneck;
+  const double alpha = prof.alpha;
 
   switch (op) {
     case Op::kAllReduce:
@@ -110,20 +102,40 @@ double collective_time(Op op, const sim::Topology& topo,
   return 0.0;
 }
 
-double collective_time(Op op, Algo algo, const sim::Topology& topo,
-                       std::span<const int> ranks, std::int64_t bytes,
-                       const TwoLevelPlan& plan) {
-  const auto p = static_cast<double>(ranks.size());
-  if (ranks.size() < 2 || bytes == 0) return 0.0;
-  const double alpha = topo.latency();
+}  // namespace
+
+CostProfile make_cost_profile(const sim::Topology& topo,
+                              std::span<const int> ranks,
+                              const TwoLevelPlan& plan) {
+  CostProfile prof;
+  prof.size = static_cast<int>(ranks.size());
+  prof.alpha = topo.latency();
+  if (ranks.size() >= 2) prof.bottleneck = topo.ring_bottleneck(ranks);
+  if (plan.viable()) {
+    prof.blocks.reserve(plan.blocks.size());
+    for (const auto& block : plan.blocks) {
+      prof.blocks.push_back({static_cast<double>(block.size()),
+                             member_ring_bottleneck(topo, ranks, block)});
+    }
+    prof.leader_bottleneck = member_ring_bottleneck(topo, ranks, plan.leaders);
+    prof.min_block = plan.min_block();
+  }
+  return prof;
+}
+
+double collective_time(Op op, Algo algo, const CostProfile& prof,
+                       std::int64_t bytes) {
+  const auto p = static_cast<double>(prof.size);
+  if (prof.size < 2 || bytes == 0) return 0.0;
+  const double alpha = prof.alpha;
+  const double bw = prof.bottleneck;
   const double b = static_cast<double>(bytes);
 
   switch (algo) {
     case Algo::kChunked:
-      return collective_time(op, topo, ranks, bytes);
+      return chunked_time(op, prof, b);
 
     case Algo::kRing: {
-      const double bw = topo.ring_bottleneck(ranks);
       const auto k = static_cast<double>(ring_pipeline_chunks(bytes));
       switch (op) {
         case Op::kAllReduce:
@@ -135,18 +147,17 @@ double collective_time(Op op, Algo algo, const sim::Topology& topo,
         case Op::kAllGather:
           return ((p - 1.0) + k - 1.0) * (alpha + b / p / k / bw);
         default:
-          return collective_time(op, topo, ranks, bytes);
+          return chunked_time(op, prof, b);
       }
     }
 
     case Algo::kHierarchical:
-      if (!plan.viable()) return collective_time(op, topo, ranks, bytes);
-      return hierarchical_time(op, topo, ranks, plan, b, alpha);
+      if (!prof.viable()) return chunked_time(op, prof, b);
+      return hierarchical_time(op, prof, b);
 
     case Algo::kSingleRoot: {
       // Latency-optimal binary tree; the slowest group link bounds each hop.
-      const double bw = topo.ring_bottleneck(ranks);
-      const auto hops = static_cast<double>(ceil_log2(static_cast<int>(p)));
+      const auto hops = static_cast<double>(ceil_log2(prof.size));
       switch (op) {
         case Op::kAllReduce:
           return 2.0 * hops * (alpha + b / bw);  // reduce tree + bcast tree
@@ -154,11 +165,24 @@ double collective_time(Op op, Algo algo, const sim::Topology& topo,
         case Op::kReduce:
           return hops * (alpha + b / bw);
         default:
-          return collective_time(op, topo, ranks, bytes);
+          return chunked_time(op, prof, b);
       }
     }
   }
   return 0.0;
+}
+
+double collective_time(Op op, const sim::Topology& topo,
+                       std::span<const int> ranks, std::int64_t bytes) {
+  return collective_time(op, Algo::kChunked,
+                         make_cost_profile(topo, ranks, TwoLevelPlan{}), bytes);
+}
+
+double collective_time(Op op, Algo algo, const sim::Topology& topo,
+                       std::span<const int> ranks, std::int64_t bytes,
+                       const TwoLevelPlan& plan) {
+  return collective_time(op, algo, make_cost_profile(topo, ranks, plan),
+                         bytes);
 }
 
 double p2p_time(const sim::Topology& topo, int src, int dst, std::int64_t bytes) {

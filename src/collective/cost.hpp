@@ -5,6 +5,7 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "collective/algo.hpp"
 #include "sim/topology.hpp"
@@ -46,15 +47,48 @@ constexpr const char* op_name(Op op) {
 double collective_time(Op op, const sim::Topology& topo,
                        std::span<const int> ranks, std::int64_t bytes);
 
+/// The fixed link data of one group that every cost formula reads: the
+/// group's ring bottleneck and latency plus, for a viable two-level plan,
+/// each block's size and ring bottleneck and the leader ring's bottleneck.
+/// None of it depends on the message, so a Group derives it once at
+/// construction and prices each call with O(#blocks) arithmetic.
+struct CostProfile {
+  struct Block {
+    double size = 0.0;        ///< members in the block
+    double bottleneck = 0.0;  ///< ring bottleneck over them (0 if size < 2)
+  };
+  int size = 0;             ///< group members
+  double alpha = 0.0;       ///< per-hop latency
+  double bottleneck = 0.0;  ///< ring bottleneck over all members (0 if < 2)
+  std::vector<Block> blocks;       ///< the plan's blocks; empty if not viable
+  double leader_bottleneck = 0.0;  ///< ring bottleneck over the block leaders
+  int min_block = 0;               ///< smallest block size
+
+  [[nodiscard]] bool viable() const { return blocks.size() >= 2; }
+};
+
+/// Derive the profile of the group `ranks` (global ranks) with two-level
+/// partition `plan` (may be non-viable).
+CostProfile make_cost_profile(const sim::Topology& topo,
+                              std::span<const int> ranks,
+                              const TwoLevelPlan& plan);
+
 /// Algorithm-aware alpha-beta time (see DESIGN.md section 6 for the models):
 ///   kChunked      — store-and-forward ring (the legacy formulas)
 ///   kRing         — pipelined chunks: per-hop latency amortized over k
 ///                   sub-chunks streaming through the ring
 ///   kHierarchical — intra-block reduce-scatter/all-gather at the block
 ///                   bottleneck + inter-block exchange over leaders at the
-///                   leader-ring bottleneck, phases taken from `plan`
+///                   leader-ring bottleneck (kChunked when the plan is not
+///                   viable)
 ///   kSingleRoot   — latency-optimal binary tree (small messages)
-/// `plan` may be a non-viable plan for non-hierarchical algorithms.
+/// This is the one cost formula; the overloads below price through it.
+double collective_time(Op op, Algo algo, const CostProfile& profile,
+                       std::int64_t bytes);
+
+/// The same model for a group given by its ranks and two-level plan: builds
+/// the profile and prices through the overload above. `plan` may be a
+/// non-viable plan for non-hierarchical algorithms.
 double collective_time(Op op, Algo algo, const sim::Topology& topo,
                        std::span<const int> ranks, std::int64_t bytes,
                        const TwoLevelPlan& plan);

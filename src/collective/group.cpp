@@ -76,9 +76,13 @@ Group::Group(sim::Cluster& cluster, std::vector<int> ranks, std::string name,
       barrier_(static_cast<std::ptrdiff_t>(ranks_.size()),
                &cluster.fault_state()),
       plan_(plan_two_level(cluster.topology(), ranks_)),
+      profile_(make_cost_profile(cluster.topology(), ranks_, plan_)),
       selector_(policy),
       members_(ranks_.size()) {
   assert(!ranks_.empty());
+  // Reject a garbage CA_COLLECTIVE_ALGO here, on the constructing thread,
+  // rather than inside the first collective of some rank.
+  (void)AlgoSelector::env_override();
   if (plan_.viable()) owner_perm_ = plan_.owner_permutation();
   for (auto& slot : ptrs_) slot.assign(ranks_.size(), nullptr);
   for (auto& slot : counts_) slot.assign(ranks_.size(), 0);
@@ -181,8 +185,7 @@ double Group::settle(int grank, double t_start, Op op, Algo algo,
   // The pure cost-model prediction — what the calibration report joins the
   // measured span against. Fault slowdowns apply on top of it, so the two
   // agree exactly on a clean run and diverge under link degradation.
-  const double predicted = collective_time(op, algo, cluster_.topology(),
-                                           ranks_, bytes, plan_);
+  const double predicted = collective_time(op, algo, profile_, bytes);
   double comm = predicted;
   if (const sim::FaultInjector* fi = cluster_.fault_injector()) {
     // Link degradation stretches the op's bandwidth term; `begin` is the same
@@ -210,9 +213,8 @@ double Group::settle(int grank, double t_start, Op op, Algo algo,
     // alpha is the zero-byte latency of the same collective.
     tb->add(obs::TraceEvent{
         name_ + "." + op_name(op), obs::Category::kComm, begin, t_end, t_start,
-        bytes, 0.0,
-        collective_time(op, algo, cluster_.topology(), ranks_, 0, plan_),
-        algo_name(algo), tensor::dtype_name(wire)});
+        bytes, 0.0, collective_time(op, algo, profile_, 0), algo_name(algo),
+        tensor::dtype_name(wire)});
   }
   return t_end;
 }
@@ -267,8 +269,7 @@ double Group::run_collective(int grank, Op op, const float* in,
   const std::int64_t bytes = modeled_bytes(op, n_in, n_out, size(), elem_bytes);
   // Deterministic across members: same op/bytes/plan and a shared policy, so
   // every member compiles the same schedule with the same barrier count.
-  const Algo algo = selector_.select(op, bytes, cluster_.topology(), ranks_,
-                                     plan_, elem_bytes);
+  const Algo algo = selector_.select(op, bytes, profile_, elem_bytes);
 
   const sim::FaultInjector* fi = cluster_.fault_injector();
   // Fail-stop lands at collective *entry* — before publish, so every peer
@@ -635,7 +636,7 @@ void Group::account(int grank, Op op, std::int64_t bytes) {
                            cluster_.device(grank).clock());
   // Same selector as the functional path, so the accounting twin charges
   // exactly what the matching data-moving call would.
-  const Algo algo = selector_.select(op, bytes, cluster_.topology(), ranks_, plan_);
+  const Algo algo = selector_.select(op, bytes, profile_);
   cluster_.device(grank).set_clock(settle(grank, tok.t_start, op, algo, bytes));
 }
 

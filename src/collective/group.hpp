@@ -138,13 +138,14 @@ class Group {
   /// The two-level (intra-node / inter-node) partition of this group's ranks;
   /// non-viable when the group cannot benefit from hierarchical collectives.
   [[nodiscard]] const TwoLevelPlan& plan() const { return plan_; }
+  /// The fixed link data every collective on this group is priced with.
+  [[nodiscard]] const CostProfile& cost_profile() const { return profile_; }
   /// The algorithm the selector would pick for `op` moving `bytes` (wire
   /// bytes, elem_bytes wide each) on this group (exactly what a matching
   /// collective call will use).
   [[nodiscard]] Algo algo_for(Op op, std::int64_t bytes,
                               std::int64_t elem_bytes = 4) const {
-    return selector_.select(op, bytes, cluster_.topology(), ranks_, plan_,
-                            elem_bytes);
+    return selector_.select(op, bytes, profile_, elem_bytes);
   }
 
   /// Pure synchronization (also aligns logical clocks to the max).
@@ -312,10 +313,12 @@ class Group {
   std::unordered_map<int, int> index_;
   sim::AbortableBarrier barrier_;
 
-  // The group's two-level topology partition and hierarchical chunk-owner
-  // permutation (empty when the plan is not viable), both fixed at
-  // construction; the selector consults the backend's policy each call.
+  // The group's two-level topology partition, its cost profile (the fixed
+  // link data every selection and settle prices with), and the hierarchical
+  // chunk-owner permutation (empty when the plan is not viable), all fixed
+  // at construction; the selector consults the backend's policy each call.
   TwoLevelPlan plan_;
+  CostProfile profile_;
   std::vector<int> owner_perm_;
   AlgoSelector selector_;
 

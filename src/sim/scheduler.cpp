@@ -1,13 +1,14 @@
 #include "sim/scheduler.hpp"
 
+#include <cxxabi.h>
 #include <pthread.h>
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <stdexcept>
 #include <thread>
@@ -44,11 +45,120 @@
 #endif
 #endif
 
+#ifdef CA_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
+#endif
+
+#if defined(__x86_64__)
+#define CA_FIBER_ASM_SWITCH 1
+#else
+#include <ucontext.h>
+#endif
+
+#ifdef CA_FIBER_ASM_SWITCH
+// ca_sim_fiber_switch(void** save_sp, void* load_sp): the register-only
+// context switch. Pushes the System V callee-saved state (rbp, rbx,
+// r12-r15, then MXCSR and the x87 control word in one 8-byte slot) onto the
+// current stack, stores rsp to *save_sp, loads load_sp into rsp, and pops
+// the same frame back off the other stack; `ret` resumes whoever saved it.
+// Everything caller-saved is already dead across the call, so that is the
+// whole context. Unlike glibc's swapcontext it never makes the
+// rt_sigprocmask syscall: every fiber runs with its worker's signal mask.
+//
+// The `ret` lands on a different stack than the matching `call`, which a
+// CET shadow stack would reject; src/sim/CMakeLists.txt compiles this file
+// without the shadow-stack marking so no binary that links it opts in.
+asm(R"(
+  .text
+  .p2align 4
+  .globl ca_sim_fiber_switch
+  .hidden ca_sim_fiber_switch
+  .type ca_sim_fiber_switch, @function
+ca_sim_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size ca_sim_fiber_switch, .-ca_sim_fiber_switch
+)");
+
+extern "C" void ca_sim_fiber_switch(void** save_sp, void* load_sp);
+#endif
+
 namespace ca::sim {
 
 namespace detail {
 
 class Pool;
+
+#ifdef CA_FIBER_ASM_SWITCH
+/// A suspended execution context: the stack pointer of its saved frame.
+struct Context {
+  void* sp = nullptr;
+};
+
+inline void switch_context(Context& save, const Context& load) {
+  ca_sim_fiber_switch(&save.sp, load.sp);
+}
+
+/// Seed `stack` so the first switch into `ctx` pops a frame that `ret`s
+/// into entry() with the ABI's call alignment (rsp = 16n - 8 on entry).
+/// Above the frame sits a 0 return address and rbp is seeded 0, so
+/// backtraces end at entry() instead of walking off the stack.
+inline void init_context(Context& ctx, void* stack, std::size_t size,
+                         void (*entry)()) {
+  auto top = reinterpret_cast<std::uintptr_t>(stack) + size;
+  top &= ~static_cast<std::uintptr_t>(15);
+  auto* slot = reinterpret_cast<std::uint64_t*>(top);
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpucw = 0;
+  // The fiber starts with its creator's floating-point control state, as a
+  // getcontext-seeded ucontext would.
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpucw));
+  *--slot = 0;                                      // entry()'s return address
+  *--slot = reinterpret_cast<std::uint64_t>(entry);  // popped by `ret`
+  *--slot = 0;                                      // rbp
+  for (int i = 0; i < 5; ++i) *--slot = 0;          // rbx, r12-r15
+  *--slot = static_cast<std::uint64_t>(mxcsr) |
+            (static_cast<std::uint64_t>(fpucw) << 32);
+  ctx.sp = slot;
+}
+#else
+/// Portable fallback for targets without the asm switch.
+struct Context {
+  ucontext_t uc{};
+};
+
+inline void switch_context(Context& save, const Context& load) {
+  swapcontext(&save.uc, &load.uc);
+}
+
+inline void init_context(Context& ctx, void* stack, std::size_t size,
+                         void (*entry)()) {
+  getcontext(&ctx.uc);
+  ctx.uc.uc_stack.ss_sp = stack;
+  ctx.uc.uc_stack.ss_size = size;
+  ctx.uc.uc_link = nullptr;
+  makecontext(&ctx.uc, entry, 0);
+}
+#endif
 
 /// Wake handshake states. A parked fiber is resumed exactly once no matter
 /// how the notifier interleaves with the fiber's own switch-out:
@@ -59,8 +169,23 @@ class Pool;
 ///   kParked  -> waker exchange -> kReady     (late wake: the waker queues it)
 enum FiberState : int { kRunning = 0, kParked = 1, kReady = 2 };
 
+/// The C++ runtime's per-thread exception state (the `__cxa_eh_globals`
+/// layout of libstdc++ and libc++abi): the stack of exceptions whose
+/// handlers are running and the count of exceptions in flight. It belongs
+/// to the code that is running, not to the OS thread, so it moves with the
+/// fiber: a fiber that parks inside a catch block and resumes on another
+/// worker must still find its exception there for a `throw;`.
+struct EhGlobals {
+  void* caught_exceptions = nullptr;
+  unsigned int uncaught_exceptions = 0;
+#ifdef __ARM_EABI_UNWINDER__
+  void* propagating_exceptions = nullptr;
+#endif
+};
+
 struct Fiber {
-  ucontext_t ctx{};
+  Context ctx;
+  EhGlobals eh;  // the fiber's exception state while it is switched out
   Pool* pool = nullptr;
   int rank = -1;
   const double* clock = nullptr;  // bound to obs::ThreadClock while running
@@ -69,8 +194,8 @@ struct Fiber {
   std::size_t usable = 0;  // writable stack bytes above the guard page
   std::atomic<int> state{kReady};
   bool finished = false;
-  Fiber* next = nullptr;             // TaskWaitQueue / free-list link
-  ucontext_t* return_ctx = nullptr;  // resuming worker's context
+  Fiber* next = nullptr;          // TaskWaitQueue / free-list link
+  Context* return_ctx = nullptr;  // resuming worker's context
 #ifdef CA_TSAN_FIBERS
   void* tsan_fiber = nullptr;
   void* tsan_worker = nullptr;  // resuming worker's TSan fiber
@@ -99,7 +224,7 @@ __attribute__((noinline)) Fiber*& tls_fiber() {
   return current;
 }
 
-void fiber_trampoline(unsigned hi, unsigned lo);
+void fiber_trampoline();
 
 }  // namespace
 
@@ -147,7 +272,7 @@ class Pool {
 #ifdef CA_ASAN_FIBERS
     __sanitizer_start_switch_fiber(&f->asan_fake, f->from_lo, f->from_size);
 #endif
-    swapcontext(&f->ctx, f->return_ctx);
+    switch_context(f->ctx, *f->return_ctx);
     // Resumed — possibly on a different worker thread (resume() re-pointed
     // return_ctx / tsan_worker before switching us back in).
 #ifdef CA_ASAN_FIBERS
@@ -180,20 +305,20 @@ class Pool {
 #ifdef CA_TSAN_FIBERS
     f->tsan_fiber = __tsan_create_fiber(0);
 #endif
-    getcontext(&f->ctx);
-    f->ctx.uc_stack.ss_sp = static_cast<char*>(base) + page;
-    f->ctx.uc_stack.ss_size = usable;
-    f->ctx.uc_link = nullptr;
-    const auto p = reinterpret_cast<std::uintptr_t>(f);
-    makecontext(&f->ctx, reinterpret_cast<void (*)()>(&fiber_trampoline), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xffffffffu));
+    init_context(f->ctx, static_cast<char*>(base) + page, usable,
+                 &fiber_trampoline);
     return f;
   }
 
   void destroy_fiber(Fiber* f) {
 #ifdef CA_TSAN_FIBERS
     __tsan_destroy_fiber(f->tsan_fiber);
+#endif
+#ifdef CA_ASAN_FIBERS
+    // The fiber's last frames never returned, so their redzones are still
+    // poisoned; clear them before the range can be mapped again.
+    __asan_unpoison_memory_region(static_cast<char*>(f->map_base) + page_size(),
+                                  f->usable);
 #endif
     munmap(f->map_base, f->map_bytes);
     delete f;
@@ -209,15 +334,22 @@ class Pool {
   }
 
   /// Switch into `f` on this worker thread and come back when it parks or
-  /// finishes. The ThreadClock binding travels with the fiber (task-local):
-  /// bound here on the way in, cleared on the way out, so traces and memory
-  /// attribution survive migration across workers.
+  /// finishes. The ThreadClock binding and the C++ exception state travel
+  /// with the fiber (task-local): installed here on the way in, taken back
+  /// on the way out, so traces, memory attribution and in-progress
+  /// exception handling survive migration across workers.
   void resume(Fiber* f) {
-    ucontext_t worker_ctx;
+    Context worker_ctx;
     f->return_ctx = &worker_ctx;
     f->state.store(kRunning, std::memory_order_relaxed);
     tls_fiber() = f;
     obs::ThreadClock::bind(f->clock);
+    // This frame stays on this worker, so `eh` is this worker's slot both
+    // before and after the switch.
+    void* eh = abi::__cxa_get_globals();
+    EhGlobals worker_eh;
+    std::memcpy(&worker_eh, eh, sizeof(EhGlobals));
+    std::memcpy(eh, &f->eh, sizeof(EhGlobals));
 #ifdef CA_TSAN_FIBERS
     f->tsan_worker = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(f->tsan_fiber, 0);
@@ -228,10 +360,12 @@ class Pool {
         &worker_fake, static_cast<char*>(f->map_base) + page_size(),
         f->usable);
 #endif
-    swapcontext(&worker_ctx, &f->ctx);
+    switch_context(worker_ctx, f->ctx);
 #ifdef CA_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(worker_fake, nullptr, nullptr);
 #endif
+    std::memcpy(&f->eh, eh, sizeof(EhGlobals));
+    std::memcpy(eh, &worker_eh, sizeof(EhGlobals));
     obs::ThreadClock::bind(nullptr);
     tls_fiber() = nullptr;
   }
@@ -271,9 +405,10 @@ class Pool {
 
 namespace {
 
-void fiber_trampoline(unsigned hi, unsigned lo) {
-  auto* f = reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                     static_cast<std::uintptr_t>(lo));
+/// First frame of every fiber. resume() published the fiber in tls_fiber()
+/// just before switching in, which is how it learns who it is.
+void fiber_trampoline() {
+  Fiber* f = tls_fiber();
 #ifdef CA_ASAN_FIBERS
   __sanitizer_finish_switch_fiber(nullptr, &f->from_lo, &f->from_size);
 #endif
@@ -286,7 +421,8 @@ void fiber_trampoline(unsigned hi, unsigned lo) {
   // nullptr slot: this fiber is dying, release its fake stack.
   __sanitizer_start_switch_fiber(nullptr, f->from_lo, f->from_size);
 #endif
-  swapcontext(&f->ctx, f->return_ctx);  // never returns
+  switch_context(f->ctx, *f->return_ctx);  // never returns
+  __builtin_unreachable();
 }
 
 #if defined(CA_ASAN_FIBERS) || defined(CA_TSAN_FIBERS)

@@ -11,6 +11,8 @@
 #include <numeric>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "collective/algo.hpp"
@@ -215,6 +217,26 @@ TEST(AlgoSelector, ParsesKnobValues) {
   EXPECT_EQ(col::AlgoSelector::parse("chunked", &ok), col::Algo::kChunked);
   EXPECT_EQ(col::AlgoSelector::parse("nonsense", &ok), std::nullopt);
   EXPECT_FALSE(ok);
+}
+
+TEST(AlgoSelector, EnvGarbageThrowsNamingValueAndChoices) {
+  EXPECT_EQ(col::AlgoSelector::parse_env(nullptr), std::nullopt);
+  EXPECT_EQ(col::AlgoSelector::parse_env(""), std::nullopt);
+  EXPECT_EQ(col::AlgoSelector::parse_env("auto"), std::nullopt);
+  EXPECT_EQ(col::AlgoSelector::parse_env("ring"), col::Algo::kRing);
+  EXPECT_EQ(col::AlgoSelector::parse_env("single_root"),
+            col::Algo::kSingleRoot);
+  try {
+    (void)col::AlgoSelector::parse_env("hierarchal");
+    FAIL() << "garbage CA_COLLECTIVE_ALGO accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("CA_COLLECTIVE_ALGO"), std::string::npos) << what;
+    EXPECT_NE(what.find("'hierarchal'"), std::string::npos) << what;
+    EXPECT_NE(what.find("auto|chunked|ring|hierarchical|single_root"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(AlgoSelector, GroupAutoPicksHierarchicalForLargeDpSync) {
@@ -476,6 +498,160 @@ TEST(HierarchicalCost, BeatsChunkedOnFlatSystemIvViaLatency) {
                                            col::Algo::kHierarchical, topo,
                                            ranks, bytes, plan);
   EXPECT_LT(hier, chunked);
+}
+
+namespace {
+
+/// Independent oracle for the cost model: the formulas re-derived from the
+/// topology on every call, with no profile in between (each bottleneck is a
+/// fresh ring walk over the global ranks).
+double oracle_time(col::Op op, col::Algo algo, const sim::Topology& topo,
+                   const std::vector<int>& ranks, std::int64_t bytes,
+                   const col::TwoLevelPlan& plan) {
+  const auto p = static_cast<double>(ranks.size());
+  if (ranks.size() < 2 || bytes == 0) return 0.0;
+  const double alpha = topo.latency();
+  const double b = static_cast<double>(bytes);
+  const double bw = topo.ring_bottleneck(ranks);
+  const auto ring_of = [&](const std::vector<int>& members) {
+    std::vector<int> g;
+    for (int m : members) g.push_back(ranks[static_cast<std::size_t>(m)]);
+    return topo.ring_bottleneck(g);
+  };
+  const auto chunked = [&] {
+    switch (op) {
+      case col::Op::kAllReduce:
+        return 2.0 * (p - 1.0) * (alpha + b / p / bw);
+      case col::Op::kReduceScatter:
+      case col::Op::kAllGather:
+      case col::Op::kAllToAll:
+        return (p - 1.0) * (alpha + b / p / bw);
+      case col::Op::kBroadcast:
+      case col::Op::kReduce:
+        return (p - 1.0) * alpha + b / bw;
+      case col::Op::kGather:
+      case col::Op::kScatter:
+        return (p - 1.0) * alpha + (p - 1.0) / p * b / bw;
+    }
+    return 0.0;
+  };
+  switch (algo) {
+    case col::Algo::kChunked:
+      return chunked();
+    case col::Algo::kRing: {
+      const auto k = static_cast<double>(
+          std::clamp<std::int64_t>(bytes / (256 << 10), 2, 16));
+      if (op == col::Op::kAllReduce) {
+        return (2.0 * (p - 1.0) + k - 1.0) * (alpha + b / p / k / bw);
+      }
+      if (op == col::Op::kReduceScatter || op == col::Op::kAllGather) {
+        return ((p - 1.0) + k - 1.0) * (alpha + b / p / k / bw);
+      }
+      return chunked();
+    }
+    case col::Algo::kHierarchical: {
+      if (!plan.viable()) return chunked();
+      double intra = 0.0;
+      for (const auto& block : plan.blocks) {
+        if (block.size() < 2) continue;
+        const auto m = static_cast<double>(block.size());
+        intra = std::max(intra, (m - 1.0) * (alpha + b / m / ring_of(block)));
+      }
+      const auto l = static_cast<double>(plan.num_blocks());
+      const double share =
+          b / static_cast<double>(std::max(plan.min_block(), 1));
+      const double inter =
+          2.0 * (l - 1.0) * (alpha + share / l / ring_of(plan.leaders));
+      switch (op) {
+        case col::Op::kAllReduce:
+          return intra + inter + intra;
+        case col::Op::kReduceScatter:
+        case col::Op::kReduce:
+          return intra + inter / 2.0;
+        case col::Op::kAllGather:
+        case col::Op::kBroadcast:
+          return inter / 2.0 + intra;
+        default:
+          return 0.0;
+      }
+    }
+    case col::Algo::kSingleRoot: {
+      int hops = 0;
+      for (int v = static_cast<int>(ranks.size()) - 1; v > 0; v >>= 1) ++hops;
+      const auto h = static_cast<double>(hops);
+      if (op == col::Op::kAllReduce) return 2.0 * h * (alpha + b / bw);
+      if (op == col::Op::kBroadcast || op == col::Op::kReduce) {
+        return h * (alpha + b / bw);
+      }
+      return chunked();
+    }
+  }
+  return 0.0;
+}
+
+constexpr col::Op kAllOps[] = {
+    col::Op::kAllReduce, col::Op::kReduceScatter, col::Op::kAllGather,
+    col::Op::kBroadcast, col::Op::kReduce,        col::Op::kAllToAll,
+    col::Op::kGather,    col::Op::kScatter};
+
+}  // namespace
+
+TEST(CostProfile, GroupPricesBitIdenticalToFreeFormulaAndOracle) {
+  struct Case {
+    const char* label;
+    sim::Topology topo;
+    std::vector<int> ranks;
+  };
+  const auto iota = [](int lo, int n, int stride) {
+    std::vector<int> r;
+    for (int i = 0; i < n; ++i) r.push_back(lo + i * stride);
+    return r;
+  };
+  const std::vector<Case> cases{
+      {"I contiguous", sim::Topology::system_i(), iota(0, 8, 1)},
+      {"I half", sim::Topology::system_i(), iota(4, 4, 1)},
+      {"II contiguous", sim::Topology::system_ii(), iota(0, 8, 1)},
+      {"II strided", sim::Topology::system_ii(), iota(1, 4, 2)},
+      {"III by-node", sim::Topology::system_iii(4), iota(0, 16, 1)},
+      {"III strided col", sim::Topology::system_iii(4), iota(1, 8, 2)},
+      {"III one per node", sim::Topology::system_iii(4), iota(2, 4, 4)},
+      {"IV sqrt blocks", sim::Topology::system_iv(16), iota(0, 16, 1)},
+      {"IV ragged blocks", sim::Topology::system_iv(16), iota(3, 10, 1)},
+      {"IV strided", sim::Topology::system_iv(16), iota(0, 8, 2)},
+  };
+  int viable = 0;
+  for (const auto& c : cases) {
+    sim::Cluster cluster(c.topo);
+    col::Backend backend(cluster);
+    const auto& group = backend.create_group(c.ranks, "probe");
+    const auto plan = col::plan_two_level(c.topo, c.ranks);
+    viable += plan.viable() ? 1 : 0;
+    const col::AlgoSelector sel;
+    for (const auto op : kAllOps) {
+      for (const std::int64_t bytes :
+           {std::int64_t{0}, std::int64_t{512}, std::int64_t{64} << 10,
+            std::int64_t{1} << 20, std::int64_t{64} << 20}) {
+        for (const auto algo : kAllAlgos) {
+          const double want =
+              oracle_time(op, algo, c.topo, c.ranks, bytes, plan);
+          EXPECT_EQ(col::collective_time(op, algo, group.cost_profile(), bytes),
+                    want)
+              << c.label << " " << col::op_name(op) << " "
+              << col::algo_name(algo) << " " << bytes;
+          EXPECT_EQ(col::collective_time(op, algo, c.topo, c.ranks, bytes, plan),
+                    want)
+              << c.label << " " << col::op_name(op) << " "
+              << col::algo_name(algo) << " " << bytes;
+        }
+        EXPECT_EQ(group.algo_for(op, bytes),
+                  sel.select(op, bytes, c.topo, c.ranks, plan))
+            << c.label << " " << col::op_name(op) << " " << bytes;
+      }
+    }
+  }
+  // The sweep covers both the by-node/virtual-block plans and flat groups.
+  EXPECT_GE(viable, 4);
+  EXPECT_LT(viable, static_cast<int>(cases.size()));
 }
 
 TEST(HierarchicalCost, PerRankVolumeIsAlgorithmInvariant) {

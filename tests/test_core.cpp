@@ -132,7 +132,7 @@ TEST(Context, Grid2dGroups) {
   EXPECT_EQ(ctx.col_group(0).ranks(), (std::vector<int>{0, 2}));
   EXPECT_EQ(ctx.col_group(3).ranks(), (std::vector<int>{1, 3}));
   // no depth group in 2D
-  EXPECT_THROW(ctx.depth_group(0), std::logic_error);
+  EXPECT_THROW((void)ctx.depth_group(0), std::logic_error);
 }
 
 TEST(Context, Grid2p5dGroups) {

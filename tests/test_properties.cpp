@@ -220,6 +220,9 @@ struct TpSweepCase {
   core::TpMode mode;
   int p;
   int depth;
+  // gtest names each case by a byte dump of this struct; an explicit zero
+  // field keeps indeterminate padding bytes out of the test names.
+  std::int32_t pad;
   std::int64_t rows, in, out;
   std::uint64_t seed;
 };
@@ -243,7 +246,9 @@ TEST_P(TpExactnessSweep, LinearForwardBackwardMatchSerial) {
   auto dy = t::randn(t::Shape{c.rows, c.out}, c.seed + 2);
   auto dx_ref = serial.backward(dy);
 
-  std::vector<bool> ok(static_cast<std::size_t>(c.p), false);
+  // One byte per rank: ranks write concurrently, and std::vector<bool>'s
+  // packed bits would turn that into a read-modify-write race on one word.
+  std::vector<char> ok(static_cast<std::size_t>(c.p), 0);
   cluster.run([&](int g) {
     tp::Env env{&ctx, g};
     t::Tensor y, dx, y_expect, dx_expect;
@@ -293,18 +298,19 @@ TEST_P(TpExactnessSweep, LinearForwardBackwardMatchSerial) {
     ok[static_cast<std::size_t>(g)] =
         t::allclose(y, y_expect, 1e-4f) && t::allclose(dx, dx_expect, 1e-4f);
   });
-  for (int g = 0; g < c.p; ++g)
-    EXPECT_TRUE(ok[static_cast<std::size_t>(g)]) << "rank " << g;
+  for (int g = 0; g < c.p; ++g) {
+    EXPECT_TRUE(ok[static_cast<std::size_t>(g)] != 0) << "rank " << g;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ModesSizesSeeds, TpExactnessSweep,
     ::testing::Values(
-        TpSweepCase{core::TpMode::k1d, 2, 1, 6, 10, 8, 100},
-        TpSweepCase{core::TpMode::k1d, 8, 1, 16, 24, 16, 200},
-        TpSweepCase{core::TpMode::k2d, 4, 1, 10, 6, 14, 300},
-        TpSweepCase{core::TpMode::k2d, 9, 1, 12, 9, 27, 400},
-        TpSweepCase{core::TpMode::k2p5d, 8, 2, 16, 12, 10, 500},
-        TpSweepCase{core::TpMode::k2p5d, 12, 3, 18, 24, 8, 600},
-        TpSweepCase{core::TpMode::k3d, 8, 1, 12, 16, 20, 700},
-        TpSweepCase{core::TpMode::k3d, 27, 1, 27, 18, 36, 800}));
+        TpSweepCase{core::TpMode::k1d, 2, 1, 0, 6, 10, 8, 100},
+        TpSweepCase{core::TpMode::k1d, 8, 1, 0, 16, 24, 16, 200},
+        TpSweepCase{core::TpMode::k2d, 4, 1, 0, 10, 6, 14, 300},
+        TpSweepCase{core::TpMode::k2d, 9, 1, 0, 12, 9, 27, 400},
+        TpSweepCase{core::TpMode::k2p5d, 8, 2, 0, 16, 12, 10, 500},
+        TpSweepCase{core::TpMode::k2p5d, 12, 3, 0, 18, 24, 8, 600},
+        TpSweepCase{core::TpMode::k3d, 8, 1, 0, 12, 16, 20, 700},
+        TpSweepCase{core::TpMode::k3d, 27, 1, 0, 27, 18, 36, 800}));

@@ -15,9 +15,13 @@ TEST(Topology, SystemIFullyConnected) {
   auto topo = sim::Topology::system_i();
   EXPECT_EQ(topo.num_devices(), 8);
   EXPECT_EQ(topo.num_nodes(), 1);
-  for (int i = 0; i < 8; ++i)
-    for (int j = 0; j < 8; ++j)
-      if (i != j) EXPECT_DOUBLE_EQ(topo.bandwidth(i, j), 184.0e9);
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 8; ++j) {
+      if (i != j) {
+        EXPECT_DOUBLE_EQ(topo.bandwidth(i, j), 184.0e9);
+      }
+    }
+  }
 }
 
 TEST(Topology, SystemIIAdjacentPairsOnly) {

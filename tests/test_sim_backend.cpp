@@ -64,7 +64,55 @@ struct RunResult {
   std::vector<double> clocks;       // per-device simulated clock after run
   std::vector<std::int64_t> bytes;  // per-device interconnect bytes
   obs::TraceReport report;
+  std::vector<RunResult> cost_runs;  // the cost-only clusters, in order
 };
+
+/// Cost-only accounting on a multi-node topology: account_* calls on the
+/// world group and on strided "column" subgroups at sizes that walk the
+/// selector through single-root, chunked, hierarchical and ring, so every
+/// branch of the group cost profile is charged. Rank-dependent compute
+/// between calls makes the max-of-clocks start matter.
+RunResult run_cost_workload(sim::Topology topo, sim::SimBackend backend,
+                            int workers) {
+  sim::Cluster cluster(std::move(topo));
+  cluster.set_backend(backend);
+  cluster.set_workers(workers);
+  cluster.enable_tracing();
+  col::Backend be(cluster);
+  const int world = cluster.world_size();
+  std::vector<col::Group*> cols;
+  for (int c = 0; c < 2; ++c) {
+    std::vector<int> ranks;
+    for (int r = c; r < world; r += 2) ranks.push_back(r);
+    cols.push_back(&be.create_group(ranks, "col" + std::to_string(c)));
+  }
+
+  cluster.run([&](int r) {
+    auto& g = be.world();
+    auto& column = *cols[static_cast<std::size_t>(r % 2)];
+    for (const std::int64_t bytes :
+         {std::int64_t{512}, std::int64_t{64} << 10, std::int64_t{1} << 20,
+          std::int64_t{64} << 20}) {
+      cluster.device(r).advance_clock(1e-6 * static_cast<double>(r + 1));
+      g.account_all_reduce(r, bytes);
+      g.account_reduce_scatter(r, bytes);
+      g.account_all_gather(r, bytes);
+      g.account_broadcast(r, bytes);
+      g.account_reduce(r, bytes);
+      g.account_all_to_all(r, bytes);
+      column.account_all_reduce(r, bytes);
+      column.account_all_gather(r, bytes);
+    }
+  });
+
+  RunResult res;
+  for (int r = 0; r < world; ++r) {
+    res.clocks.push_back(cluster.device(r).clock());
+    res.bytes.push_back(cluster.device(r).bytes_sent());
+  }
+  res.report = obs::summarize(*cluster.tracer());
+  return res;
+}
 
 /// A mixed workload touching every blocking point the scheduler converts:
 /// blocking collectives (rendezvous barriers), deferred async ops waited
@@ -137,6 +185,10 @@ RunResult run_workload(int world, sim::SimBackend backend, int workers) {
     res.bytes.push_back(cluster.device(r).bytes_sent());
   }
   res.report = obs::summarize(*cluster.tracer());
+  res.cost_runs.push_back(
+      run_cost_workload(sim::Topology::system_iii(2), backend, workers));
+  res.cost_runs.push_back(
+      run_cost_workload(sim::Topology::system_iv(world), backend, workers));
   return res;
 }
 
@@ -148,6 +200,9 @@ void expect_identical(const RunResult& oracle, const RunResult& probe,
     EXPECT_EQ(std::memcmp(&oracle.losses[r], &probe.losses[r], sizeof(float)),
               0)
         << label << " loss differs on rank " << r;
+  }
+  ASSERT_EQ(oracle.clocks.size(), probe.clocks.size()) << label;
+  for (std::size_t r = 0; r < oracle.clocks.size(); ++r) {
     EXPECT_EQ(oracle.clocks[r], probe.clocks[r])
         << label << " clock differs on rank " << r;
     EXPECT_EQ(oracle.bytes[r], probe.bytes[r])
@@ -169,6 +224,11 @@ void expect_identical(const RunResult& oracle, const RunResult& probe,
         << label << " rank " << r;
     EXPECT_EQ(oracle.report.ranks[r].seconds, probe.report.ranks[r].seconds)
         << label << " rank " << r;
+  }
+  ASSERT_EQ(oracle.cost_runs.size(), probe.cost_runs.size()) << label;
+  for (std::size_t i = 0; i < oracle.cost_runs.size(); ++i) {
+    expect_identical(oracle.cost_runs[i], probe.cost_runs[i],
+                     label + " cost run " + std::to_string(i));
   }
 }
 

@@ -590,6 +590,9 @@ struct MemModelCase {
   core::TpMode mode;
   int p;
   int depth;
+  // gtest names each case by a byte dump of this struct; an explicit zero
+  // field keeps indeterminate padding bytes out of the test names.
+  std::int32_t pad;
   std::int64_t b, h;
 };
 
@@ -605,12 +608,12 @@ TEST_P(MemoryModelValidation, AnalyticPeakEqualsMeasured) {
 INSTANTIATE_TEST_SUITE_P(
     AllModes, MemoryModelValidation,
     ::testing::Values(
-        MemModelCase{core::TpMode::k1d, 4, 1, 8, 16},
-        MemModelCase{core::TpMode::k1d, 8, 1, 16, 32},
-        MemModelCase{core::TpMode::k2d, 4, 1, 8, 16},
-        MemModelCase{core::TpMode::k2d, 9, 1, 9, 18},
-        MemModelCase{core::TpMode::k2p5d, 8, 2, 16, 16},
-        MemModelCase{core::TpMode::k3d, 8, 1, 16, 16}));
+        MemModelCase{core::TpMode::k1d, 4, 1, 0, 8, 16},
+        MemModelCase{core::TpMode::k1d, 8, 1, 0, 16, 32},
+        MemModelCase{core::TpMode::k2d, 4, 1, 0, 8, 16},
+        MemModelCase{core::TpMode::k2d, 9, 1, 0, 9, 18},
+        MemModelCase{core::TpMode::k2p5d, 8, 2, 0, 16, 16},
+        MemModelCase{core::TpMode::k3d, 8, 1, 0, 16, 16}));
 
 TEST(MemoryModel, AdvancedModesBeat1dAtPaperScale) {
   // the Figure 8 claims at the paper's sizes: transformer-style inputs are

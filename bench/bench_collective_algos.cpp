@@ -137,12 +137,6 @@ int main() {
   bench::header("collective algorithms: cost sweep + functional comparison");
   bench::JsonReport report("BENCH_collective_algos.json");
 
-  // The self-checks assert the auto path; a CA_COLLECTIVE_ALGO override would
-  // pin every selection, so skip them (still print and record the sweep).
-  const bool env_forced = col::AlgoSelector::env_override().has_value();
-  if (env_forced)
-    std::printf("CA_COLLECTIVE_ALGO is set: selector self-checks skipped\n");
-
   cost_sweep(sim::Topology::system_i(), report, /*expect_hier_wins=*/false);
   cost_sweep(sim::Topology::system_ii(), report, /*expect_hier_wins=*/false);
   const auto c3 =
@@ -169,7 +163,6 @@ int main() {
              0.0);
   report.write();
 
-  if (env_forced) return EXIT_SUCCESS;
   bool ok = true;
   if (!c3.hier_beats_chunked || !c4.hier_beats_chunked) {
     std::fprintf(stderr,

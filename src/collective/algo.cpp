@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -114,26 +113,6 @@ std::optional<Algo> AlgoSelector::parse(std::string_view name, bool* ok) {
   return std::nullopt;
 }
 
-std::optional<Algo> AlgoSelector::parse_env(const char* value) {
-  if (value == nullptr) return std::nullopt;
-  bool ok = false;
-  const auto algo = parse(value, &ok);
-  if (!ok) {
-    throw std::invalid_argument(
-        "bad CA_COLLECTIVE_ALGO '" + std::string(value) +
-        "' (want auto|chunked|ring|hierarchical|single_root)");
-  }
-  return algo;
-}
-
-std::optional<Algo> AlgoSelector::env_override() {
-  // A throwing initializer leaves the static uninitialized, so garbage keeps
-  // throwing on every call rather than silently meaning "auto".
-  static const std::optional<Algo> cached =
-      parse_env(std::getenv("CA_COLLECTIVE_ALGO"));
-  return cached;
-}
-
 Algo AlgoSelector::select(Op op, std::int64_t bytes,
                           const sim::Topology& topo,
                           std::span<const int> ranks,
@@ -148,13 +127,10 @@ Algo AlgoSelector::select(Op op, std::int64_t bytes,
   const int group_size = profile.size;
   if (!schedule_selectable(op) || group_size < 2) return Algo::kChunked;
 
-  std::optional<Algo> forced = env_override();
-  if (!forced && policy_ != nullptr) forced = policy_->forced;
-  if (forced) {
-    if (*forced == Algo::kHierarchical && !profile.viable()) {
-      return Algo::kChunked;
-    }
-    return *forced;
+  if (policy_ != nullptr && policy_->forced) {
+    const Algo forced = *policy_->forced;
+    return forced == Algo::kHierarchical && !profile.viable() ? Algo::kChunked
+                                                               : forced;
   }
 
   // elem_bytes * P is the n < P floor in *bytes* for this wire width: a

@@ -67,8 +67,8 @@ TwoLevelPlan plan_two_level(const sim::Topology& topo,
                             std::span<const int> ranks);
 
 /// Group-external override of the algorithm choice, shared by every group a
-/// Backend creates (the config knob; the CA_COLLECTIVE_ALGO env var wins over
-/// it). nullopt means "auto".
+/// Backend creates: the resolved `collective_algo` knob, or whatever
+/// Backend::set_forced_algo set last. nullopt means "auto".
 struct AlgoPolicy {
   std::optional<Algo> forced;
 };
@@ -76,11 +76,10 @@ struct AlgoPolicy {
 /// Picks the algorithm for one collective call from (topology, group span,
 /// message bytes). Decision procedure (see DESIGN.md section 6):
 ///
-///   1. CA_COLLECTIVE_ALGO env var, if set and not "auto".
-///   2. AlgoPolicy::forced (the `collective_algo` config field).
-///   3. reducing/broadcast ops with bytes < max(1 KiB, 4*P)  -> kSingleRoot
+///   1. AlgoPolicy::forced, if set.
+///   2. reducing/broadcast ops with bytes < max(1 KiB, 4*P)  -> kSingleRoot
 ///      (covers the degenerate n < P case: ownership chunks would be empty)
-///   4. otherwise, rank the structurally sensible candidates by modeled
+///   3. otherwise, rank the structurally sensible candidates by modeled
 ///      alpha-beta time (collective_time) and pick the cheapest:
 ///        - kChunked       always a candidate
 ///        - kHierarchical  when the two-level plan is viable and
@@ -121,14 +120,6 @@ class AlgoSelector {
   /// Parse a knob value; "auto"/"" -> nullopt, unknown -> nullopt with
   /// `ok=false` for callers that want to reject bad config.
   static std::optional<Algo> parse(std::string_view name, bool* ok = nullptr);
-
-  /// Parse a CA_COLLECTIVE_ALGO value (nullptr = unset -> nullopt); throws
-  /// std::invalid_argument naming the value and the accepted set on garbage.
-  static std::optional<Algo> parse_env(const char* value);
-
-  /// The process-wide CA_COLLECTIVE_ALGO override (read once, cached; throws
-  /// like parse_env on garbage — every Group constructor checks it).
-  static std::optional<Algo> env_override();
 
  private:
   const AlgoPolicy* policy_ = nullptr;

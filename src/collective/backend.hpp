@@ -18,7 +18,11 @@ namespace ca::collective {
 /// used concurrently from rank threads.
 class Backend {
  public:
+  /// Groups start on the cluster's `collective_algo` knob (checked here, so
+  /// garbage throws before any rank runs).
   explicit Backend(sim::Cluster& cluster) : cluster_(cluster) {
+    policy_.forced = AlgoSelector::parse(
+        cluster.knobs().text(core::Knob::kCollectiveAlgo));
     const int n = cluster.world_size();
     channels_.resize(static_cast<std::size_t>(n) * n);
     std::vector<int> all(static_cast<std::size_t>(n));
@@ -31,8 +35,8 @@ class Backend {
   /// Group containing every rank.
   [[nodiscard]] Group& world() { return *world_; }
 
-  /// Force one collective algorithm for every group of this backend (the
-  /// `collective_algo` config knob; CA_COLLECTIVE_ALGO still wins over it).
+  /// Force one collective algorithm for every group of this backend
+  /// (ParallelContext sets its resolved `collective_algo` knob here).
   /// Main-thread only, before the SPMD region. nullopt restores auto-select.
   void set_forced_algo(std::optional<Algo> algo) { policy_.forced = algo; }
   [[nodiscard]] const AlgoPolicy& algo_policy() const { return policy_; }

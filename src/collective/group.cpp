@@ -80,9 +80,6 @@ Group::Group(sim::Cluster& cluster, std::vector<int> ranks, std::string name,
       selector_(policy),
       members_(ranks_.size()) {
   assert(!ranks_.empty());
-  // Reject a garbage CA_COLLECTIVE_ALGO here, on the constructing thread,
-  // rather than inside the first collective of some rank.
-  (void)AlgoSelector::env_override();
   if (plan_.viable()) owner_perm_ = plan_.owner_permutation();
   for (auto& slot : ptrs_) slot.assign(ranks_.size(), nullptr);
   for (auto& slot : counts_) slot.assign(ranks_.size(), 0);

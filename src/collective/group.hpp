@@ -83,7 +83,7 @@ class CollectiveHandle {
 /// ops, and all eight op kinds share that engine; an AlgoSelector picks the
 /// algorithm (chunked / ring / hierarchical / single-root) per call from the
 /// topology, the group's two-level plan, and the message size, overridable
-/// via the CA_COLLECTIVE_ALGO env var or the backend's AlgoPolicy. Schedules
+/// via the backend's AlgoPolicy (the `collective_algo` knob). Schedules
 /// are cached per member, so the steady-state step path allocates nothing.
 ///
 /// Rendezvous protocol (see DESIGN.md, "Kernel & collective design"):

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
 namespace ca::core {
@@ -32,61 +31,26 @@ struct Config {
   int tensor_depth = 1;  ///< the 'd' of 2.5D parallelism; ignored otherwise
   int sequence_parallel_size = 1;
 
-  /// Collective algorithm override applied to every process group: "auto"
-  /// (selector decides per call), "chunked", "ring", "hierarchical", or
-  /// "single_root". The CA_COLLECTIVE_ALGO environment variable wins over
-  /// this field (see DESIGN.md section 6).
-  std::string collective_algo = "auto";
+  // ---- knobs -----------------------------------------------------------------
+  // Each member below is one row of the knob table (core/knobs.hpp), which
+  // owns its config key, allowed values, environment variable and docs; the
+  // value any consumer sees resolves env > this member > table default.
 
-  /// Wire element type product comm paths (DP gradient sync, ZeRO
-  /// reduce-scatter/all-gather, TP/SP activation exchanges) move payloads
-  /// in: "f32" (exact), "f16", or "bf16" — halving modeled interconnect
-  /// bytes at reduced mantissa precision, with fp32 master accumulation
-  /// (`comm_dtype`; the CA_COMM_DTYPE environment variable wins over this
-  /// field, and an explicit Engine::Options/ZeroOptimizer override wins over
-  /// both). Checkpoints and bare Group calls stay fp32.
-  std::string comm_dtype = "f32";
+  std::string collective_algo = "auto";  ///< `collective_algo`
+  std::string comm_dtype = "f32";        ///< `comm_dtype`: wire element type
+  std::string pp_schedule = "1f1b";      ///< `pp.schedule`
+  double fault_watchdog = 1.0;           ///< `fault.watchdog` (sim seconds)
+  std::string sim_backend = "threads";   ///< `sim.backend`
+  int sim_workers = 0;                   ///< `sim.workers`
+  std::string metrics = "off";           ///< `metrics`
+  int metrics_hist_buckets = 64;         ///< `metrics.hist_buckets`
+  std::string elastic = "off";           ///< `elastic`
+  int elastic_min_world = 1;             ///< `elastic.min_world`
 
-  /// Pipeline micro-batch schedule every pp::Pipeline built without an
-  /// explicit Schedule compiles to: "fill_drain" (GPipe; alias "gpipe"),
-  /// "1f1b" (PipeDream-flush), "interleaved" (virtual stages), or
-  /// "zero_bubble" (deferred wgrad; alias "zb"). `pp.schedule` /
-  /// `pipeline.schedule`; the CA_PP_SCHEDULE environment variable wins over
-  /// this field, and an explicit Pipeline constructor argument wins over
-  /// both.
-  std::string pp_schedule = "1f1b";
-
-  /// Sim-time the collective watchdog waits at a broken rendezvous before
-  /// raising CommTimeoutError on the survivors (`fault.watchdog`; the
-  /// CA_FAULT_WATCHDOG environment variable wins over this field).
-  double fault_watchdog = 1.0;
-  /// Execution backend for the SPMD region: "threads" (one OS thread per
-  /// rank, the correctness oracle) or "tasks" (fiber scheduler, scales to
-  /// 1024+ ranks). `sim.backend`; CA_SIM_BACKEND wins over this field.
-  std::string sim_backend = "threads";
-  /// Worker threads for the tasks backend; 0 = one per hardware thread
-  /// (`sim.workers`; CA_SIM_WORKERS wins over this field).
-  int sim_workers = 0;
-  /// Online metrics collection: "on" or "off" (`metrics` / `metrics.enabled`;
-  /// the CA_METRICS environment variable wins over this field). Off keeps the
-  /// hot paths at one predictable null-check per instrument.
-  std::string metrics = "off";
-  /// Histogram bucket count for metrics (`metrics.hist_buckets`; 0 keeps the
-  /// built-in default, CA_METRICS_HIST_BUCKETS wins over this field).
-  int metrics_hist_buckets = 0;
   /// Checkpoint every this-many steps (`checkpoint.interval`; 0 disables).
   int checkpoint_interval = 0;
   /// Where CheckpointHook writes (`checkpoint.dir`).
   std::string checkpoint_dir = ".";
-  /// In-flight elastic continuation: "on" lets run_elastic survive rank
-  /// fail-stops by re-planning onto the survivors (`elastic` /
-  /// `elastic.enabled`; the CA_ELASTIC environment variable wins over this
-  /// field). "off" keeps the PR 5 behavior: abort + rethrow.
-  std::string elastic = "off";
-  /// Fewest survivors worth continuing with; recovery below this floor
-  /// rethrows the original failure (`elastic.min_world`;
-  /// CA_ELASTIC_MIN_WORLD wins over this field).
-  int elastic_min_world = 1;
 
   [[nodiscard]] int world_size() const {
     return data_parallel_size * pipeline_parallel_size * tensor_parallel_size *
@@ -106,63 +70,8 @@ struct Config {
 
   /// Throws std::invalid_argument when sizes are inconsistent with the mode's
   /// topology requirement (2D: j^2 GPUs, 2.5D: d*k^2, 3D: l^3 — Section 2.2).
-  void validate() const {
-    auto require = [](bool ok, const std::string& msg) {
-      if (!ok) throw std::invalid_argument(msg);
-    };
-    require(data_parallel_size >= 1 && pipeline_parallel_size >= 1 &&
-                tensor_parallel_size >= 1 && sequence_parallel_size >= 1,
-            "parallel sizes must be >= 1");
-    require(tensor_parallel_size == 1 || sequence_parallel_size == 1,
-            "tensor and sequence parallelism cannot be combined");
-    require(collective_algo == "auto" || collective_algo == "chunked" ||
-                collective_algo == "ring" ||
-                collective_algo == "hierarchical" ||
-                collective_algo == "single_root",
-            "unknown collective_algo '" + collective_algo + "'");
-    require(comm_dtype == "f32" || comm_dtype == "f16" || comm_dtype == "bf16",
-            "unknown comm_dtype '" + comm_dtype + "' (want f32|f16|bf16)");
-    require(pp_schedule == "fill_drain" || pp_schedule == "gpipe" ||
-                pp_schedule == "1f1b" || pp_schedule == "interleaved" ||
-                pp_schedule == "zero_bubble" || pp_schedule == "zb",
-            "unknown pp.schedule '" + pp_schedule +
-                "' (want fill_drain|1f1b|interleaved|zero_bubble)");
-    require(fault_watchdog > 0.0, "fault.watchdog must be > 0");
-    require(sim_backend == "threads" || sim_backend == "tasks",
-            "unknown sim.backend '" + sim_backend + "' (want threads|tasks)");
-    require(sim_workers >= 0, "sim.workers must be >= 0");
-    require(metrics == "on" || metrics == "off",
-            "unknown metrics '" + metrics + "' (want on|off)");
-    require(metrics_hist_buckets >= 0 && metrics_hist_buckets <= 4096,
-            "metrics.hist_buckets must be in 0..4096");
-    require(checkpoint_interval >= 0, "checkpoint.interval must be >= 0");
-    require(elastic == "on" || elastic == "off",
-            "unknown elastic '" + elastic + "' (want on|off)");
-    require(elastic_min_world >= 1, "elastic.min_world must be >= 1");
-    switch (tensor_mode) {
-      case TpMode::kNone:
-        require(tensor_parallel_size == 1,
-                "tensor_parallel_size > 1 requires a tensor mode");
-        break;
-      case TpMode::k1d:
-        break;  // any size
-      case TpMode::k2d:
-        require(exact_sqrt(tensor_parallel_size) != 0,
-                "2D tensor parallelism requires a square number of GPUs");
-        break;
-      case TpMode::k2p5d: {
-        require(tensor_depth >= 1, "2.5D depth must be >= 1");
-        require(tensor_parallel_size % tensor_depth == 0 &&
-                    exact_sqrt(tensor_parallel_size / tensor_depth) != 0,
-                "2.5D tensor parallelism requires d * k^2 GPUs");
-        break;
-      }
-      case TpMode::k3d:
-        require(exact_cbrt(tensor_parallel_size) != 0,
-                "3D tensor parallelism requires a cubic number of GPUs");
-        break;
-    }
-  }
+  /// Knob members are checked against the knob table (core/knobs.hpp).
+  void validate() const;
 };
 
 }  // namespace ca::core

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/knobs.hpp"
+
 namespace ca::core {
 
 namespace {
@@ -17,14 +19,8 @@ TpMode parse_mode(const std::string& v) {
 }
 
 int parse_int(const std::string& key, const std::string& v) {
-  try {
-    std::size_t pos = 0;
-    const int n = std::stoi(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return n;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer for '" + key + "': '" + v + "'");
-  }
+  if (const auto n = parse_knob_number<int>(v)) return *n;
+  throw std::invalid_argument("bad integer for '" + key + "': '" + v + "'");
 }
 
 /// Strip an optional "parallel." prefix (the paper's full schema path).
@@ -35,6 +31,42 @@ std::string normalize(std::string key) {
 }
 
 }  // namespace
+
+void Config::validate() const {
+  auto require = [](bool ok, const std::string& msg) {
+    if (!ok) throw std::invalid_argument(msg);
+  };
+  require(data_parallel_size >= 1 && pipeline_parallel_size >= 1 &&
+              tensor_parallel_size >= 1 && sequence_parallel_size >= 1,
+          "parallel sizes must be >= 1");
+  require(tensor_parallel_size == 1 || sequence_parallel_size == 1,
+          "tensor and sequence parallelism cannot be combined");
+  validate_config_knobs(*this);
+  require(checkpoint_interval >= 0, "checkpoint.interval must be >= 0");
+  switch (tensor_mode) {
+    case TpMode::kNone:
+      require(tensor_parallel_size == 1,
+              "tensor_parallel_size > 1 requires a tensor mode");
+      break;
+    case TpMode::k1d:
+      break;  // any size
+    case TpMode::k2d:
+      require(exact_sqrt(tensor_parallel_size) != 0,
+              "2D tensor parallelism requires a square number of GPUs");
+      break;
+    case TpMode::k2p5d: {
+      require(tensor_depth >= 1, "2.5D depth must be >= 1");
+      require(tensor_parallel_size % tensor_depth == 0 &&
+                  exact_sqrt(tensor_parallel_size / tensor_depth) != 0,
+              "2.5D tensor parallelism requires d * k^2 GPUs");
+      break;
+    }
+    case TpMode::k3d:
+      require(exact_cbrt(tensor_parallel_size) != 0,
+              "3D tensor parallelism requires a cubic number of GPUs");
+      break;
+  }
+}
 
 Config parse_config(const std::string& text) {
   Config cfg;
@@ -51,8 +83,6 @@ Config parse_config(const std::string& text) {
 
     if (key == "data" || key == "data.size") {
       cfg.data_parallel_size = parse_int(key, value);
-    } else if (key == "pp.schedule" || key == "pipeline.schedule") {
-      cfg.pp_schedule = value;
     } else if (key == "pipeline" || key == "pipeline.size") {
       cfg.pipeline_parallel_size = parse_int(key, value);
     } else if (key == "tensor.size") {
@@ -64,36 +94,11 @@ Config parse_config(const std::string& text) {
       cfg.tensor_depth = parse_int(key, value);
     } else if (key == "sequence" || key == "sequence.size") {
       cfg.sequence_parallel_size = parse_int(key, value);
-    } else if (key == "collective_algo" || key == "collective.algo") {
-      cfg.collective_algo = value;
-    } else if (key == "comm_dtype" || key == "comm.dtype") {
-      cfg.comm_dtype = value;
-    } else if (key == "fault.watchdog") {
-      try {
-        std::size_t pos = 0;
-        cfg.fault_watchdog = std::stod(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        throw std::invalid_argument("bad number for 'fault.watchdog': '" +
-                                    value + "'");
-      }
-    } else if (key == "sim.backend") {
-      cfg.sim_backend = value;
-    } else if (key == "sim.workers") {
-      cfg.sim_workers = parse_int(key, value);
-    } else if (key == "metrics" || key == "metrics.enabled") {
-      cfg.metrics = value;
-    } else if (key == "metrics.hist_buckets") {
-      cfg.metrics_hist_buckets = parse_int(key, value);
     } else if (key == "checkpoint.interval") {
       cfg.checkpoint_interval = parse_int(key, value);
     } else if (key == "checkpoint.dir") {
       cfg.checkpoint_dir = value;
-    } else if (key == "elastic" || key == "elastic.enabled") {
-      cfg.elastic = value;
-    } else if (key == "elastic.min_world") {
-      cfg.elastic_min_world = parse_int(key, value);
-    } else {
+    } else if (!set_config_knob(cfg, key, value)) {
       throw std::invalid_argument("unknown configuration key '" + key + "'");
     }
   }

@@ -1,9 +1,10 @@
 #include "core/context.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
+
+#include "core/knobs.hpp"
 
 namespace ca::core {
 
@@ -62,27 +63,12 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
   const int pp = config_.pipeline_parallel_size;
   const int dp = config_.data_parallel_size;
 
-  // The config-level algorithm override, shared by every group the backend
-  // creates (validate() already rejected unknown names).
+  // The context-level knobs (env > config > default). The algorithm lands on
+  // every group the backend creates.
+  const Knobs knobs = Knobs::resolve(&config_);
   backend_.set_forced_algo(
-      collective::AlgoSelector::parse(config_.collective_algo));
-
-  // Wire dtype of the product comm paths: CA_COMM_DTYPE env var wins over
-  // the `comm_dtype` config field (the established env > config knob
-  // precedence; see launch.hpp). Not statically cached — every context
-  // re-reads the environment, so tests can vary it per construction.
-  if (const char* env = std::getenv("CA_COMM_DTYPE");
-      env != nullptr && *env != '\0') {
-    const auto parsed = tensor::parse_dtype(env);
-    if (!parsed) {
-      throw std::invalid_argument("bad CA_COMM_DTYPE '" + std::string(env) +
-                                  "' (want f32|f16|bf16)");
-    }
-    comm_dtype_ = *parsed;
-  } else {
-    // validate() already rejected unknown names.
-    comm_dtype_ = *tensor::parse_dtype(config_.comm_dtype);
-  }
+      collective::AlgoSelector::parse(knobs.text(Knob::kCollectiveAlgo)));
+  comm_dtype_ = *tensor::parse_dtype(knobs.text(Knob::kCommDtype));
 
   data_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
   data_node_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);

@@ -57,11 +57,10 @@ class ParallelContext {
   [[nodiscard]] collective::Group& world_group() { return *world_group_; }
 
   /// The wire element type product comm paths (engine gradient sync, ZeRO,
-  /// TP/SP activation exchanges) pass to their collectives. Resolved once at
-  /// construction: CA_COMM_DTYPE env var > `comm_dtype` config field (the
-  /// same precedence as the fault-watchdog and sim-backend knobs); an
-  /// explicit Engine::Options / ZeroOptimizer override wins over both. Bare
-  /// Group calls and checkpoint traffic are unaffected (fp32).
+  /// TP/SP activation exchanges) pass to their collectives: the `comm_dtype`
+  /// knob, resolved once at construction; an explicit Engine::Options /
+  /// ZeroOptimizer override wins over it. Bare Group calls and checkpoint
+  /// traffic are unaffected (fp32).
   [[nodiscard]] tensor::Dtype comm_dtype() const { return comm_dtype_; }
 
   /// The explicit-override tier of the precedence chain: force the wire

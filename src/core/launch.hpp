@@ -1,12 +1,12 @@
 #pragma once
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
 
 #include "collective/backend.hpp"
 #include "core/config_parser.hpp"
 #include "core/context.hpp"
+#include "core/knobs.hpp"
 #include "sim/fault.hpp"
 #include "tp/env.hpp"
 
@@ -22,40 +22,16 @@ namespace ca::core {
 class LaunchedWorld {
  public:
   LaunchedWorld(Config config, sim::Topology topo)
-      : cluster_(std::move(topo)),
+      : cluster_(std::move(topo), Knobs::resolve(&config)),
         backend_(cluster_),
         ctx_(backend_, config) {
-    // Arm fault injection straight from the environment (CA_FAULT_*), the
-    // no-recompile way to run any experiment under faults. The env watchdog
-    // wins over the config key, matching CA_COLLECTIVE_ALGO precedence.
-    if (auto plan = sim::FaultPlan::from_env()) {
-      if (std::getenv("CA_FAULT_WATCHDOG") == nullptr) {
-        plan->watchdog = config.fault_watchdog;
-      }
+    // Any CA_FAULT_* variable arms fault injection, the no-recompile way to
+    // run an experiment under faults; the watchdog is armed either way.
+    const Knobs& knobs = cluster_.knobs();
+    if (auto plan = sim::FaultPlan::from_env(knobs)) {
       cluster_.install_faults(std::move(*plan));
     } else {
-      cluster_.fault_state().set_watchdog(config.fault_watchdog);
-    }
-    // Execution-backend knobs (`sim.backend` / `sim.workers`): the Cluster
-    // constructor already applied CA_SIM_BACKEND / CA_SIM_WORKERS, so the
-    // config fields only land where the environment is silent — the same
-    // precedence as the fault watchdog above.
-    if (std::getenv("CA_SIM_BACKEND") == nullptr) {
-      cluster_.set_backend(config.sim_backend == "tasks"
-                               ? sim::SimBackend::kTasks
-                               : sim::SimBackend::kThreads);
-    }
-    if (std::getenv("CA_SIM_WORKERS") == nullptr && config.sim_workers > 0) {
-      cluster_.set_workers(config.sim_workers);
-    }
-    // Metrics knobs: bucket count before enable so the registry is built
-    // with the configured resolution.
-    if (std::getenv("CA_METRICS_HIST_BUCKETS") == nullptr &&
-        config.metrics_hist_buckets > 0) {
-      cluster_.set_metrics_hist_buckets(config.metrics_hist_buckets);
-    }
-    if (std::getenv("CA_METRICS") == nullptr && config.metrics == "on") {
-      cluster_.enable_metrics();
+      cluster_.fault_state().set_watchdog(knobs.real(Knob::kFaultWatchdog));
     }
   }
 

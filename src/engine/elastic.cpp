@@ -1,9 +1,9 @@
 #include "engine/elastic.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "core/knobs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/cluster.hpp"
@@ -25,30 +25,10 @@ void fault_span(sim::Device& dev, const char* name, double t0, double t1,
 }  // namespace
 
 ElasticOptions ElasticOptions::resolve(const core::Config& config) {
+  const core::Knobs knobs = core::Knobs::resolve(&config);
   ElasticOptions o;
-  std::string v = config.elastic;
-  if (const char* e = std::getenv("CA_ELASTIC")) v = e;
-  if (v != "on" && v != "off") {
-    throw std::invalid_argument("CA_ELASTIC: bad value '" + v +
-                                "' (want on|off)");
-  }
-  o.enabled = v == "on";
-  o.min_world = config.elastic_min_world;
-  if (const char* e = std::getenv("CA_ELASTIC_MIN_WORLD")) {
-    std::size_t pos = 0;
-    int n = 0;
-    try {
-      n = std::stoi(e, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
-    }
-    if (pos != std::string(e).size() || n < 1) {
-      throw std::invalid_argument(
-          std::string("CA_ELASTIC_MIN_WORLD: bad value '") + e +
-          "' (want an integer >= 1)");
-    }
-    o.min_world = n;
-  }
+  o.enabled = knobs.text(core::Knob::kElastic) == "on";
+  o.min_world = static_cast<int>(knobs.integer(core::Knob::kElasticMinWorld));
   return o;
 }
 

@@ -15,9 +15,8 @@
 namespace ca::engine {
 
 /// Knobs of the in-flight elastic continuation path (DESIGN.md section 13).
-/// Resolve from a Config with the repository-wide precedence: CA_ELASTIC /
-/// CA_ELASTIC_MIN_WORLD environment variables win over the `elastic` /
-/// `elastic.min_world` config fields.
+/// resolve() reads the `elastic` and `elastic.min_world` knobs against a
+/// Config.
 struct ElasticOptions {
   bool enabled = false;
   /// Fewest survivors worth continuing with; below this floor recovery gives

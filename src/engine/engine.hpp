@@ -45,9 +45,8 @@ class Engine {
     /// the guard costs one predictable branch.
     bool nan_guard = false;
     /// Wire element type of data-parallel gradient sync (bucketed and
-    /// serial). Unset (the default) resolves through the established knob
-    /// precedence: CA_COMM_DTYPE env var > `comm_dtype` config field (via
-    /// ParallelContext::comm_dtype()); set it to pin a dtype regardless of
+    /// serial). Unset (the default) takes the `comm_dtype` knob
+    /// (ParallelContext::comm_dtype()); set it to pin a dtype regardless of
     /// the environment. Half wires move 2-byte gradients with fp32
     /// accumulation; the NaN guard and loss-scaler skip still fire because
     /// the conversions preserve NaN.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
+
+#include "core/knobs.hpp"
 
 namespace ca::pp {
 
@@ -22,17 +22,13 @@ double bubble_fraction_interleaved(int stages, int micro_batches, int chunks) {
 
 Schedule Pipeline::parse_schedule(std::string_view name) {
   if (auto s = collective::parse_pipe_sched(name)) return *s;
-  throw std::invalid_argument("unknown pipeline schedule: \"" +
-                              std::string(name) +
-                              "\" (expected fill_drain, 1f1b, interleaved, or "
-                              "zero_bubble)");
+  const core::KnobSpec& knob = core::knob_spec(core::Knob::kPpSchedule);
+  core::throw_bad_knob(knob, "pipeline schedule", name);
 }
 
 Schedule Pipeline::resolved_schedule(const core::ParallelContext& ctx) {
-  if (const char* env = std::getenv("CA_PP_SCHEDULE")) {
-    return parse_schedule(env);
-  }
-  return parse_schedule(ctx.config().pp_schedule);
+  return parse_schedule(core::Knobs::resolve(&ctx.config())
+                            .text(core::Knob::kPpSchedule));
 }
 
 Pipeline::Pipeline(const tp::Env& env, std::vector<nn::Module*> chunks,

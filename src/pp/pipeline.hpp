@@ -56,7 +56,7 @@ class Pipeline {
   /// `input_shape` is the shape of one incoming micro-batch.
   Pipeline(const tp::Env& env, nn::Module& stage, tensor::Shape input_shape,
            Schedule schedule);
-  /// Knob-resolved schedule: CA_PP_SCHEDULE env var > `pp.schedule` config.
+  /// Schedule from the `pp.schedule` knob.
   Pipeline(const tp::Env& env, nn::Module& stage, tensor::Shape input_shape);
 
   /// `chunks[v]` is this rank's v-th model chunk (virtual stage v*S + s);
@@ -94,7 +94,7 @@ class Pipeline {
   /// Parse a schedule name ("fill_drain"/"gpipe", "1f1b", "interleaved",
   /// "zero_bubble"/"zb"); throws std::invalid_argument on anything else.
   static Schedule parse_schedule(std::string_view name);
-  /// Knob resolution: CA_PP_SCHEDULE env var > cfg.pp_schedule.
+  /// The `pp.schedule` knob, resolved against the context's config.
   static Schedule resolved_schedule(const core::ParallelContext& ctx);
 
  private:

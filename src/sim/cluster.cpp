@@ -2,78 +2,27 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 namespace ca::sim {
 
-namespace {
-
-/// Parse a non-negative integer knob; throws on garbage so a typo'd
-/// environment fails loudly instead of silently running the default.
-int env_int(const char* name, const char* value) {
-  std::size_t pos = 0;
-  int n = 0;
-  try {
-    n = std::stoi(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != std::string(value).size() || n < 0) {
-    throw std::invalid_argument(std::string(name) + ": bad value '" + value +
-                                "' (want a non-negative integer)");
-  }
-  return n;
-}
-
-}  // namespace
-
-Cluster::Cluster(Topology topo)
-    : topo_(std::move(topo)), host_mem_("host", 512 * kGiB) {
+Cluster::Cluster(Topology topo, core::Knobs knobs)
+    : topo_(std::move(topo)),
+      host_mem_("host", 512 * kGiB),
+      knobs_(std::move(knobs)) {
   devices_.reserve(static_cast<std::size_t>(topo_.num_devices()));
   for (int r = 0; r < topo_.num_devices(); ++r) {
     devices_.push_back(std::make_unique<Device>(r, topo_.gpu()));
   }
-  // Backend knobs come straight from the environment so any harness (raw
-  // Cluster tests included) can be flipped wholesale, e.g. the CI job that
-  // re-runs the whole suite under CA_SIM_BACKEND=tasks. The `sim.*` config
-  // keys are applied later by LaunchedWorld, and only where the env is unset.
-  if (const char* e = std::getenv("CA_SIM_BACKEND")) {
-    const auto b = parse_backend(e);
-    if (!b.has_value()) {
-      throw std::invalid_argument(std::string("CA_SIM_BACKEND: unknown backend '") +
-                                  e + "' (want threads|tasks)");
-    }
-    backend_ = *b;
-  }
-  if (const char* e = std::getenv("CA_SIM_WORKERS")) {
-    workers_ = env_int("CA_SIM_WORKERS", e);
-  }
-  if (const char* e = std::getenv("CA_SIM_STACK_KB")) {
-    stack_bytes_ = static_cast<std::size_t>(env_int("CA_SIM_STACK_KB", e)) << 10;
-  }
-  // Metrics knobs follow the same pattern: CA_METRICS / CA_METRICS_HIST_BUCKETS
-  // flip any harness wholesale; the `metrics.*` config keys land only where
-  // the env is silent (LaunchedWorld).
-  if (const char* e = std::getenv("CA_METRICS_HIST_BUCKETS")) {
-    const int buckets = env_int("CA_METRICS_HIST_BUCKETS", e);
-    if (buckets < 1 || buckets > 4096) {
-      throw std::invalid_argument(
-          std::string("CA_METRICS_HIST_BUCKETS: bad value '") + e +
-          "' (want 1..4096)");
-    }
-    hist_buckets_ = buckets;
-  }
-  if (const char* e = std::getenv("CA_METRICS")) {
-    const std::string v(e);
-    if (v != "on" && v != "off") {
-      throw std::invalid_argument(std::string("CA_METRICS: bad value '") + e +
-                                  "' (want on|off)");
-    }
-    if (v == "on") enable_metrics();
-  }
+  using core::Knob;
+  backend_ = *parse_backend(knobs_.text(Knob::kSimBackend));
+  workers_ = static_cast<int>(knobs_.integer(Knob::kSimWorkers));
+  stack_bytes_ = static_cast<std::size_t>(knobs_.integer(Knob::kSimStackKb))
+                 << 10;
+  hist_buckets_ = static_cast<int>(knobs_.integer(Knob::kMetricsHistBuckets));
+  if (knobs_.text(Knob::kMetrics) == "on") enable_metrics();
 }
 
 void Cluster::run(const std::function<void(int)>& fn) {

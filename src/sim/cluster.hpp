@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/knobs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/device.hpp"
@@ -25,7 +26,10 @@ namespace ca::sim {
 /// stranding some ranks at a rendezvous.
 class Cluster {
  public:
-  explicit Cluster(Topology topo);
+  /// Takes the sim.* and metrics.* knobs from `knobs`; by default from the
+  /// environment alone, so any harness can be flipped wholesale.
+  explicit Cluster(Topology topo,
+                   core::Knobs knobs = core::Knobs::resolve());
 
   [[nodiscard]] int world_size() const { return static_cast<int>(devices_.size()); }
   [[nodiscard]] Device& device(int rank) { return *devices_.at(static_cast<std::size_t>(rank)); }
@@ -33,6 +37,8 @@ class Cluster {
     return *devices_.at(static_cast<std::size_t>(rank));
   }
   [[nodiscard]] const Topology& topology() const { return topo_; }
+  /// The knobs this cluster was built with.
+  [[nodiscard]] const core::Knobs& knobs() const { return knobs_; }
 
   /// Host (CPU) memory pool for the offloading engine. Defaults to 512 GiB,
   /// as on the DGX-class machines in Table 2.
@@ -53,12 +59,11 @@ class Cluster {
 
   // ---- execution backend ------------------------------------------------------
 
-  /// Backend run() uses. Initialised from CA_SIM_BACKEND at construction
-  /// (bad values throw std::invalid_argument); defaults to kThreads.
+  /// Backend run() uses; starts at the `sim.backend` knob.
   [[nodiscard]] SimBackend backend() const { return backend_; }
   void set_backend(SimBackend b) { backend_ = b; }
   /// Worker threads for the tasks backend; 0 = one per hardware thread,
-  /// clamped to world size. Initialised from CA_SIM_WORKERS.
+  /// clamped to world size. Starts at the `sim.workers` knob.
   [[nodiscard]] int workers() const { return workers_; }
   void set_workers(int w) { workers_ = w; }
   /// Per-fiber stack bytes; 0 = scheduler default. From CA_SIM_STACK_KB.
@@ -109,20 +114,14 @@ class Cluster {
 
   /// Turn on the per-rank metric registry: creates (or reuses) the
   /// MetricsRegistry and hands each Device its rank sink. Call outside the
-  /// SPMD region. Idempotent. CA_METRICS=on enables this at construction
-  /// (bad values throw std::invalid_argument); CA_METRICS_HIST_BUCKETS sizes
-  /// the histograms, with the `metrics.*` config keys applied by
-  /// LaunchedWorld only where the env is unset.
+  /// SPMD region. Idempotent. The `metrics` knob set to on enables this at
+  /// construction.
   obs::MetricsRegistry& enable_metrics();
   /// Detach all sinks; values collected so far stay readable through
   /// metrics(). The emit points revert to their single disabled-path branch.
   void disable_metrics();
   /// The registry, or nullptr if enable_metrics was never called.
   [[nodiscard]] obs::MetricsRegistry* metrics() { return metrics_.get(); }
-  /// Histogram bucket count for the next enable_metrics() (existing
-  /// registries keep their size).
-  [[nodiscard]] int metrics_hist_buckets() const { return hist_buckets_; }
-  void set_metrics_hist_buckets(int buckets) { hist_buckets_ = buckets; }
 
  private:
   Topology topo_;
@@ -137,6 +136,7 @@ class Cluster {
   int hist_buckets_ = obs::kDefaultHistBuckets;
   FaultState fault_state_;
   std::unique_ptr<FaultInjector> injector_;
+  core::Knobs knobs_;
 };
 
 }  // namespace ca::sim

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
+#include <utility>
 
 namespace ca::sim {
 
@@ -19,107 +19,95 @@ double FaultPlan::jitter(std::uint64_t k) const {
 
 namespace {
 
-/// "<rank>@<rest>" -> (rank, rest); throws on malformed input.
-std::pair<int, std::string> split_rank(const std::string& s,
-                                       const char* var) {
-  const auto at = s.find('@');
-  if (at == std::string::npos) {
-    throw std::invalid_argument(std::string(var) + ": expected '<rank>@...', got '" + s + "'");
-  }
-  return {std::stoi(s.substr(0, at)), s.substr(at + 1)};
-}
+using core::Knob;
 
-/// Split "a:b[:c]" into doubles.
-std::vector<double> split_scalars(const std::string& s) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const auto colon = s.find(':', pos);
-    const auto end = colon == std::string::npos ? s.size() : colon;
-    out.push_back(std::stod(s.substr(pos, end - pos)));
-    if (colon == std::string::npos) break;
-    pos = colon + 1;
-  }
-  return out;
-}
+/// One CA_FAULT_* spec value split at its '@' and ':' separators, which
+/// must spell one alternative of the knob's table grammar ("@::" for
+/// "<rank>@<from>:<duration>:<factor>"). Junk anywhere, or a negative rank
+/// or step, raises the knob's structured error.
+struct SpecReader {
+  Knob knob;
+  std::string_view whole;
+  std::vector<std::string_view> parts;
 
-const char* env(const char* name) { return std::getenv(name); }
+  SpecReader(Knob k, std::string_view v) : knob(k), whole(v) {
+    std::string seps;
+    for (auto i = v.find_first_of("@:");; i = v.find_first_of("@:")) {
+      parts.push_back(v.substr(0, i));
+      if (i == std::string_view::npos) break;
+      seps += v[i];
+      v.remove_prefix(i + 1);
+    }
+    bool ok = false;
+    std::string shape;
+    for (const char c : std::string(core::knob_spec(k).allowed) + '|') {
+      if (c == '@' || c == ':') shape += c;
+      if (c == '|') ok = ok || std::exchange(shape, "") == seps;
+    }
+    if (!ok) fail();
+  }
+  [[noreturn]] void fail() const {
+    const core::KnobSpec& s = core::knob_spec(knob);
+    core::throw_bad_knob(s, s.env, whole);
+  }
+  /// `v` as a T; an `index` (rank or step) must also be >= 0.
+  template <class T>
+  T number(std::string_view v, bool index = false) const {
+    const auto out = core::parse_knob_number<T>(v);
+    if (!out || (index && *out < 0)) fail();
+    return *out;
+  }
+  int rank() const { return number<int>(parts[0], true); }
+  double real(std::size_t i) const { return number<double>(parts[i]); }
+  std::int64_t index(std::size_t i) const {
+    return number<std::int64_t>(parts[i], true);
+  }
+};
 
 }  // namespace
 
-std::optional<FaultPlan> FaultPlan::from_env() {
-  FaultPlan plan;
+std::optional<FaultPlan> FaultPlan::from_env(const core::Knobs& knobs) {
   bool any = false;
-  if (const char* v = env("CA_FAULT_SEED")) {
-    plan.seed = std::stoull(v);
-    any = true;
+  for (int k = static_cast<int>(Knob::kFaultWatchdog);
+       k <= static_cast<int>(Knob::kFaultCkptCorrupt); ++k) {
+    any = any || knobs.source(static_cast<Knob>(k)) == core::KnobSource::kEnv;
   }
-  if (const char* v = env("CA_FAULT_WATCHDOG")) {
-    plan.watchdog = std::stod(v);
-    any = true;
-  }
-  if (const char* v = env("CA_FAULT_RETRY_BASE")) {
-    plan.retry_base = std::stod(v);
-    any = true;
-  }
-  if (const char* v = env("CA_FAULT_RETRIES")) {
-    plan.max_retries = std::stoi(v);
-    any = true;
-  }
-  if (const char* v = env("CA_FAULT_FAILSTOP")) {
-    auto [rank, rest] = split_rank(v, "CA_FAULT_FAILSTOP");
-    if (!rest.empty() && rest[0] == 't') {
-      plan.fail_stop_at(rank, std::stod(rest.substr(1)));
+  if (!any) return std::nullopt;
+  FaultPlan plan;
+  plan.seed = static_cast<std::uint64_t>(knobs.integer(Knob::kFaultSeed));
+  plan.watchdog = knobs.real(Knob::kFaultWatchdog);
+  plan.retry_base = knobs.real(Knob::kFaultRetryBase);
+  plan.max_retries = static_cast<int>(knobs.integer(Knob::kFaultRetries));
+  const auto spec = [&](Knob k) {
+    const std::string& v = knobs.text(k);
+    return v.empty() ? std::nullopt : std::optional<SpecReader>({k, v});
+  };
+  if (const auto r = spec(Knob::kFaultFailstop)) {
+    if (r->parts[1].starts_with('t')) {
+      plan.fail_stop_at(r->rank(), r->number<double>(r->parts[1].substr(1)));
     } else {
-      plan.fail_stop(rank, std::stoll(rest));
+      plan.fail_stop(r->rank(), r->index(1));
     }
-    any = true;
   }
-  if (const char* v = env("CA_FAULT_STRAGGLER")) {
-    auto [rank, rest] = split_rank(v, "CA_FAULT_STRAGGLER");
-    const auto s = split_scalars(rest);
-    if (s.size() != 3) {
-      throw std::invalid_argument(
-          "CA_FAULT_STRAGGLER: expected '<rank>@<from>:<duration>:<factor>'");
-    }
-    plan.straggler(rank, s[0], s[1], s[2]);
-    any = true;
+  if (const auto r = spec(Knob::kFaultStraggler)) {
+    plan.straggler(r->rank(), r->real(1), r->real(2), r->real(3));
   }
-  if (const char* v = env("CA_FAULT_LINK")) {
-    const auto s = split_scalars(v);
-    if (s.size() != 3) {
-      throw std::invalid_argument(
-          "CA_FAULT_LINK: expected '<from>:<duration>:<factor>'");
-    }
-    plan.degrade_links(s[0], s[1], s[2]);
-    any = true;
+  if (const auto r = spec(Knob::kFaultLink)) {
+    plan.degrade_links(r->real(0), r->real(1), r->real(2));
   }
-  if (const char* v = env("CA_FAULT_NAN")) {
-    auto [rank, rest] = split_rank(v, "CA_FAULT_NAN");
-    plan.corrupt_grads(rank, std::stoll(rest));
-    any = true;
+  if (const auto r = spec(Knob::kFaultNan)) {
+    plan.corrupt_grads(r->rank(), r->index(1));
   }
-  if (const char* v = env("CA_FAULT_TRANSIENT")) {
-    const auto s = split_scalars(v);
-    if (s.size() != 2) {
-      throw std::invalid_argument(
-          "CA_FAULT_TRANSIENT: expected '<from>:<duration>'");
-    }
-    plan.transient_comm(s[0], s[1]);
-    any = true;
+  if (const auto r = spec(Knob::kFaultTransient)) {
+    plan.transient_comm(r->real(0), r->real(1));
   }
-  if (const char* v = env("CA_FAULT_CKPT_CORRUPT")) {
-    const auto s = split_scalars(v);
-    if (s.empty() || s.size() > 2) {
-      throw std::invalid_argument(
-          "CA_FAULT_CKPT_CORRUPT: expected '<step>' or '<step>:<offset>'");
-    }
-    plan.corrupt_checkpoint(static_cast<std::int64_t>(s[0]),
-                            s.size() == 2 ? static_cast<std::int64_t>(s[1])
-                                          : -1);
-    any = true;
+  if (const auto r = spec(Knob::kFaultCkptCorrupt)) {
+    // A negative offset asks for a seeded one, as when it is left out.
+    const bool offset = r->parts.size() == 2;
+    plan.corrupt_checkpoint(
+        r->index(0), offset ? r->number<std::int64_t>(r->parts[1]) : -1);
   }
-  return any ? std::optional<FaultPlan>(std::move(plan)) : std::nullopt;
+  return plan;
 }
 
 // ---- FaultInjector ----------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/knobs.hpp"
 #include "sim/scheduler.hpp"
 
 namespace ca::sim {
@@ -150,16 +151,11 @@ struct FaultPlan {
   /// reproducible from the seed alone.
   [[nodiscard]] double jitter(std::uint64_t k) const;
 
-  /// Parse the CA_FAULT_* environment: returns nullopt when none is set.
-  ///   CA_FAULT_FAILSTOP  = "<rank>@<step>" or "<rank>@t<clock>"
-  ///   CA_FAULT_STRAGGLER = "<rank>@<from>:<duration>:<factor>"
-  ///   CA_FAULT_LINK      = "<from>:<duration>:<factor>"
-  ///   CA_FAULT_NAN       = "<rank>@<step>"
-  ///   CA_FAULT_TRANSIENT = "<from>:<duration>"
-  ///   CA_FAULT_CKPT_CORRUPT = "<step>" or "<step>:<byte-offset>"
-  ///   CA_FAULT_WATCHDOG / CA_FAULT_RETRY_BASE / CA_FAULT_RETRIES /
-  ///   CA_FAULT_SEED      = scalars
-  static std::optional<FaultPlan> from_env();
+  /// The plan the CA_FAULT_* knobs describe (grammar and ranges in the knob
+  /// table, core/knobs.cpp); nullopt when none is set in the environment.
+  /// The watchdog takes the resolved `fault.watchdog` value either way.
+  static std::optional<FaultPlan> from_env(
+      const core::Knobs& knobs = core::Knobs::resolve());
 };
 
 /// Read-mostly query object the instrumented layers consult. All queries are

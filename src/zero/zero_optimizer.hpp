@@ -27,7 +27,7 @@ class ZeroOptimizer {
  public:
   /// `wire` is the element type gradient sync (all-reduce / reduce-scatter)
   /// and parameter reconstruction (all-gather) move over the interconnect;
-  /// unset resolves CA_COMM_DTYPE env > `comm_dtype` config via the context.
+  /// unset takes the `comm_dtype` knob via the context.
   /// Adam always updates the fp32 master shards, and save_state/load_state
   /// checkpoint traffic stays exact fp32 regardless (CACKPT01 bit-identical
   /// re-sharding is wire-dtype-independent).

@@ -20,6 +20,8 @@
 #include "collective/cost.hpp"
 #include "collective/schedule.hpp"
 #include "core/context.hpp"
+#include "core/knobs.hpp"
+#include "scoped_env.hpp"
 #include "sim/cluster.hpp"
 
 namespace col = ca::collective;
@@ -220,14 +222,19 @@ TEST(AlgoSelector, ParsesKnobValues) {
 }
 
 TEST(AlgoSelector, EnvGarbageThrowsNamingValueAndChoices) {
-  EXPECT_EQ(col::AlgoSelector::parse_env(nullptr), std::nullopt);
-  EXPECT_EQ(col::AlgoSelector::parse_env(""), std::nullopt);
-  EXPECT_EQ(col::AlgoSelector::parse_env("auto"), std::nullopt);
-  EXPECT_EQ(col::AlgoSelector::parse_env("ring"), col::Algo::kRing);
-  EXPECT_EQ(col::AlgoSelector::parse_env("single_root"),
-            col::Algo::kSingleRoot);
+  // The CA_COLLECTIVE_ALGO value a group built now would be forced to.
+  const auto env_algo = [](const char* value) {
+    ScopedEnv e("CA_COLLECTIVE_ALGO", value);
+    return col::AlgoSelector::parse(
+        core::Knobs::resolve().text(core::Knob::kCollectiveAlgo));
+  };
+  EXPECT_EQ(env_algo(nullptr), std::nullopt);
+  EXPECT_EQ(env_algo(""), std::nullopt);
+  EXPECT_EQ(env_algo("auto"), std::nullopt);
+  EXPECT_EQ(env_algo("ring"), col::Algo::kRing);
+  EXPECT_EQ(env_algo("single_root"), col::Algo::kSingleRoot);
   try {
-    (void)col::AlgoSelector::parse_env("hierarchal");
+    (void)env_algo("hierarchal");
     FAIL() << "garbage CA_COLLECTIVE_ALGO accepted";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -237,6 +244,10 @@ TEST(AlgoSelector, EnvGarbageThrowsNamingValueAndChoices) {
               std::string::npos)
         << what;
   }
+  // Groups check the value when they are built, before any rank runs.
+  ScopedEnv e("CA_COLLECTIVE_ALGO", "hierarchal");
+  sim::Cluster cluster(sim::Topology::uniform(2, 100e9));
+  EXPECT_THROW(col::Backend backend(cluster), std::invalid_argument);
 }
 
 TEST(AlgoSelector, GroupAutoPicksHierarchicalForLargeDpSync) {

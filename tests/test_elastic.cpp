@@ -21,6 +21,7 @@
 #include "nn/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scoped_env.hpp"
 #include "sim/cluster.hpp"
 #include "tensor/ops.hpp"
 #include "tp/linear1d.hpp"
@@ -47,17 +48,6 @@ constexpr std::int64_t kHidden = 48;
 constexpr std::uint64_t kSeed = 7;
 constexpr std::int64_t kTotalSteps = 6;
 constexpr std::int64_t kKillStep = 3;
-
-/// Scoped environment variable (restores by unsetting on destruction).
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
-};
 
 /// One TP linear layer driven full-in / full-out on whatever layout the
 /// context carries: the input is sharded per mode, the local output gathered
@@ -343,20 +333,20 @@ TEST(Elastic, FailStop3DContinuesBitIdentical) {
 // bit-identity bar are backend- and wire-dtype-independent (elastic resume
 // and cold restart share one layout, so they share one rounding story).
 TEST(Elastic, MatrixTasksBackend) {
-  EnvGuard backend("CA_SIM_BACKEND", "tasks");
+  ScopedEnv backend("CA_SIM_BACKEND", "tasks");
   auto r = run_elastic_scenario(core::TpMode::k2d, 4, 1);
   expect_bit_identical_resume(r);
 }
 
 TEST(Elastic, MatrixBf16Wire) {
-  EnvGuard wire("CA_COMM_DTYPE", "bf16");
+  ScopedEnv wire("CA_COMM_DTYPE", "bf16");
   auto r = run_elastic_scenario(core::TpMode::k2d, 4, 1);
   expect_bit_identical_resume(r);
 }
 
 TEST(Elastic, MatrixTasksBackendBf16Wire) {
-  EnvGuard backend("CA_SIM_BACKEND", "tasks");
-  EnvGuard wire("CA_COMM_DTYPE", "bf16");
+  ScopedEnv backend("CA_SIM_BACKEND", "tasks");
+  ScopedEnv wire("CA_COMM_DTYPE", "bf16");
   auto r = run_elastic_scenario(core::TpMode::k1d, 4, 1);
   expect_bit_identical_resume(r);
 }
@@ -366,13 +356,13 @@ TEST(Elastic, MatrixTasksBackendBf16Wire) {
 TEST(Elastic, MinWorldFloorRethrowsOriginal) {
   // With the floor at the full world, losing a rank must NOT be survivable:
   // recovery gives up and the root-cause DeviceFailure surfaces as before.
-  EnvGuard floor("CA_ELASTIC_MIN_WORLD", "4");
+  ScopedEnv floor("CA_ELASTIC_MIN_WORLD", "4");
   EXPECT_THROW(run_elastic_scenario(core::TpMode::k2d, 4, 1),
                sim::DeviceFailure);
 }
 
 TEST(Elastic, DisabledKeepsAbortSemantics) {
-  EnvGuard off("CA_ELASTIC", "off");
+  ScopedEnv off("CA_ELASTIC", "off");
   EXPECT_THROW(run_elastic_scenario(core::TpMode::k2d, 4, 1),
                sim::DeviceFailure);
 }

@@ -22,6 +22,7 @@
 #include "nn/checkpoint.hpp"
 #include "nn/layers.hpp"
 #include "pp/pipeline.hpp"
+#include "scoped_env.hpp"
 #include "tp/linear1d.hpp"
 #include "zero/chunk.hpp"
 #include "zero/hybrid_adam.hpp"
@@ -57,17 +58,6 @@ struct World {
   sim::Cluster cluster;
   col::Backend backend;
   core::ParallelContext ctx;
-};
-
-/// Scoped environment variable (restores by unsetting on destruction).
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
 };
 
 }  // namespace
@@ -992,15 +982,15 @@ TEST(FaultMatrix, ActivationCheckpointNoLeakOnThrowingInner) {
 TEST(FaultMatrix, FromEnvParsesFullPlan) {
   ASSERT_FALSE(sim::FaultPlan::from_env().has_value());
   {
-    EnvGuard e1("CA_FAULT_FAILSTOP", "2@5");
-    EnvGuard e2("CA_FAULT_STRAGGLER", "1@0.5:2.0:3.0");
-    EnvGuard e3("CA_FAULT_LINK", "1.0:0.5:2.0");
-    EnvGuard e4("CA_FAULT_NAN", "0@3");
-    EnvGuard e5("CA_FAULT_TRANSIENT", "0.1:0.2");
-    EnvGuard e6("CA_FAULT_WATCHDOG", "0.75");
-    EnvGuard e7("CA_FAULT_RETRY_BASE", "0.5");
-    EnvGuard e8("CA_FAULT_RETRIES", "7");
-    EnvGuard e9("CA_FAULT_SEED", "42");
+    ScopedEnv e1("CA_FAULT_FAILSTOP", "2@5");
+    ScopedEnv e2("CA_FAULT_STRAGGLER", "1@0.5:2.0:3.0");
+    ScopedEnv e3("CA_FAULT_LINK", "1.0:0.5:2.0");
+    ScopedEnv e4("CA_FAULT_NAN", "0@3");
+    ScopedEnv e5("CA_FAULT_TRANSIENT", "0.1:0.2");
+    ScopedEnv e6("CA_FAULT_WATCHDOG", "0.75");
+    ScopedEnv e7("CA_FAULT_RETRY_BASE", "0.5");
+    ScopedEnv e8("CA_FAULT_RETRIES", "7");
+    ScopedEnv e9("CA_FAULT_SEED", "42");
     auto plan = sim::FaultPlan::from_env();
     ASSERT_TRUE(plan.has_value());
     ASSERT_EQ(plan->specs.size(), 5u);
@@ -1029,7 +1019,7 @@ TEST(FaultMatrix, FromEnvParsesFullPlan) {
     EXPECT_EQ(plan->jitter(3), j);  // seeded stream is reproducible
   }
   {
-    EnvGuard e("CA_FAULT_FAILSTOP", "1@t2.5");  // clock-triggered form
+    ScopedEnv e("CA_FAULT_FAILSTOP", "1@t2.5");  // clock-triggered form
     auto plan = sim::FaultPlan::from_env();
     ASSERT_TRUE(plan.has_value());
     ASSERT_EQ(plan->specs.size(), 1u);
@@ -1039,16 +1029,40 @@ TEST(FaultMatrix, FromEnvParsesFullPlan) {
   ASSERT_FALSE(sim::FaultPlan::from_env().has_value());
 }
 
+TEST(FaultMatrix, FromEnvRejectsOutOfRangeAndTrailingGarbage) {
+  // Each value once slipped through: a negative or too-large retry count
+  // (the backoff cap shifts 1 by it), a negative watchdog, a wrapped seed,
+  // a number with trailing junk, and an unnamed bare parse error.
+  const std::pair<const char*, const char*> cases[] = {
+      {"CA_FAULT_RETRIES", "-1"},    {"CA_FAULT_RETRIES", "64"},
+      {"CA_FAULT_WATCHDOG", "-2"},   {"CA_FAULT_WATCHDOG", "abc"},
+      {"CA_FAULT_SEED", "-1"},       {"CA_FAULT_SEED", "42abc"},
+      {"CA_FAULT_FAILSTOP", "2@5x"}, {"CA_FAULT_NAN", "0@-3"},
+      {"CA_FAULT_CKPT_CORRUPT", "3x"}};
+  for (const auto& [name, value] : cases) {
+    ScopedEnv e(name, value);
+    try {
+      (void)sim::FaultPlan::from_env();
+      ADD_FAILURE() << name << "=" << value << " accepted";
+    } catch (const std::invalid_argument& ex) {
+      const std::string what = ex.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + value + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(FaultMatrix, LaunchArmsInjectorAndWatchdogPrecedence) {
   {
-    EnvGuard e("CA_FAULT_NAN", "0@1");
+    ScopedEnv e("CA_FAULT_NAN", "0@1");
     auto world = core::launch("data.size=2 fault.watchdog=0.25");
     ASSERT_NE(world->cluster().fault_injector(), nullptr);
     EXPECT_EQ(world->cluster().fault_injector()->plan().specs.size(), 1u);
     // env set no watchdog: the config key applies
     EXPECT_DOUBLE_EQ(world->cluster().fault_state().watchdog(), 0.25);
     {
-      EnvGuard w("CA_FAULT_WATCHDOG", "0.125");  // env wins over config
+      ScopedEnv w("CA_FAULT_WATCHDOG", "0.125");  // env wins over config
       auto world2 = core::launch("data.size=2 fault.watchdog=0.25");
       EXPECT_DOUBLE_EQ(world2->cluster().fault_state().watchdog(), 0.125);
     }

@@ -23,6 +23,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "pp/pipeline.hpp"
+#include "scoped_env.hpp"
 #include "sim/cluster.hpp"
 
 namespace t = ca::tensor;
@@ -48,17 +49,6 @@ struct World {
   sim::Cluster cluster;
   col::Backend backend;
   core::ParallelContext ctx;
-};
-
-/// Scoped environment variable (restores by unsetting on destruction).
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-  const char* name_;
 };
 
 std::string slurp(const std::string& path) {
@@ -634,18 +624,18 @@ TEST(MetricsScale, SeededStragglerIsCaughtAt512Ranks) {
 
 TEST(MetricsKnobs, EnvEnablesAndGarbageThrows) {
   {
-    EnvGuard on("CA_METRICS", "on");
+    ScopedEnv on("CA_METRICS", "on");
     sim::Cluster cluster(sim::Topology::uniform(2, 100e9));
     ASSERT_NE(cluster.metrics(), nullptr);
     EXPECT_NE(cluster.device(0).metrics(), nullptr);
   }
   {
-    EnvGuard off("CA_METRICS", "off");
+    ScopedEnv off("CA_METRICS", "off");
     sim::Cluster cluster(sim::Topology::uniform(2, 100e9));
     EXPECT_EQ(cluster.metrics(), nullptr);
   }
   {
-    EnvGuard bad("CA_METRICS", "yes");
+    ScopedEnv bad("CA_METRICS", "yes");
     EXPECT_THROW(sim::Cluster(sim::Topology::uniform(2, 100e9)),
                  std::invalid_argument);
   }
@@ -653,8 +643,8 @@ TEST(MetricsKnobs, EnvEnablesAndGarbageThrows) {
 
 TEST(MetricsKnobs, HistBucketsEnvParsesAndRejectsGarbage) {
   {
-    EnvGuard on("CA_METRICS", "on");
-    EnvGuard buckets("CA_METRICS_HIST_BUCKETS", "16");
+    ScopedEnv on("CA_METRICS", "on");
+    ScopedEnv buckets("CA_METRICS_HIST_BUCKETS", "16");
     sim::Cluster cluster(sim::Topology::uniform(1, 100e9));
     ASSERT_NE(cluster.metrics(), nullptr);
     EXPECT_EQ(cluster.metrics()->hist_buckets(), 16);
@@ -662,7 +652,7 @@ TEST(MetricsKnobs, HistBucketsEnvParsesAndRejectsGarbage) {
     EXPECT_EQ(cluster.metrics()->rank(0).hists().at("h").buckets().size(), 16u);
   }
   for (const char* bad : {"abc", "12abc", "0", "-3", "99999"}) {
-    EnvGuard g("CA_METRICS_HIST_BUCKETS", bad);
+    ScopedEnv g("CA_METRICS_HIST_BUCKETS", bad);
     EXPECT_THROW(sim::Cluster(sim::Topology::uniform(1, 100e9)),
                  std::invalid_argument)
         << "value '" << bad << "' must be rejected";
@@ -672,7 +662,7 @@ TEST(MetricsKnobs, HistBucketsEnvParsesAndRejectsGarbage) {
 TEST(MetricsKnobs, EnvWinsOverConfig) {
   {
     // config says on, env says off: env wins
-    EnvGuard off("CA_METRICS", "off");
+    ScopedEnv off("CA_METRICS", "off");
     auto world = core::launch("data=2 metrics=on");
     EXPECT_EQ(world->cluster().metrics(), nullptr);
   }
@@ -684,7 +674,7 @@ TEST(MetricsKnobs, EnvWinsOverConfig) {
   }
   {
     // env bucket override beats the config's
-    EnvGuard buckets("CA_METRICS_HIST_BUCKETS", "8");
+    ScopedEnv buckets("CA_METRICS_HIST_BUCKETS", "8");
     auto world = core::launch("data=2 metrics=on metrics.hist_buckets=32");
     ASSERT_NE(world->cluster().metrics(), nullptr);
     EXPECT_EQ(world->cluster().metrics()->hist_buckets(), 8);

@@ -16,6 +16,7 @@
 #include "nn/layers.hpp"
 #include "pp/pipeline.hpp"
 #include "pp/schedule.hpp"
+#include "scoped_env.hpp"
 
 namespace t = ca::tensor;
 namespace nn = ca::nn;
@@ -26,32 +27,6 @@ namespace col = ca::collective;
 namespace tp = ca::tp;
 
 namespace {
-
-/// Save/restore one environment variable around a test body.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 struct PpWorld {
   explicit PpWorld(int stages, std::string pp_schedule = "1f1b")

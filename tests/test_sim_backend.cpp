@@ -22,6 +22,7 @@
 #include "collective/p2p.hpp"
 #include "core/launch.hpp"
 #include "obs/report.hpp"
+#include "scoped_env.hpp"
 #include "sim/cluster.hpp"
 #include "sim/scheduler.hpp"
 
@@ -31,32 +32,6 @@ namespace obs = ca::obs;
 namespace sim = ca::sim;
 
 namespace {
-
-/// Save/restore one environment variable around a test body.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 /// Everything one run observes; compared bitwise between backends.
 struct RunResult {

@@ -60,6 +60,18 @@ void BM_Softmax(benchmark::State& state) {
 }
 BENCHMARK(BM_Softmax)->Arg(128)->Arg(1024);
 
+// The fused scaled softmax at the attention-score shape of one hybrid_train
+// micro-batch (batch x heads = 16 rows of 32 x 32 scores).
+void BM_SoftmaxAttention(benchmark::State& state) {
+  auto x = t::randn(t::Shape{16, 32, 32}, 3);
+  for (auto _ : state) {
+    auto y = t::softmax_lastdim_scaled(x, 0.17677669f);
+    benchmark::DoNotOptimize(y.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_SoftmaxAttention);
+
 void BM_LayerNorm(benchmark::State& state) {
   auto x = t::randn(t::Shape{256, state.range(0)}, 4);
   auto gamma = t::ones(t::Shape{state.range(0)});
@@ -82,6 +94,17 @@ void BM_Gelu(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * x.numel());
 }
 BENCHMARK(BM_Gelu);
+
+void BM_GeluBackward(benchmark::State& state) {
+  auto x = t::randn(t::Shape{1 << 16}, 5);
+  auto dy = t::randn(t::Shape{1 << 16}, 6);
+  for (auto _ : state) {
+    auto dx = t::gelu_backward(x, dy);
+    benchmark::DoNotOptimize(dx.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_GeluBackward);
 
 void BM_AttentionForward(benchmark::State& state) {
   ca::nn::MultiHeadAttention attn("a", 256, 8, 7);
@@ -145,6 +168,26 @@ void write_json_report() {
     });
     const double flops = 2.0 * static_cast<double>(batch) * n * n * n;
     report.add("bmm", "8x256x256x256", ns, flops / ns);
+  }
+
+  // The Transformer block's elementwise kernels at the hybrid_train shapes:
+  // the MLP activation (128 tokens x 512 ffn) and the attention scores.
+  {
+    auto x = t::randn(t::Shape{128, 512}, 5);
+    auto dy = t::randn(t::Shape{128, 512}, 6);
+    report.add("gelu", "128x512", bench::time_ns([&] {
+      auto y = t::gelu(x);
+      benchmark::DoNotOptimize(y.data().data());
+    }), 0.0);
+    report.add("gelu_backward", "128x512", bench::time_ns([&] {
+      auto dx = t::gelu_backward(x, dy);
+      benchmark::DoNotOptimize(dx.data().data());
+    }), 0.0);
+    auto scores = t::randn(t::Shape{16, 32, 32}, 7);
+    report.add("softmax", "16x32x32", bench::time_ns([&] {
+      auto y = t::softmax_lastdim_scaled(scores, 0.17677669f);
+      benchmark::DoNotOptimize(y.data().data());
+    }), 0.0);
   }
 
   for (int p : {4, 8}) {

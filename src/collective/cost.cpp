@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace ca::collective {
 
@@ -170,6 +171,17 @@ double collective_time(Op op, Algo algo, const CostProfile& prof,
     }
   }
   return 0.0;
+}
+
+double collective_latency(Op op, Algo algo, const CostProfile& profile,
+                          std::int64_t bytes) {
+  // Infinitely fast links zero every b / bandwidth term and leave the hops.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  CostProfile lat = profile;
+  lat.bottleneck = kInf;
+  lat.leader_bottleneck = kInf;
+  for (auto& block : lat.blocks) block.bottleneck = kInf;
+  return collective_time(op, algo, lat, bytes);
 }
 
 double collective_time(Op op, const sim::Topology& topo,

@@ -86,6 +86,12 @@ CostProfile make_cost_profile(const sim::Topology& topo,
 double collective_time(Op op, Algo algo, const CostProfile& profile,
                        std::int64_t bytes);
 
+/// The latency (alpha) share of collective_time at the same `bytes`: the
+/// formula with every bandwidth term dropped, i.e. hops x alpha. kRing keeps
+/// its byte-dependent pipeline depth, so this is not the zero-byte time.
+double collective_latency(Op op, Algo algo, const CostProfile& profile,
+                          std::int64_t bytes);
+
 /// The same model for a group given by its ranks and two-level plan: builds
 /// the profile and prices through the overload above. `plan` may be a
 /// non-viable plan for non-hierarchical algorithms.

@@ -207,11 +207,11 @@ double Group::settle(int grank, double t_start, Op op, Algo algo,
     // Every collective — blocking, deferred-async, or accounting twin — funnels
     // through here, so this one emit point covers the whole comm plane.
     // t_issue is the op's logical start (issue-time clock for async ops);
-    // alpha is the zero-byte latency of the same collective.
+    // alpha is the op's latency share: its hops x the per-hop latency.
     tb->add(obs::TraceEvent{
         name_ + "." + op_name(op), obs::Category::kComm, begin, t_end, t_start,
-        bytes, 0.0, collective_time(op, algo, profile_, 0), algo_name(algo),
-        tensor::dtype_name(wire)});
+        bytes, 0.0, collective_latency(op, algo, profile_, bytes),
+        algo_name(algo), tensor::dtype_name(wire)});
   }
   return t_end;
 }

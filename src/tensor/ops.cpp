@@ -1,8 +1,11 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <random>
 
 #include "tensor/gemm.hpp"
@@ -30,6 +33,44 @@ std::int64_t normalize_dim(const Shape& s, std::int64_t dim) {
   if (dim < 0) dim += static_cast<std::int64_t>(s.ndim());
   assert(dim >= 0 && dim < static_cast<std::int64_t>(s.ndim()));
   return dim;
+}
+
+constexpr float kFloatMin = std::numeric_limits<float>::min();
+
+/// Branch-free e^x for `omp simd` loops (no libm call, so the loops
+/// vectorize): x = n ln2 + r with |r| <= ln2/2 by Cody-Waite reduction,
+/// e^r = 1 + r + r^2 P(r) with P the degree-5 Cephes expf polynomial, and
+/// 2^n assembled in the exponent bits as two halves so that n = 128 and
+/// n = -127 stay representable. Within 1.03 ulp of e^x for every float
+/// whose e^x is a normal float, with or without FMA contraction. Results
+/// below FLT_MIN flush to +0 (never subnormal), results above FLT_MAX
+/// overflow to +inf, and NaN propagates.
+inline float exp_simd(float x) {
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693359375f;  // ln2 split: kLn2Hi * n is exact
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  constexpr float kRound = 0x1.8p23f;     // adding it rounds to an integer
+  // [-88, 89] keeps n in [-127, 128]; NaN passes both (x is the first
+  // operand of each comparison).
+  const float xc = std::min(std::max(x, -88.0f), 89.0f);
+  const float t = xc * kLog2e + kRound;
+  const float fn = t - kRound;
+  const std::int32_t n =
+      std::bit_cast<std::int32_t>(t) - std::bit_cast<std::int32_t>(kRound);
+  const float r = xc - fn * kLn2Hi - fn * kLn2Lo;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  const float er = p * r * r + r + 1.0f;
+  const auto pow2 = [](std::int32_t e) {
+    return std::bit_cast<float>(static_cast<std::uint32_t>(e + 127) << 23);
+  };
+  const std::int32_t n1 = n >> 1;
+  const float y = er * pow2(n1) * pow2(n - n1);
+  return y < kFloatMin ? 0.0f : y;
 }
 
 }  // namespace
@@ -412,25 +453,29 @@ Tensor softmax_lastdim_scaled(const Tensor& a, float scale) {
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* x = pa.data() + r * n;
     float* y = po.data() + r * n;
-    // Online max+sum (Milakov & Gimelshein): one read sweep maintains the
-    // running max and the exp-sum rescaled to it, replacing the separate
-    // max / exp+sum sweeps; the attention score scale is fused into the
-    // loads so callers skip their own scale_ pass over the row.
+    // SIMD sweeps over the row: max, exponentials, their sum, then the
+    // normalizing scale. The attention score scale is fused into the loads
+    // so callers skip their own scale_ pass over the row. A NaN anywhere in
+    // the row reaches the sum and so every output. The sum is a sweep of its
+    // own because a double accumulator keeps wide rows normalized to 1e-6
+    // whether or not the compiler vectorizes it, while inside the exp loop
+    // it stopped that loop from vectorizing.
     float mx = x[0] * scale;
-    float sum = 1.0f;
-    for (std::int64_t i = 1; i < n; ++i) {
-      const float v = x[i] * scale;
-      if (v > mx) {
-        sum = sum * std::exp(mx - v) + 1.0f;
-        mx = v;
-      } else {
-        sum += std::exp(v - mx);
-      }
-    }
-    const float inv = 1.0f / sum;
+#pragma omp simd reduction(max : mx)
+    for (std::int64_t i = 1; i < n; ++i) mx = std::max(mx, x[i] * scale);
 #pragma omp simd
-    for (std::int64_t i = 0; i < n; ++i)
-      y[i] = std::exp(x[i] * scale - mx) * inv;
+    for (std::int64_t i = 0; i < n; ++i) y[i] = exp_simd(x[i] * scale - mx);
+    double sum = 0.0;
+#pragma omp simd reduction(+ : sum)
+    for (std::int64_t i = 0; i < n; ++i) sum += y[i];
+    const float inv = static_cast<float>(1.0 / sum);
+    // Outputs too small for a normal float flush to exact zero, like the
+    // exponentials themselves, so no subnormal reaches the backward pass.
+#pragma omp simd
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float v = y[i] * inv;
+      y[i] = v < kFloatMin ? 0.0f : v;
+    }
   }
   return out;
 }
@@ -509,34 +554,46 @@ Tensor naive_softmax_backward(const Tensor& y, const Tensor& dy) {
 
 namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-}
+constexpr float kGeluK = 0.044715f;
 
+/// sigmoid(2u) for the tanh-form GELU argument u: 0.5 * (1 + tanh u) without
+/// the cancellation of 1 + tanh u in the negative tail. Below 2^-24
+/// (v < -4.96) it flushes to exact zero, so dead units emit exact zeros and
+/// no tiny gradient reaches the optimizer, whose g^2 would be subnormal.
+inline float gelu_sigmoid(float u) {
+  const float s = 1.0f / (1.0f + exp_simd(-2.0f * u));
+  return s < 0x1p-24f ? 0.0f : s;
+}
+}  // namespace
+
+// gelu(v) = 0.5 v (1 + tanh u) = v * sigmoid(2u), u = c (v + k v^3).
 Tensor gelu(const Tensor& x) {
   Tensor out(x.shape());
   auto px = x.data();
   auto po = out.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for simd schedule(static)
   for (std::size_t i = 0; i < px.size(); ++i) {
     const float v = px[i];
-    po[i] = 0.5f * v * (1.0f + std::tanh(kGeluC * (v + 0.044715f * v * v * v)));
+    po[i] = v * gelu_sigmoid(kGeluC * (v + kGeluK * v * v * v));
   }
   return out;
 }
 
+// d gelu / dv = s + v * 2 s (1 - s) * du/dv with s = sigmoid(2u), using
+// 0.5 (1 - tanh^2 u) = 2 s (1 - s). The flushed tail (s == 0) is exactly 0
+// even where du/dv overflows; a NaN s still propagates.
 Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   assert(x.shape() == dy.shape());
   Tensor dx(x.shape());
   auto px = x.data();
   auto pdy = dy.data();
   auto pdx = dx.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for simd schedule(static)
   for (std::size_t i = 0; i < px.size(); ++i) {
     const float v = px[i];
-    const float u = kGeluC * (v + 0.044715f * v * v * v);
-    const float t = std::tanh(u);
-    const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-    const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
-    pdx[i] = pdy[i] * grad;
+    const float s = gelu_sigmoid(kGeluC * (v + kGeluK * v * v * v));
+    const float du = kGeluC * (1.0f + 3.0f * kGeluK * v * v);
+    pdx[i] = pdy[i] * (s == 0.0f ? 0.0f : s + v * 2.0f * s * (1.0f - s) * du);
   }
   return dx;
 }

@@ -87,9 +87,10 @@ std::vector<std::int64_t> argmax_rows(const Tensor& a);
 
 /// Softmax over the last dimension (numerically stabilized).
 Tensor softmax_lastdim(const Tensor& a);
-/// Fused scale+softmax: softmax(a * scale) computed with a single online
-/// max/sum read sweep per row, so attention skips the separate scale_ pass
-/// over the scores. softmax_lastdim(a) == softmax_lastdim_scaled(a, 1).
+/// Fused scale+softmax: softmax(a * scale) in vectorized sweeps per row
+/// (max, exp, sum, normalize), so attention skips the separate scale_
+/// pass over the scores. Outputs below FLT_MIN are exactly 0.
+/// softmax_lastdim(a) == softmax_lastdim_scaled(a, 1).
 Tensor softmax_lastdim_scaled(const Tensor& a, float scale);
 /// Given y = softmax(x) and dL/dy, return dL/dx.
 Tensor softmax_backward(const Tensor& y, const Tensor& dy);
@@ -101,7 +102,9 @@ Tensor softmax_backward_scaled(const Tensor& y, const Tensor& dy, float scale);
 Tensor naive_softmax_lastdim(const Tensor& a);
 Tensor naive_softmax_backward(const Tensor& y, const Tensor& dy);
 
-/// Tanh-approximation GELU, as used by BERT/GPT/ViT.
+/// Tanh-approximation GELU, as used by BERT/GPT/ViT, evaluated as
+/// v * sigmoid(2u). Units whose sigmoid(2u) < 2^-24 (v < -4.96) give exactly
+/// 0 in both directions; NaN propagates.
 Tensor gelu(const Tensor& x);
 Tensor gelu_backward(const Tensor& x, const Tensor& dy);
 

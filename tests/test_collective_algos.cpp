@@ -704,6 +704,105 @@ TEST(AlgoTrace, CommSpansCarryAlgorithmTagWithUnchangedName) {
   EXPECT_TRUE(found);
 }
 
+namespace {
+
+/// Hop count of each cost formula: how many per-hop latencies `oracle_time`
+/// charges for (op, algo) at `bytes`, independent of every bandwidth.
+int oracle_hops(col::Op op, col::Algo algo, int p, std::int64_t bytes,
+                const col::TwoLevelPlan& plan) {
+  if (p < 2 || bytes == 0) return 0;
+  const auto chunked = [&] {
+    return op == col::Op::kAllReduce ? 2 * (p - 1) : p - 1;
+  };
+  switch (algo) {
+    case col::Algo::kChunked:
+      return chunked();
+    case col::Algo::kRing: {
+      const auto k = static_cast<int>(
+          std::clamp<std::int64_t>(bytes / (256 << 10), 2, 16));
+      if (op == col::Op::kAllReduce) return 2 * (p - 1) + k - 1;
+      if (op == col::Op::kReduceScatter || op == col::Op::kAllGather) {
+        return (p - 1) + k - 1;
+      }
+      return chunked();
+    }
+    case col::Algo::kHierarchical: {
+      if (!plan.viable()) return chunked();
+      const int intra = plan.max_block() - 1;
+      const int inter = plan.num_blocks() - 1;  // one way over the leaders
+      switch (op) {
+        case col::Op::kAllReduce:
+          return 2 * intra + 2 * inter;
+        case col::Op::kReduceScatter:
+        case col::Op::kReduce:
+        case col::Op::kAllGather:
+        case col::Op::kBroadcast:
+          return intra + inter;
+        default:
+          return 0;
+      }
+    }
+    case col::Algo::kSingleRoot: {
+      int hops = 0;
+      for (int v = p - 1; v > 0; v >>= 1) ++hops;
+      if (op == col::Op::kAllReduce) return 2 * hops;
+      if (op == col::Op::kBroadcast || op == col::Op::kReduce) return hops;
+      return chunked();
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
+TEST(AlgoTrace, CommSpanAlphaIsHopsTimesLatency) {
+  // Every forced algorithm on a multi-node (III) and a flat (IV) fabric: the
+  // span's alpha is the op's latency share at its own byte count, never the
+  // zero-byte price (which is 0 for every formula).
+  for (const auto& topo :
+       {sim::Topology::system_iii(2), sim::Topology::system_iv(16)}) {
+    const int world = topo.num_devices();
+    std::vector<int> ranks(static_cast<std::size_t>(world));
+    std::iota(ranks.begin(), ranks.end(), 0);
+    const auto plan = col::plan_two_level(topo, ranks);
+    ASSERT_TRUE(plan.viable());
+    for (const auto algo : kAllAlgos) {
+      Fixture f(topo);
+      f.cluster.enable_tracing();
+      f.backend.set_forced_algo(algo);
+      const std::int64_t n = std::int64_t{world} << 14;  // 512 KiB - 1 MiB
+      f.cluster.run([&](int rank) {
+        auto& g = f.backend.world();
+        auto buf = payload(rank, n);
+        std::vector<float> part(static_cast<std::size_t>(n / world));
+        g.all_reduce(rank, buf);
+        g.reduce_scatter(rank, buf, part);
+        g.all_gather(rank, part, buf);
+        g.broadcast(rank, buf, /*root=*/0);
+        g.reduce(rank, buf, /*root=*/0);
+      });
+      int spans = 0;
+      for (const auto& e : f.cluster.tracer()->rank(0).events()) {
+        if (e.cat != ca::obs::Category::kComm) continue;
+        ++spans;
+        EXPECT_EQ(e.algo, col::algo_name(algo)) << e.name;
+        col::Op op{};
+        for (const auto candidate : kAllOps) {
+          if (e.name == std::string("world.") + col::op_name(candidate)) {
+            op = candidate;
+          }
+        }
+        const int hops = oracle_hops(op, algo, world, e.bytes, plan);
+        EXPECT_DOUBLE_EQ(e.alpha, hops * topo.latency())
+            << e.name << " " << e.algo << " " << e.bytes;
+        EXPECT_GT(e.alpha, 0.0) << e.name << " " << e.algo;
+        EXPECT_LE(e.alpha, e.t1 - e.t0) << e.name << " " << e.algo;
+      }
+      EXPECT_EQ(spans, 5) << col::algo_name(algo);
+    }
+  }
+}
+
 // ---- context subgroups ------------------------------------------------------
 
 TEST(ContextHier, DataNodeAndLeaderSubgroupsOnMultiNodeDp) {

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "tensor/half.hpp"
 #include "tensor/ops.hpp"
@@ -276,6 +280,178 @@ TEST(Grad, SoftmaxMatchesFiniteDifference) {
     const float lm = t::sum(t::mul(t::softmax_lastdim(xm), w));
     EXPECT_NEAR(dx[i], (lp - lm) / (2.0f * eps), 1e-2f);
   }
+}
+
+// ---- vectorized GELU / softmax contract ----------------------------------
+
+namespace {
+
+/// tanh-form GELU and its derivative in double precision.
+double gelu_ref(double v) {
+  const double u = std::sqrt(2.0 / M_PI) * (v + 0.044715 * v * v * v);
+  return 0.5 * v * (1.0 + std::tanh(u));
+}
+
+double gelu_grad_ref(double v) {
+  const double c = std::sqrt(2.0 / M_PI);
+  const double th = std::tanh(c * (v + 0.044715 * v * v * v));
+  return 0.5 * (1.0 + th) +
+         0.5 * v * (1.0 - th * th) * c * (1.0 + 3.0 * 0.044715 * v * v);
+}
+
+/// GELU forward and backward (dy = 1) of the given inputs.
+std::pair<t::Tensor, t::Tensor> gelu_both(const std::vector<float>& xs) {
+  const auto n = static_cast<std::int64_t>(xs.size());
+  t::Tensor x(t::Shape{n}, xs);
+  return {t::gelu(x), t::gelu_backward(x, t::ones(t::Shape{n}))};
+}
+
+/// Row-wise softmax(scale * x) in double precision.
+std::vector<double> softmax_ref(const t::Tensor& x, float scale) {
+  const std::int64_t n = x.dim(-1);
+  std::vector<double> y(static_cast<std::size_t>(x.numel()));
+  for (std::int64_t r = 0; r < x.numel() / n; ++r) {
+    double* yr = y.data() + r * n;
+    double mx = -INFINITY;
+    for (std::int64_t i = 0; i < n; ++i)
+      mx = std::max(mx, static_cast<double>(x[r * n + i]) * scale);
+    double sum = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      yr[i] = std::exp(static_cast<double>(x[r * n + i]) * scale - mx);
+      sum += yr[i];
+    }
+    for (std::int64_t i = 0; i < n; ++i) yr[i] /= sum;
+  }
+  return y;
+}
+
+}  // namespace
+
+TEST(Elementwise, GeluMatchesDoublePrecisionReference) {
+  // The sigmoid form has no 1 + tanh(u) cancellation, so the relative error
+  // stays small deep into the negative tail.
+  std::vector<float> xs;
+  for (int i = 0; i <= 400000; ++i) {
+    xs.push_back(-20.0f + 1e-4f * static_cast<float>(i));
+  }
+  const auto [y, g] = gelu_both(xs);
+  double worst_rel = 0.0, worst_abs = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    const double ref = gelu_ref(xs[i]);
+    if (std::abs(ref) >= 1e-6) {
+      worst_rel = std::max(worst_rel, std::abs(y[k] - ref) / std::abs(ref));
+    }
+    worst_abs = std::max(worst_abs, std::abs(g[k] - gelu_grad_ref(xs[i])));
+  }
+  EXPECT_LE(worst_rel, 1e-5);
+  EXPECT_LE(worst_abs, 1e-5);
+}
+
+TEST(Elementwise, GeluNegativeTailIsExactZero) {
+  // Dead units emit exact zeros in both directions, so nothing tiny reaches
+  // the optimizer's squared-gradient state.
+  std::vector<float> xs;
+  for (float v = -6.0f; v > -1e6f; v *= 1.01f) xs.push_back(v);
+  xs.push_back(-1e30f);
+  xs.push_back(-std::numeric_limits<float>::max());
+  const auto [y, g] = gelu_both(xs);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    EXPECT_EQ(y[k], 0.0f) << "v = " << xs[i];
+    EXPECT_EQ(g[k], 0.0f) << "v = " << xs[i];
+  }
+}
+
+TEST(Elementwise, GeluNeverSubnormal) {
+  std::vector<float> xs;
+  for (float m = 1e-30f; m < 1e30f; m *= 1.05f) {
+    xs.push_back(m);
+    xs.push_back(-m);
+  }
+  const auto [y, g] = gelu_both(xs);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    EXPECT_NE(std::fpclassify(y[k]), FP_SUBNORMAL) << "v = " << xs[i];
+    EXPECT_NE(std::fpclassify(g[k]), FP_SUBNORMAL) << "v = " << xs[i];
+  }
+}
+
+TEST(Elementwise, GeluNonFiniteInputs) {
+  // NaN must survive both directions: the NaN-consensus guard relies on it.
+  // 70 inputs put non-finite values in full vector iterations and the tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs(70, 0.5f);
+  for (std::size_t i = 0; i + 2 < xs.size(); i += 11) {
+    xs[i] = NAN;
+    xs[i + 1] = inf;
+    xs[i + 2] = -inf;
+  }
+  const auto [y, g] = gelu_both(xs);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    if (std::isnan(xs[i])) {
+      EXPECT_TRUE(std::isnan(y[k])) << "i = " << i;
+      EXPECT_TRUE(std::isnan(g[k])) << "i = " << i;
+    } else if (std::isinf(xs[i])) {
+      EXPECT_FALSE(std::isfinite(y[k])) << "i = " << i;
+    } else {
+      EXPECT_FLOAT_EQ(y[k], static_cast<float>(gelu_ref(0.5))) << "i = " << i;
+    }
+  }
+}
+
+TEST(Softmax, MatchesDoublePrecisionReference) {
+  struct Case {
+    t::Shape shape;
+    float scale;
+  };
+  // The attention shape (heads x tokens x tokens, scale 1/sqrt(d)) and wide
+  // rows that take many full vector iterations.
+  const std::vector<Case> cases{{t::Shape{16, 32, 32}, 0.17677669f},
+                                {t::Shape{4, 1024}, 1.0f},
+                                {t::Shape{3, 1023}, 3.0f}};
+  for (const auto& c : cases) {
+    const auto x = t::randn(c.shape, 77, 0.0f, 2.0f);
+    const auto y = t::softmax_lastdim_scaled(x, c.scale);
+    const auto ref = softmax_ref(x, c.scale);
+    const std::int64_t n = x.dim(-1);
+    for (std::int64_t r = 0; r < x.numel() / n; ++r) {
+      double sum = 0.0;
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::int64_t k = r * n + i;
+        sum += y[k];
+        EXPECT_NEAR(y[k], ref[static_cast<std::size_t>(k)], 1e-6)
+            << "row " << r;
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-6) << "row " << r << " of width " << n;
+    }
+  }
+}
+
+TEST(Softmax, LargeLogitRowStaysFinite) {
+  const auto y = t::softmax_lastdim(t::full(t::Shape{2, 64}, 1000.0f));
+  for (std::int64_t k = 0; k < y.numel(); ++k) {
+    ASSERT_TRUE(std::isfinite(y[k]));
+    EXPECT_FLOAT_EQ(y[k], 1.0f / 64.0f);
+  }
+}
+
+TEST(Softmax, OutputsNeverSubnormal) {
+  // A 1024-wide row spanning 200 nats: the far tail underflows, and must do
+  // so to exact zero rather than through the subnormal range.
+  t::Tensor x(t::Shape{1, 1024});
+  for (std::int64_t i = 0; i < 1024; ++i) {
+    x[i] = -200.0f * static_cast<float>(i) / 1023.0f;
+  }
+  const auto y = t::softmax_lastdim(x);
+  int zeros = 0;
+  for (std::int64_t i = 0; i < 1024; ++i) {
+    EXPECT_NE(std::fpclassify(y[i]), FP_SUBNORMAL) << "i = " << i;
+    zeros += y[i] == 0.0f ? 1 : 0;
+  }
+  EXPECT_GT(zeros, 0);
+  EXPECT_GT(y[0], 0.0f);
 }
 
 TEST(LayerNorm, NormalizesRows) {

@@ -130,6 +130,11 @@ CalibResult run_calibration(const std::string& name, sim::Topology topo,
     core::Config cfg;
     cfg.data_parallel_size = topo.num_devices();
     bench::World w(topo, cfg);
+    // Forced hierarchical falls back to chunked where the world has no
+    // two-level plan (one node): that pass would only repeat chunked's rows.
+    if (algo == col::Algo::kHierarchical && !w.backend.world().plan().viable()) {
+      continue;
+    }
     w.backend.set_forced_algo(algo);
     auto& reg = w.cluster.enable_metrics();
     w.cluster.run([&](int g) {

@@ -128,25 +128,29 @@ void Group::sync(int idx) {
   try {
     barrier_.arrive_and_wait();
   } catch (const sim::RendezvousAborted&) {
-    // A member died or threw: this rendezvous can never complete. Charge the
-    // watchdog budget (the simulated detection latency), leave a fault span
-    // on the timeline, and surface the stuck op's full context.
-    const int grank = ranks_[static_cast<std::size_t>(idx)];
-    const auto& me = members_[static_cast<std::size_t>(idx)];
-    auto& dev = cluster_.device(grank);
-    const double budget = cluster_.fault_state().watchdog();
-    const double t0 = dev.clock();
-    dev.advance_clock(budget);
-    if (obs::MetricsSink* mx = dev.metrics()) {
-      mx->counter("fault.watchdog_timeouts").inc();
-    }
-    if (obs::TraceBuffer* tb = dev.trace()) {
-      tb->add(obs::TraceEvent{name_ + ".watchdog", obs::Category::kFault, t0,
-                              t0 + budget, t0, me.cur_bytes, 0.0, 0.0, {}, {}});
-    }
-    throw sim::CommTimeoutError(grank, name_, me.cur_op, me.cur_bytes, budget,
-                                cluster_.fault_state().cause());
+    watchdog_expired(idx);
   }
+}
+
+void Group::watchdog_expired(int idx) {
+  // A member died or threw: this rendezvous can never complete. Charge the
+  // watchdog budget (the simulated detection latency), leave a fault span
+  // on the timeline, and surface the stuck op's full context.
+  const int grank = ranks_[static_cast<std::size_t>(idx)];
+  const auto& me = members_[static_cast<std::size_t>(idx)];
+  auto& dev = cluster_.device(grank);
+  const double budget = cluster_.fault_state().watchdog();
+  const double t0 = dev.clock();
+  dev.advance_clock(budget);
+  if (obs::MetricsSink* mx = dev.metrics()) {
+    mx->counter("fault.watchdog_timeouts").inc();
+  }
+  if (obs::TraceBuffer* tb = dev.trace()) {
+    tb->add(obs::TraceEvent{name_ + ".watchdog", obs::Category::kFault, t0,
+                            t0 + budget, t0, me.cur_bytes, 0.0, 0.0, {}, {}});
+  }
+  throw sim::CommTimeoutError(grank, name_, me.cur_op, me.cur_bytes, budget,
+                              cluster_.fault_state().cause());
 }
 
 void Group::reduce_members(int slot, std::int64_t src, float* dst,
@@ -172,18 +176,27 @@ void Group::reduce_members(int slot, std::int64_t src, float* dst,
   }
 }
 
-double Group::settle(int grank, double t_start, Op op, Algo algo,
-                     std::int64_t bytes, tensor::Dtype wire) {
-  auto& me = members_[static_cast<std::size_t>(index_of(grank))];
+Group::Priced Group::price(Op op, Algo algo, std::int64_t bytes,
+                           tensor::Dtype wire) const {
+  // The pure cost-model prediction — what the calibration report joins the
+  // measured span against. Fault slowdowns apply on top of it in settle(),
+  // so the two agree exactly on a clean run and diverge under link
+  // degradation.
+  return Priced{op,
+                algo,
+                bytes,
+                wire,
+                collective_time(op, algo, profile_, bytes),
+                bytes_sent_per_rank(op, algo, size(), bytes, plan_)};
+}
+
+double Group::settle(int idx, double t_start, const Priced& p) {
+  auto& me = members_[static_cast<std::size_t>(idx)];
   // Collectives on one group serialize on its comm lane: an op starts no
   // earlier than the previous one finished, even when both were issued
   // asynchronously (every member mirrors the same lane history).
   const double begin = std::max(t_start, me.lane_busy);
-  // The pure cost-model prediction — what the calibration report joins the
-  // measured span against. Fault slowdowns apply on top of it, so the two
-  // agree exactly on a clean run and diverge under link degradation.
-  const double predicted = collective_time(op, algo, profile_, bytes);
-  double comm = predicted;
+  double comm = p.predicted;
   if (const sim::FaultInjector* fi = cluster_.fault_injector()) {
     // Link degradation stretches the op's bandwidth term; `begin` is the same
     // on every member, so all mirrors stay in lockstep.
@@ -191,14 +204,14 @@ double Group::settle(int grank, double t_start, Op op, Algo algo,
   }
   const double t_end = begin + comm;
   me.lane_busy = t_end;
-  auto& dev = cluster_.device(grank);
-  dev.add_bytes_sent(bytes_sent_per_rank(op, algo, size(), bytes, plan_));
+  auto& dev = cluster_.device(ranks_[static_cast<std::size_t>(idx)]);
+  dev.add_bytes_sent(p.sent);
   if (obs::MetricsSink* mx = dev.metrics()) {
     // Like the trace emit below, this single point covers the whole comm
     // plane: every blocking call, deferred async op, and accounting twin.
-    mx->observe_comm(name_, op_name(op), algo_name(algo),
-                     tensor::dtype_name(wire), bytes, comm, predicted);
-    mx->counter("comm.bytes").inc(bytes);
+    mx->observe_comm(name_, op_name(p.op), algo_name(p.algo),
+                     tensor::dtype_name(p.wire), p.bytes, comm, p.predicted);
+    mx->counter("comm.bytes").inc(p.bytes);
     // Lane queueing: how long this op waited behind earlier collectives on
     // the group's comm lane (0 when the lane was free at issue).
     mx->hist("comm.queue_s").record(begin - t_start);
@@ -209,9 +222,10 @@ double Group::settle(int grank, double t_start, Op op, Algo algo,
     // t_issue is the op's logical start (issue-time clock for async ops);
     // alpha is the op's latency share: its hops x the per-hop latency.
     tb->add(obs::TraceEvent{
-        name_ + "." + op_name(op), obs::Category::kComm, begin, t_end, t_start,
-        bytes, 0.0, collective_latency(op, algo, profile_, bytes),
-        algo_name(algo), tensor::dtype_name(wire)});
+        name_ + "." + op_name(p.op), obs::Category::kComm, begin, t_end,
+        t_start, p.bytes, 0.0,
+        collective_latency(p.op, p.algo, profile_, p.bytes),
+        algo_name(p.algo), tensor::dtype_name(p.wire)});
   }
   return t_end;
 }
@@ -371,7 +385,7 @@ double Group::run_collective(int grank, Op op, const float* in,
     }
   }
 
-  return settle(grank, tok.t_start, op, algo, sched.bytes, wire);
+  return settle(idx, tok.t_start, price(op, algo, sched.bytes, wire));
 }
 
 // ---- blocking collectives ---------------------------------------------------
@@ -633,8 +647,8 @@ void Group::account(int grank, Op op, std::int64_t bytes) {
                            cluster_.device(grank).clock());
   // Same selector as the functional path, so the accounting twin charges
   // exactly what the matching data-moving call would.
-  const Algo algo = selector_.select(op, bytes, profile_);
-  cluster_.device(grank).set_clock(settle(grank, tok.t_start, op, algo, bytes));
+  cluster_.device(grank).set_clock(
+      settle(idx, tok.t_start, price_account(op, bytes)));
 }
 
 void Group::account_all_reduce(int grank, std::int64_t bytes) {

@@ -19,6 +19,7 @@
 
 namespace ca::collective {
 
+class CostReplay;
 class Group;
 
 namespace detail {
@@ -111,7 +112,9 @@ class CollectiveHandle {
 /// Each method also has an `account_*` twin that performs only the
 /// clock/byte accounting — the cost-model execution mode for paper-scale
 /// models that would not fit in host memory. Accounting twins and barrier()
-/// cost exactly one barrier crossing.
+/// cost exactly one barrier crossing. A CostReplay charges the same accounts
+/// without a rendezvous per call: it records them and settles a whole
+/// stream at once.
 class Group {
  public:
   /// `name` labels this group's comm spans in traces and reports ("data",
@@ -225,6 +228,7 @@ class Group {
 
  private:
   friend class CollectiveHandle;
+  friend class CostReplay;
 
   /// Result of a publish rendezvous: which parity slot this op's pointers
   /// landed in, and the max of the members' clocks at entry (the collective's
@@ -259,6 +263,8 @@ class Group {
   /// CommTimeoutError describing the operation it was stuck in — the no-hang
   /// guarantee of the fault model (DESIGN.md section 7).
   void sync(int idx);
+  /// sync()'s abort path: the watchdog charge, fault span and throw.
+  [[noreturn]] void watchdog_expired(int idx);
 
   /// Ensure the scratch arena holds at least `elems` floats. Deterministic
   /// across members (each keeps a private mirror of the arena size, so all
@@ -298,13 +304,29 @@ class Group {
   /// Execute this member's pending ops until `target` is done.
   void drain_until(int grank, const detail::AsyncOpState* target);
 
-  /// Clock/byte accounting once per call: start no earlier than the group's
-  /// comm-lane availability, advance the lane, charge algorithm-aware bytes,
-  /// emit the algorithm-tagged comm span, and return the op's completion
-  /// time.
-  double settle(int grank, double t_start, Op op, Algo algo,
-                std::int64_t bytes,
-                tensor::Dtype wire = tensor::Dtype::kF32);
+  /// One collective's price on this group: what settle() charges each
+  /// member. Computed once per op, whoever executes it.
+  struct Priced {
+    Op op;
+    Algo algo;
+    std::int64_t bytes;  ///< modeled payload (the span's bytes)
+    tensor::Dtype wire;
+    double predicted;    ///< pure cost-model seconds
+    std::int64_t sent;   ///< interconnect bytes each member pushes
+  };
+  [[nodiscard]] Priced price(Op op, Algo algo, std::int64_t bytes,
+                             tensor::Dtype wire = tensor::Dtype::kF32) const;
+  /// The price an account_* call charges: the selector's pick at the
+  /// default element width, on an fp32 wire.
+  [[nodiscard]] Priced price_account(Op op, std::int64_t bytes) const {
+    return price(op, selector_.select(op, bytes, profile_), bytes);
+  }
+
+  /// Clock/byte accounting of member `idx`: start no earlier than the
+  /// group's comm-lane availability, advance the lane, charge
+  /// algorithm-aware bytes, emit the algorithm-tagged comm span, and return
+  /// the op's completion time.
+  double settle(int idx, double t_start, const Priced& p);
   void account(int grank, Op op, std::int64_t bytes);
 
   sim::Cluster& cluster_;
@@ -342,6 +364,9 @@ class Group {
     // CommTimeoutError the watchdog raises if the rendezvous breaks.
     const char* cur_op = "barrier";
     std::int64_t cur_bytes = 0;
+    // This member's recorder, posted for a CostReplay flush on this group:
+    // the flush's last arriver reads every member's entry.
+    CostReplay* replay = nullptr;
     // Mirror of the group's communication-lane availability: collectives on
     // one group serialize on its (virtual NCCL stream) lane, so overlapped
     // async ops queue behind each other rather than sharing bandwidth. All

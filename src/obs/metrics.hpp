@@ -164,9 +164,10 @@ struct CommStat {
   }
 };
 
-/// Per-rank metric store. Owned by the MetricsRegistry; exactly one SPMD
-/// thread writes to a given sink (its own rank's), so the hot path takes no
-/// lock — the same single-writer contract as TraceBuffer. Instruments are
+/// Per-rank metric store. Owned by the MetricsRegistry; one writer at a time
+/// touches a given sink (its own rank, or a cost-replay flush's evaluator
+/// while that rank is parked), so the hot path takes no lock — the same
+/// single-writer contract as TraceBuffer. Instruments are
 /// looked up by name in node-based maps, so the reference an emit point
 /// caches stays valid for the sink's lifetime (clear() zeroes values in
 /// place, it never erases nodes).

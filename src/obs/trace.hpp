@@ -69,15 +69,16 @@ struct TraceEvent {
   std::string dtype;
 };
 
-/// Append-only per-rank event sink. Owned by the Tracer; exactly one SPMD
-/// thread writes to a given buffer (its own rank's), so the hot path takes
-/// no lock. The buffer is bound to its device's logical clock so RAII spans
+/// Append-only per-rank event sink. Owned by the Tracer; one writer at a
+/// time touches a given buffer — its own rank, or a cost-replay flush's
+/// evaluator while that rank is parked at the flush's barrier — so the hot
+/// path takes no lock. The buffer is bound to its device's logical clock so RAII spans
 /// can stamp begin/end without knowing about sim::Device.
 class TraceBuffer {
  public:
   /// Bind the simulated clock this buffer stamps from. The pointee must
-  /// outlive the buffer (the Cluster owns both) and is only read from the
-  /// thread that owns this rank.
+  /// outlive the buffer (the Cluster owns both) and is only read by this
+  /// buffer's current writer.
   void bind_clock(const double* clock) { clock_ = clock; }
   [[nodiscard]] double now() const { return clock_ != nullptr ? *clock_ : 0.0; }
 

@@ -12,8 +12,10 @@ namespace ca::sim {
 
 /// One simulated accelerator: identity, memory pool, logical clock, and
 /// communication counters. A Device is owned by the Cluster and driven by
-/// exactly one SPMD thread; cross-thread reads only happen inside collective
-/// rendezvous (which are barrier-synchronized) or after the SPMD region ends.
+/// exactly one SPMD thread; cross-thread access only happens inside
+/// collective rendezvous (which are barrier-synchronized: a cost-replay
+/// flush's evaluator charges every member's device while they are parked)
+/// or after the SPMD region ends.
 class Device {
  public:
   Device(int rank, const GpuModel& gpu)

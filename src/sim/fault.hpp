@@ -291,9 +291,26 @@ class AbortableBarrier {
   AbortableBarrier& operator=(const AbortableBarrier&) = delete;
 
   void arrive_and_wait() {
+    arrive_and_wait([] {});
+  }
+
+  /// arrive_and_wait() where the last member to arrive first runs
+  /// `on_last()`, under the barrier's lock, before any member is released:
+  /// everything the others wrote before arriving is visible to it, and
+  /// everything it writes is visible to them after they return. If it
+  /// throws, the arrival is withdrawn and the exception propagates from the
+  /// last arriver alone; the others stay parked until the region aborts.
+  template <class F>
+  void arrive_and_wait(F&& on_last) {
     std::unique_lock<std::mutex> lk(mu_);
     if (fs_ != nullptr && fs_->aborted()) throw RendezvousAborted{};
     if (++count_ == n_) {
+      try {
+        on_last();
+      } catch (...) {
+        --count_;
+        throw;
+      }
       count_ = 0;
       ++gen_;
       cv_.notify_all();

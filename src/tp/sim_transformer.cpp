@@ -4,12 +4,15 @@
 
 namespace ca::tp {
 
+using collective::Op;
+
 SimTransformer::SimTransformer(const Env& env, core::TpMode mode,
                                TransformerShape shape)
     : env_(env),
       mode_(mode),
       shape_(shape),
-      p_(env.ctx->tensor_group(env.grank).size()) {}
+      p_(env.ctx->tensor_group(env.grank).size()),
+      replay_(env.ctx->tensor_group(env.grank), env.grank) {}
 
 std::int64_t SimTransformer::peak_memory() const {
   return transformer_peak(mode_, shape_, p_, env_.ctx->depth());
@@ -30,7 +33,8 @@ void SimTransformer::train_step() {
       const double flops = 2.0 * 12.0 * shape_.hidden * shape_.hidden *
                                shape_.batch * shape_.seq +
                            4.0 * shape_.batch * shape_.seq * shape_.seq * shape_.hidden;
-      env_.dev().compute_fp16(3.0 * flops * static_cast<double>(shape_.layers));
+      replay_.compute(3.0 * flops * static_cast<double>(shape_.layers));
+      replay_.flush();
       break;
     }
   }
@@ -48,13 +52,14 @@ void SimTransformer::step_1d() {
       4.0 * shape_.batch * shape_.seq * shape_.seq * shape_.hidden / p_;
   for (std::int64_t l = 0; l < shape_.layers; ++l) {
     // forward: one all-reduce each for attention proj and mlp fc2 outputs
-    env_.dev().compute_fp16(lin_flops + attn_flops);
-    g.account_all_reduce(env_.grank, bsh * be);
-    g.account_all_reduce(env_.grank, bsh * be);
+    replay_.compute(lin_flops + attn_flops);
+    replay_.collective(g, Op::kAllReduce, bsh * be);
+    replay_.collective(g, Op::kAllReduce, bsh * be);
     // backward: 2x compute, all-reduce of dx at the two column-parallel inputs
-    env_.dev().compute_fp16(2.0 * (lin_flops + attn_flops));
-    g.account_all_reduce(env_.grank, bsh * be);
-    g.account_all_reduce(env_.grank, bsh * be);
+    replay_.compute(2.0 * (lin_flops + attn_flops));
+    replay_.collective(g, Op::kAllReduce, bsh * be);
+    replay_.collective(g, Op::kAllReduce, bsh * be);
+    replay_.flush();
   }
 }
 
@@ -71,21 +76,21 @@ void SimTransformer::summa_linear(std::int64_t m, std::int64_t k,
 
   // forward: q steps of (broadcast X block along row, W block along col)
   for (int s = 0; s < q; ++s) {
-    row.account_broadcast(env_.grank, x_blk);
-    col.account_broadcast(env_.grank, w_blk);
-    env_.dev().compute_fp16(flops);
+    replay_.collective(row, Op::kBroadcast, x_blk);
+    replay_.collective(col, Op::kBroadcast, w_blk);
+    replay_.compute(flops);
   }
   // backward dX: broadcast W down columns, reduce partials along rows
   for (int s = 0; s < q; ++s) {
-    col.account_broadcast(env_.grank, w_blk);
-    row.account_reduce(env_.grank, x_blk);
-    env_.dev().compute_fp16(flops);
+    replay_.collective(col, Op::kBroadcast, w_blk);
+    replay_.collective(row, Op::kReduce, x_blk);
+    replay_.compute(flops);
   }
   // backward dW: broadcast X along rows, reduce partials down columns
   for (int s = 0; s < q; ++s) {
-    row.account_broadcast(env_.grank, x_blk);
-    col.account_reduce(env_.grank, w_blk);
-    env_.dev().compute_fp16(flops);
+    replay_.collective(row, Op::kBroadcast, x_blk);
+    replay_.collective(col, Op::kReduce, w_blk);
+    replay_.compute(flops);
   }
   (void)y_blk;
 }
@@ -102,16 +107,17 @@ void SimTransformer::step_2d(std::int64_t depth) {
       // one AG + one RS per linear; fold them into two calls per layer group.
       auto& dg = env_.ctx->depth_group(env_.grank);
       const std::int64_t w_blocks = 12 * h * h / (q * q) * shape_.bytes_per_elem;
-      dg.account_all_gather(env_.grank, w_blocks);
-      dg.account_reduce_scatter(env_.grank, w_blocks);
+      replay_.collective(dg, Op::kAllGather, w_blocks);
+      replay_.collective(dg, Op::kReduceScatter, w_blocks);
     }
     summa_linear(rows, h, 3 * h);   // qkv
     summa_linear(rows, h, h);       // proj
     summa_linear(rows, h, 4 * h);   // mlp fc1
     summa_linear(rows, 4 * h, h);   // mlp fc2
     // grid-sharded attention batched matmuls: local compute
-    env_.dev().compute_fp16(3.0 * 4.0 * shape_.batch * shape_.seq *
-                            shape_.seq * h / p_);
+    replay_.compute(3.0 * 4.0 * shape_.batch * shape_.seq * shape_.seq * h /
+                    p_);
+    replay_.flush();
   }
 }
 
@@ -128,15 +134,15 @@ void SimTransformer::step_3d() {
   auto linear3d = [&](std::int64_t m, std::int64_t k, std::int64_t n) {
     const double flops = 2.0 * static_cast<double>(m) * k * n / (ll * l3);
     // forward: AG X over j, AG W over i, RS Y over k
-    gj.account_all_gather(env_.grank, m * k / ll * be);
-    gi.account_all_gather(env_.grank, k * n / ll * be);
-    env_.dev().compute_fp16(flops);
-    gk.account_reduce_scatter(env_.grank, m * n / ll * be);
+    replay_.collective(gj, Op::kAllGather, m * k / ll * be);
+    replay_.collective(gi, Op::kAllGather, k * n / ll * be);
+    replay_.compute(flops);
+    replay_.collective(gk, Op::kReduceScatter, m * n / ll * be);
     // backward: AG dY over k, RS dX over j, RS dW over i
-    gk.account_all_gather(env_.grank, m * n / ll * be);
-    env_.dev().compute_fp16(2.0 * flops);
-    gj.account_reduce_scatter(env_.grank, m * k / ll * be);
-    gi.account_reduce_scatter(env_.grank, k * n / ll * be);
+    replay_.collective(gk, Op::kAllGather, m * n / ll * be);
+    replay_.compute(2.0 * flops);
+    replay_.collective(gj, Op::kReduceScatter, m * k / ll * be);
+    replay_.collective(gi, Op::kReduceScatter, k * n / ll * be);
   };
 
   for (std::int64_t layer = 0; layer < shape_.layers; ++layer) {
@@ -144,8 +150,9 @@ void SimTransformer::step_3d() {
     linear3d(rows, h, h);
     linear3d(rows, h, 4 * h);
     linear3d(rows, 4 * h, h);
-    env_.dev().compute_fp16(3.0 * 4.0 * shape_.batch * shape_.seq *
-                            shape_.seq * h / p_);
+    replay_.compute(3.0 * 4.0 * shape_.batch * shape_.seq * shape_.seq * h /
+                    p_);
+    replay_.flush();
   }
 }
 

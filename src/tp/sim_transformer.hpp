@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "collective/cost_replay.hpp"
 #include "core/config.hpp"
 #include "tp/env.hpp"
 #include "tp/memory_model.hpp"
@@ -10,10 +11,13 @@ namespace ca::tp {
 
 /// Cost-model execution of a tensor-parallel Transformer training step — the
 /// paper-scale twin of the functional layers. Instead of touching data it
-/// advances the caller's logical clock by the FLOP time of its shard and
-/// issues `account_*` collectives on the same process groups the functional
-/// layers use, so throughput experiments (Fig 11, Table 3) run at ViT-22B
-/// sizes in microseconds of host time.
+/// records the FLOP time of its shard and account-style collectives on the
+/// same process groups the functional layers use into a
+/// collective::CostReplay scoped to its tensor group, and settles them once
+/// per layer: one rendezvous per layer instead of one per modeled
+/// collective, with clocks, bytes, trace spans and metrics bit-identical to
+/// charging each call live through `account_*`. Throughput experiments
+/// (Fig 11, Table 3) so run at ViT-22B sizes in milliseconds of host time.
 ///
 /// All ranks of the tensor group must call train_step() symmetrically (SPMD).
 class SimTransformer {
@@ -42,6 +46,7 @@ class SimTransformer {
   core::TpMode mode_;
   TransformerShape shape_;
   int p_;
+  collective::CostReplay replay_;
 };
 
 }  // namespace ca::tp

@@ -26,16 +26,15 @@ def is_machine_row(op: str) -> bool:
 
 
 def load_rows(path: str) -> dict:
-    """Map (op, shape) -> ns_per_iter. Duplicate keys must agree."""
+    """Map (op, shape) -> ns_per_iter. Every key must be unique."""
     with open(path, "r", encoding="utf-8") as f:
         rows = json.load(f)
     out = {}
     for row in rows:
         key = (row["op"], row["shape"])
-        value = float(row["ns_per_iter"])
-        if key in out and abs(out[key] - value) > EPS:
-            raise SystemExit(f"{path}: duplicate row {key} with differing values")
-        out[key] = value
+        if key in out:
+            raise SystemExit(f"{path}: duplicate row {key}")
+        out[key] = float(row["ns_per_iter"])
     return out
 
 

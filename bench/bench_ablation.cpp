@@ -71,19 +71,20 @@ void allreduce_algorithms() {
   std::printf("%-8s %-16s %-16s %-16s\n", "p", "topology", "ring (ms)",
               "naive (ms)");
   const std::int64_t bytes = 100 * 1000 * 1000;
+  constexpr auto kChunked = collective::Algo::kChunked;
   for (const auto& topo :
        {sim::Topology::system_i(), sim::Topology::system_ii()}) {
     for (int p : {4, 8}) {
       std::vector<int> ranks;
       for (int r = 0; r < p; ++r) ranks.push_back(r);
       const double ring = collective::collective_time(
-          collective::Op::kAllReduce, topo, ranks, bytes);
+          collective::Op::kAllReduce, kChunked, topo, ranks, bytes);
       // naive: reduce to root then broadcast, each moving the full payload
       const double naive =
-          collective::collective_time(collective::Op::kReduce, topo, ranks,
-                                      bytes) +
-          collective::collective_time(collective::Op::kBroadcast, topo, ranks,
-                                      bytes);
+          collective::collective_time(collective::Op::kReduce, kChunked, topo,
+                                      ranks, bytes) +
+          collective::collective_time(collective::Op::kBroadcast, kChunked,
+                                      topo, ranks, bytes);
       std::printf("%-8d %-16s %-16.2f %-16.2f\n", p,
                   topo.name().substr(0, 9).c_str(), 1e3 * ring, 1e3 * naive);
     }

@@ -39,8 +39,9 @@ void collective_bandwidth(const sim::Topology& topo) {
   for (int n : {2, 4, 8}) {
     std::vector<int> ranks;
     for (int r = 0; r < n; ++r) ranks.push_back(r);
-    const double t = collective::collective_time(collective::Op::kBroadcast,
-                                                 topo, ranks, kPayload);
+    const double t = collective::collective_time(
+        collective::Op::kBroadcast, collective::Algo::kChunked, topo, ranks,
+        kPayload);
     std::printf("%-12d %-14.2f %-14.0f\n", n, 1e3 * t,
                 static_cast<double>(kPayload) / t / 1e9);
   }

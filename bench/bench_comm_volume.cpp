@@ -9,7 +9,7 @@
 #include "tensor/ops.hpp"
 #include "tp/comm_volume.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
+#include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 
 using namespace ca;
@@ -47,37 +47,24 @@ std::int64_t measured(core::TpMode mode, int p, std::int64_t rows,
   auto x = tensor::randn(tensor::Shape{rows, h}, 1);
   auto dy = tensor::randn(tensor::Shape{rows, h}, 2);
   w.cluster.run([&](int g) {
-    switch (mode) {
-      case core::TpMode::k1d: {
-        tp::Linear1DCol c1(w.env(g), "c", h, h, 3, false);
-        tp::Linear1DRow r1(w.env(g), "r", h, h, 4);
-        auto y = r1.forward(c1.forward(x));
-        (void)y;
-        c1.backward(r1.backward(dy));
-        break;
-      }
-      case core::TpMode::k2d: {
-        const int q = w.ctx.grid_side();
-        tp::Linear2D lin(w.env(g), "l", h, h, 3);
-        auto xb = tp::Linear2D::shard_activation(x, q, w.ctx.row_coord(g),
-                                                 w.ctx.col_coord(g));
-        lin.forward(xb);
-        lin.backward(tp::Linear2D::shard_activation(dy, q, w.ctx.row_coord(g),
-                                                    w.ctx.col_coord(g)));
-        break;
-      }
-      case core::TpMode::k3d: {
-        const int l = w.ctx.grid_side();
-        tp::Linear3D lin(w.env(g), "l", h, h, 3);
-        lin.forward(tp::Linear3D::shard_input(x, l, w.ctx.cube_i(g),
-                                              w.ctx.cube_j(g), w.ctx.cube_k(g)));
-        lin.backward(tp::Linear3D::shard_output(dy, l, w.ctx.cube_i(g),
-                                                w.ctx.cube_j(g),
-                                                w.ctx.cube_k(g)));
-        break;
-      }
-      default:
-        break;
+    if (core::is_grid(mode)) {
+      tp::Linear2p5D lin(w.env(g), "l", h, h, 3);
+      lin.forward(tp::Linear2p5D::shard_activation(x, w.env(g)));
+      lin.backward(tp::Linear2p5D::shard_activation(dy, w.env(g)));
+    } else if (mode == core::TpMode::k3d) {
+      const int l = w.ctx.grid_side();
+      tp::Linear3D lin(w.env(g), "l", h, h, 3);
+      lin.forward(tp::Linear3D::shard_input(x, l, w.ctx.cube_i(g),
+                                            w.ctx.cube_j(g), w.ctx.cube_k(g)));
+      lin.backward(tp::Linear3D::shard_output(dy, l, w.ctx.cube_i(g),
+                                              w.ctx.cube_j(g),
+                                              w.ctx.cube_k(g)));
+    } else {
+      tp::Linear1DCol c1(w.env(g), "c", h, h, 3, false);
+      tp::Linear1DRow r1(w.env(g), "r", h, h, 4);
+      auto y = r1.forward(c1.forward(x));
+      (void)y;
+      c1.backward(r1.backward(dy));
     }
   });
   return w.cluster.total_bytes_sent() / 4;  // bytes -> elements

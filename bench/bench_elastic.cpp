@@ -22,7 +22,6 @@
 #include "optim/optimizer.hpp"
 #include "tensor/ops.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 #include "tp/relayout.hpp"
@@ -50,82 +49,49 @@ struct ElasticModel {
   ElasticModel(const tp::Env& env, std::uint64_t seed) : env_(env) {
     core::ParallelContext& ctx = *env.ctx;
     mode_ = ctx.config().tensor_mode;
-    switch (mode_) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        layer_ = std::make_unique<tp::Linear1DCol>(env, "l", kHidden, kHidden,
-                                                   seed, /*gather_output=*/true);
-        break;
-      case core::TpMode::k2d:
-        layer_ = std::make_unique<tp::Linear2D>(env, "l", kHidden, kHidden, seed);
-        break;
-      case core::TpMode::k2p5d:
-        layer_ =
-            std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
-        break;
-      case core::TpMode::k3d:
-        layer_ = std::make_unique<tp::Linear3D>(env, "l", kHidden, kHidden, seed);
-        break;
+    if (core::is_grid(mode_)) {
+      layer_ = std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
+    } else if (mode_ == core::TpMode::k3d) {
+      layer_ = std::make_unique<tp::Linear3D>(env, "l", kHidden, kHidden, seed);
+    } else {
+      layer_ = std::make_unique<tp::Linear1DCol>(env, "l", kHidden, kHidden,
+                                                 seed, /*gather_output=*/true);
     }
   }
 
   t::Tensor forward_full(const t::Tensor& x) {
     core::ParallelContext& ctx = *env_.ctx;
     const int g = env_.grank;
-    switch (mode_) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        return layer_->forward(x);
-      case core::TpMode::k2d: {
-        const int q = ctx.grid_side();
-        const int r = ctx.row_coord(g), c = ctx.col_coord(g);
-        auto y = layer_->forward(tp::Linear2D::shard_activation(x, q, r, c));
-        const nn::ShardSpec spec{kRows, kHidden, q, r, q, c, 1, true};
-        return tp::gather_full(ctx.tensor_group(g), g, spec, y);
-      }
-      case core::TpMode::k2p5d: {
-        const int q = ctx.grid_side(), d = ctx.depth();
-        const int r = ctx.row_coord(g), c = ctx.col_coord(g);
-        const int dd = ctx.depth_coord(g);
-        auto y = layer_->forward(
-            tp::Linear2p5D::shard_activation(x, q, d, dd, r, c));
-        const nn::ShardSpec spec{kRows, kHidden, d * q, dd * q + r, q, c, 1,
-                                 true};
-        return tp::gather_full(ctx.tensor_group(g), g, spec, y);
-      }
-      case core::TpMode::k3d: {
-        const int l = ctx.grid_side();
-        const int i = ctx.cube_i(g), j = ctx.cube_j(g), k = ctx.cube_k(g);
-        auto y = layer_->forward(tp::Linear3D::shard_input(x, l, i, j, k));
-        const nn::ShardSpec spec{kRows, kHidden, l * l, i * l + k, l, j, 1,
-                                 true};
-        return tp::gather_full(ctx.tensor_group(g), g, spec, y);
-      }
+    if (core::is_grid(mode_)) {
+      const int q = ctx.grid_side(), d = ctx.depth();
+      const int r = ctx.row_coord(g), c = ctx.col_coord(g);
+      const int dd = ctx.depth_coord(g);
+      auto y = layer_->forward(tp::Linear2p5D::shard_activation(x, env_));
+      const nn::ShardSpec spec{kRows, kHidden, d * q, dd * q + r, q, c, 1,
+                               true};
+      return tp::gather_full(ctx.tensor_group(g), g, spec, y);
     }
-    throw std::logic_error("unreachable");
+    if (mode_ == core::TpMode::k3d) {
+      const int l = ctx.grid_side();
+      const int i = ctx.cube_i(g), j = ctx.cube_j(g), k = ctx.cube_k(g);
+      auto y = layer_->forward(tp::Linear3D::shard_input(x, l, i, j, k));
+      const nn::ShardSpec spec{kRows, kHidden, l * l, i * l + k, l, j, 1,
+                               true};
+      return tp::gather_full(ctx.tensor_group(g), g, spec, y);
+    }
+    return layer_->forward(x);
   }
 
   void backward_full(const t::Tensor& dy) {
     core::ParallelContext& ctx = *env_.ctx;
     const int g = env_.grank;
-    switch (mode_) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        layer_->backward(dy);
-        return;
-      case core::TpMode::k2d:
-        layer_->backward(tp::Linear2D::shard_activation(
-            dy, ctx.grid_side(), ctx.row_coord(g), ctx.col_coord(g)));
-        return;
-      case core::TpMode::k2p5d:
-        layer_->backward(tp::Linear2p5D::shard_activation(
-            dy, ctx.grid_side(), ctx.depth(), ctx.depth_coord(g),
-            ctx.row_coord(g), ctx.col_coord(g)));
-        return;
-      case core::TpMode::k3d:
-        layer_->backward(tp::Linear3D::shard_output(
-            dy, ctx.grid_side(), ctx.cube_i(g), ctx.cube_j(g), ctx.cube_k(g)));
-        return;
+    if (core::is_grid(mode_)) {
+      layer_->backward(tp::Linear2p5D::shard_activation(dy, env_));
+    } else if (mode_ == core::TpMode::k3d) {
+      layer_->backward(tp::Linear3D::shard_output(
+          dy, ctx.grid_side(), ctx.cube_i(g), ctx.cube_j(g), ctx.cube_k(g)));
+    } else {
+      layer_->backward(dy);
     }
   }
 
@@ -257,17 +223,6 @@ Mttr run_scenario(core::TpMode mode, int tp, int depth, std::int64_t kill_step) 
   return out;
 }
 
-const char* mode_name(core::TpMode m) {
-  switch (m) {
-    case core::TpMode::kNone: return "none";
-    case core::TpMode::k1d: return "1d";
-    case core::TpMode::k2d: return "2d";
-    case core::TpMode::k2p5d: return "2.5d";
-    case core::TpMode::k3d: return "3d";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main() {
@@ -292,10 +247,10 @@ int main() {
   for (const Case& c : cases) {
     const Mttr m = run_scenario(c.mode, c.tp, c.depth, c.kill);
     std::printf("%-6s %-4d %-3lld | %9.3f %11.6f %11.1f %11.1f %9.4f %8.0f\n",
-                mode_name(c.mode), c.tp, static_cast<long long>(c.kill),
+                core::to_string(c.mode).c_str(), c.tp, static_cast<long long>(c.kill),
                 m.detect_s, m.consensus_s, m.rebuild_wall_ns / 1e3,
                 m.reshard_wall_ns / 1e3, m.replay_s, m.replayed_steps);
-    const std::string shape = std::string(mode_name(c.mode)) + "_tp" +
+    const std::string shape = core::to_string(c.mode) + "_tp" +
                               std::to_string(c.tp) + "_k" +
                               std::to_string(c.kill);
     // Simulated-time rows: deterministic, gated by bench_compare.

@@ -3,7 +3,8 @@
 // per-device peak memory from the analytic model, which test_tp.cpp
 // cross-validates against measured MemoryTracker peaks at small sizes.
 //
-//   (a) batch sweep, 4 GPUs: 1D vs 2D vs 2.5D(d=1)
+//   (a) batch sweep, 4 GPUs: 1D vs 2D vs 2.5D(d=1) — one grid, so the last
+//       two columns agree (2D is the 2.5D grid at depth 1)
 //   (b) batch sweep, 8 GPUs: 1D vs 2.5D(d=2) vs 3D
 //   (c) hidden sweep, 4 GPUs
 //   (d) hidden sweep, 8 GPUs
@@ -33,7 +34,7 @@ void batch_sweep(int gpus) {
     if (gpus == 4) {
       std::printf("%-8lld %-10.1f %-10.1f %-10.1f\n", static_cast<long long>(b),
                   gib(tp::two_layer_peak_1d(s, 4)),
-                  gib(tp::two_layer_peak_2d(s, 4)),
+                  gib(tp::two_layer_peak_2p5d(s, 4, 1)),
                   gib(tp::two_layer_peak_2p5d(s, 4, 1)));
     } else {
       std::printf("%-8lld %-10.1f %-12.1f %-10.1f\n", static_cast<long long>(b),
@@ -58,7 +59,7 @@ void hidden_sweep(int gpus) {
     if (gpus == 4) {
       std::printf("%-8lld %-10.1f %-10.1f %-10.1f\n", static_cast<long long>(h),
                   gib(tp::two_layer_peak_1d(s, 4)),
-                  gib(tp::two_layer_peak_2d(s, 4)),
+                  gib(tp::two_layer_peak_2p5d(s, 4, 1)),
                   gib(tp::two_layer_peak_2p5d(s, 4, 1)));
     } else {
       std::printf("%-8lld %-10.1f %-12.1f %-10.1f\n", static_cast<long long>(h),

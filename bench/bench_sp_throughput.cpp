@@ -124,8 +124,10 @@ void figure_13b() {
     const double td_boundary =
         stages == 1
             ? 0.0
-            : sp_boundary + collective::collective_time(
-                                collective::Op::kAllGather, topo, group, bsh);
+            : sp_boundary +
+                  collective::collective_time(collective::Op::kAllGather,
+                                              collective::Algo::kChunked, topo,
+                                              group, bsh);
 
     // fill-drain: (micros + stages - 1) sequential micro-slots, fwd+bwd
     const auto slots = static_cast<double>(micros + stages - 1);

@@ -184,12 +184,6 @@ double collective_latency(Op op, Algo algo, const CostProfile& profile,
   return collective_time(op, algo, lat, bytes);
 }
 
-double collective_time(Op op, const sim::Topology& topo,
-                       std::span<const int> ranks, std::int64_t bytes) {
-  return collective_time(op, Algo::kChunked,
-                         make_cost_profile(topo, ranks, TwoLevelPlan{}), bytes);
-}
-
 double collective_time(Op op, Algo algo, const sim::Topology& topo,
                        std::span<const int> ranks, std::int64_t bytes,
                        const TwoLevelPlan& plan) {
@@ -220,19 +214,6 @@ std::int64_t bytes_sent_per_rank(Op op, int group_size, std::int64_t bytes) {
       return (p - 1) * bytes / p;
   }
   return 0;
-}
-
-std::int64_t bytes_sent_per_rank(Op op, Algo algo, int group_size,
-                                 std::int64_t bytes,
-                                 const TwoLevelPlan& plan) {
-  // Per-rank volume is algorithm-invariant. Ring/chunked/single-root move the
-  // classic ring volume outright, and the two-level decomposition satisfies
-  // the identity (m-1)/m + (l-1)/(l*m) = (p-1)/p with p = l*m: hierarchical
-  // re-routes the inter-block share over the leader ring but moves exactly
-  // the same total per rank. Only the *time* model differs by algorithm.
-  (void)algo;
-  (void)plan;
-  return bytes_sent_per_rank(op, group_size, bytes);
 }
 
 // ---- pipeline schedules -------------------------------------------------------

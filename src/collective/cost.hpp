@@ -39,14 +39,6 @@ constexpr const char* op_name(Op op) {
   return "unknown";
 }
 
-/// Alpha-beta time for a collective over `ranks` moving `bytes` per rank,
-/// using ring algorithms (the NCCL default at these sizes). The bottleneck
-/// link of the rank ring bounds bandwidth — this is what makes 1D tensor
-/// parallelism collapse on partially-connected machines (paper Figs 10-11).
-/// This legacy overload is the kChunked cost; prefer the Algo-aware overload.
-double collective_time(Op op, const sim::Topology& topo,
-                       std::span<const int> ranks, std::int64_t bytes);
-
 /// The fixed link data of one group that every cost formula reads: the
 /// group's ring bottleneck and latency plus, for a viable two-level plan,
 /// each block's size and ring bottleneck and the leader ring's bottleneck.
@@ -94,23 +86,23 @@ double collective_latency(Op op, Algo algo, const CostProfile& profile,
 
 /// The same model for a group given by its ranks and two-level plan: builds
 /// the profile and prices through the overload above. `plan` may be a
-/// non-viable plan for non-hierarchical algorithms.
+/// non-viable plan (the default) for non-hierarchical algorithms. The bottleneck
+/// link of the rank ring bounds bandwidth — this is what makes 1D tensor
+/// parallelism collapse on partially-connected machines (paper Figs 10-11).
 double collective_time(Op op, Algo algo, const sim::Topology& topo,
                        std::span<const int> ranks, std::int64_t bytes,
-                       const TwoLevelPlan& plan);
+                       const TwoLevelPlan& plan = {});
 
 /// Point-to-point transfer time between two devices.
 double p2p_time(const sim::Topology& topo, int src, int dst, std::int64_t bytes);
 
-/// Bytes a single rank pushes onto the interconnect during the ring
-/// implementation of `op` with `bytes` of payload per rank.
+/// Bytes a single rank pushes onto the interconnect during `op` with `bytes`
+/// of payload per rank: the ring figure, whatever the algorithm. The
+/// two-level decomposition satisfies (m-1)/m + (l-1)/(l*m) = (p-1)/p with
+/// p = l*m, so hierarchical re-routes the inter-block share over the leader
+/// ring but moves exactly the same total per rank; only the *time* model
+/// differs by algorithm.
 std::int64_t bytes_sent_per_rank(Op op, int group_size, std::int64_t bytes);
-
-/// Algorithm-aware per-rank interconnect bytes. Identical to the ring figure
-/// for every algorithm except kHierarchical, where the inter-block round only
-/// moves each block's 1/m share across the slow links.
-std::int64_t bytes_sent_per_rank(Op op, Algo algo, int group_size,
-                                 std::int64_t bytes, const TwoLevelPlan& plan);
 
 // ---- pipeline schedules -------------------------------------------------------
 

@@ -187,7 +187,7 @@ Group::Priced Group::price(Op op, Algo algo, std::int64_t bytes,
                 bytes,
                 wire,
                 collective_time(op, algo, profile_, bytes),
-                bytes_sent_per_rank(op, algo, size(), bytes, plan_)};
+                bytes_sent_per_rank(op, size(), bytes)};
 }
 
 double Group::settle(int idx, double t_start, const Priced& p) {

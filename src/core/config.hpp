@@ -20,6 +20,11 @@ enum class TpMode { kNone, k1d, k2d, k2p5d, k3d };
   return "?";
 }
 
+/// 2D and 2.5D run on one SUMMA grid; 2D is the grid at depth 1.
+[[nodiscard]] constexpr bool is_grid(TpMode m) {
+  return m == TpMode::k2d || m == TpMode::k2p5d;
+}
+
 /// The training-parallelism configuration a user writes — the C++ analogue
 /// of the dict passed to colossalai.launch (Listing 1). World size must equal
 /// data * pipeline * tensor * sequence.

@@ -26,6 +26,8 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
                                  std::vector<int> members)
     : backend_(backend), config_(config), members_(std::move(members)) {
   config_.validate();
+  // tensor_depth is the d of 2.5D; every other mode (2D included) is depth 1.
+  depth_ = config_.tensor_mode == TpMode::k2p5d ? config_.tensor_depth : 1;
   const int world = config_.world_size();
   const int cluster_world = backend.cluster().world_size();
   if (members_.empty()) {
@@ -141,27 +143,14 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
         case TpMode::kNone:
         case TpMode::k1d:
           break;
-        case TpMode::k2d: {
-          const int q = Config::exact_sqrt(config_.tensor_parallel_size);
-          grid_side_ = q;
-          for (int r = 0; r < q; ++r) {  // rows
-            std::vector<int> row;
-            for (int c = 0; c < q; ++c) row.push_back(phys(base + r * q + c));
-            assign(row_groups_, backend_.create_group(std::move(row), "row"));
-          }
-          for (int c = 0; c < q; ++c) {  // columns
-            std::vector<int> col;
-            for (int r = 0; r < q; ++r) col.push_back(phys(base + r * q + c));
-            assign(col_groups_, backend_.create_group(std::move(col), "col"));
-          }
-          break;
-        }
+        case TpMode::k2d:
         case TpMode::k2p5d: {
-          const int depth = config_.tensor_depth;
-          const int layer = config_.tensor_parallel_size / depth;
+          // One SUMMA grid per depth layer. 2D is the grid at depth 1, and a
+          // depth-1 grid has no depth groups.
+          const int layer = config_.tensor_parallel_size / depth_;
           const int q = Config::exact_sqrt(layer);
           grid_side_ = q;
-          for (int dd = 0; dd < depth; ++dd) {
+          for (int dd = 0; dd < depth_; ++dd) {
             const int lbase = base + dd * layer;
             for (int r = 0; r < q; ++r) {
               std::vector<int> row;
@@ -178,9 +167,10 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
               assign(col_groups_, backend_.create_group(std::move(col), "col"));
             }
           }
+          if (depth_ == 1) break;
           for (int cell = 0; cell < layer; ++cell) {
             std::vector<int> dg;
-            for (int dd = 0; dd < depth; ++dd) {
+            for (int dd = 0; dd < depth_; ++dd) {
               dg.push_back(phys(base + dd * layer + cell));
             }
             assign(depth_groups_, backend_.create_group(std::move(dg), "depth"));
@@ -330,7 +320,7 @@ int ParallelContext::col_coord(int grank) const {
 }
 
 int ParallelContext::depth_coord(int grank) const {
-  assert(config_.tensor_mode == TpMode::k2p5d);
+  assert(grid_side_ > 0);
   return tensor_rank(grank) / (grid_side_ * grid_side_);
 }
 

@@ -10,9 +10,9 @@ namespace ca::core {
 
 /// The parallel context manager of Figure 1: given a Config it decomposes
 /// every global rank into (data, pipeline, tensor/sequence) coordinates and
-/// builds all process groups each parallel mode needs, including the 2D
-/// row/column, 2.5D row/column/depth, and 3D axis sub-groups inside each
-/// tensor group.
+/// builds all process groups each parallel mode needs, including the SUMMA
+/// grid's row/column/depth and the 3D axis sub-groups inside each tensor
+/// group. 2D and 2.5D share one grid: "2d" resolves to the grid at depth 1.
 ///
 /// Rank layout (tensor innermost, matching Megatron-LM so tensor groups map
 /// to the best-connected devices):
@@ -108,7 +108,8 @@ class ParallelContext {
   // 2D / 2.5D: the SUMMA grid inside one (depth layer of a) tensor group.
   [[nodiscard]] collective::Group& row_group(int grank);
   [[nodiscard]] collective::Group& col_group(int grank);
-  /// 2.5D only: the group across depth layers holding the same grid cell.
+  /// The group across depth layers holding the same grid cell; exists only
+  /// when depth() > 1.
   [[nodiscard]] collective::Group& depth_group(int grank);
 
   // 3D: groups that vary exactly one cube coordinate.
@@ -120,11 +121,13 @@ class ParallelContext {
 
   /// 2D / 2.5D grid side (j or k in the paper's notation); 3D cube side l.
   [[nodiscard]] int grid_side() const { return grid_side_; }
-  [[nodiscard]] int depth() const { return config_.tensor_depth; }
+  /// The grid's depth d: config tensor_depth under 2.5D, 1 in every other
+  /// mode (a "2d" config's tensor_depth is ignored).
+  [[nodiscard]] int depth() const { return depth_; }
 
   [[nodiscard]] int row_coord(int grank) const;    // 2D/2.5D
   [[nodiscard]] int col_coord(int grank) const;    // 2D/2.5D
-  [[nodiscard]] int depth_coord(int grank) const;  // 2.5D
+  [[nodiscard]] int depth_coord(int grank) const;  // 2D/2.5D (0 in 2D)
   [[nodiscard]] int cube_i(int grank) const;       // 3D
   [[nodiscard]] int cube_j(int grank) const;
   [[nodiscard]] int cube_k(int grank) const;
@@ -136,6 +139,7 @@ class ParallelContext {
   Config config_;
   tensor::Dtype comm_dtype_ = tensor::Dtype::kF32;
   int grid_side_ = 0;
+  int depth_ = 1;
   std::vector<int> members_;  ///< virtual -> physical
   std::vector<int> virt_of_;  ///< physical -> virtual, -1 for non-members
   collective::Group* world_group_ = nullptr;

@@ -2,10 +2,8 @@
 
 #include <cassert>
 
+#include "models/layout_utils.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
-#include "tp/linear2p5d.hpp"
-#include "tp/linear3d.hpp"
 
 namespace ca::models {
 
@@ -29,29 +27,6 @@ class Convert3D : public nn::Module {
   tp::Env env_;
 };
 
-/// Reassemble equally-shaped rank blocks into a full matrix given each
-/// rank's (row chunk, col chunk) placement.
-t::Tensor reassemble(const t::Tensor& flat_blocks, std::int64_t block_rows,
-                     std::int64_t block_cols, int n_row_chunks,
-                     int n_col_chunks,
-                     const std::function<std::pair<int, int>(int)>& place) {
-  const int n = n_row_chunks * n_col_chunks;
-  t::Tensor full(t::Shape{block_rows * n_row_chunks, block_cols * n_col_chunks});
-  auto pf = full.data();
-  auto pb = flat_blocks.data();
-  const std::int64_t block = block_rows * block_cols;
-  const std::int64_t full_cols = block_cols * n_col_chunks;
-  for (int m = 0; m < n; ++m) {
-    const auto [rc, cc] = place(m);
-    const float* src = pb.data() + m * block;
-    for (std::int64_t r = 0; r < block_rows; ++r) {
-      float* dst = pf.data() + (rc * block_rows + r) * full_cols + cc * block_cols;
-      std::copy(src + r * block_cols, src + (r + 1) * block_cols, dst);
-    }
-  }
-  return full;
-}
-
 }  // namespace
 
 Classifier::Classifier(Config cfg) : cfg_(cfg) {
@@ -68,168 +43,68 @@ Classifier::Classifier(Config cfg) : cfg_(cfg) {
 
 Classifier::Classifier(const tp::Env& env, Config cfg)
     : cfg_(cfg), mode_(env.ctx->config().tensor_mode), env_(env) {
-  switch (mode_) {
-    case core::TpMode::kNone:
-    case core::TpMode::k1d: {
-      // replicated embed/head, 1D-parallel blocks
-      net_.add(std::make_unique<nn::Linear>("embed", cfg.features, cfg.hidden,
-                                            cfg.seed));
-      net_.add(std::make_unique<nn::Gelu>());
-      for (std::int64_t b = 0; b < cfg.blocks; ++b) {
-        if (mode_ == core::TpMode::k1d) {
-          net_.add(std::make_unique<tp::Mlp1D>(env, "block" + std::to_string(b),
-                                               cfg.hidden, 2 * cfg.hidden,
-                                               cfg.seed + 10 * (b + 1)));
-        } else {
-          net_.add(std::make_unique<nn::Mlp>("block" + std::to_string(b),
-                                             cfg.hidden, 2 * cfg.hidden,
-                                             cfg.seed + 10 * (b + 1)));
-        }
-      }
-      net_.add(std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
-                                            cfg.seed + 999));
-      break;
-    }
-    case core::TpMode::k2d: {
-      net_.add(std::make_unique<tp::Linear2D>(env, "embed", cfg.features,
+  if (core::is_grid(mode_)) {
+    net_.add(std::make_unique<tp::Linear2p5D>(env, "embed", cfg.features,
                                               cfg.hidden, cfg.seed));
-      net_.add(std::make_unique<nn::Gelu>());
-      for (std::int64_t b = 0; b < cfg.blocks; ++b) {
-        net_.add(std::make_unique<tp::Mlp2D>(env, "block" + std::to_string(b),
+    net_.add(std::make_unique<nn::Gelu>());
+    for (std::int64_t b = 0; b < cfg.blocks; ++b) {
+      net_.add(std::make_unique<tp::Mlp2p5D>(env, "block" + std::to_string(b),
                                              cfg.hidden, 2 * cfg.hidden,
                                              cfg.seed + 10 * (b + 1)));
-      }
-      net_.add(std::make_unique<tp::Linear2D>(env, "head", cfg.hidden,
+    }
+    net_.add(std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
                                               cfg.classes, cfg.seed + 999));
-      break;
-    }
-    case core::TpMode::k2p5d: {
-      net_.add(std::make_unique<tp::Linear2p5D>(env, "embed", cfg.features,
-                                                cfg.hidden, cfg.seed));
-      net_.add(std::make_unique<nn::Gelu>());
-      for (std::int64_t b = 0; b < cfg.blocks; ++b) {
-        net_.add(std::make_unique<tp::Mlp2p5D>(env, "block" + std::to_string(b),
-                                               cfg.hidden, 2 * cfg.hidden,
-                                               cfg.seed + 10 * (b + 1)));
-      }
-      net_.add(std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
-                                                cfg.classes, cfg.seed + 999));
-      break;
-    }
-    case core::TpMode::k3d: {
-      net_.add(std::make_unique<tp::Linear3D>(env, "embed", cfg.features,
-                                              cfg.hidden, cfg.seed));
-      net_.add(std::make_unique<nn::Gelu>());
+  } else if (mode_ == core::TpMode::k3d) {
+    net_.add(std::make_unique<tp::Linear3D>(env, "embed", cfg.features,
+                                            cfg.hidden, cfg.seed));
+    net_.add(std::make_unique<nn::Gelu>());
+    net_.add(std::make_unique<Convert3D>(env));
+    for (std::int64_t b = 0; b < cfg.blocks; ++b) {
+      net_.add(std::make_unique<tp::Mlp3D>(env, "block" + std::to_string(b),
+                                           cfg.hidden, 2 * cfg.hidden,
+                                           cfg.seed + 10 * (b + 1)));
       net_.add(std::make_unique<Convert3D>(env));
-      for (std::int64_t b = 0; b < cfg.blocks; ++b) {
-        net_.add(std::make_unique<tp::Mlp3D>(env, "block" + std::to_string(b),
+    }
+    net_.add(std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
+                                            cfg.classes, cfg.seed + 999));
+  } else {
+    // replicated embed/head, 1D-parallel blocks
+    net_.add(std::make_unique<nn::Linear>("embed", cfg.features, cfg.hidden,
+                                          cfg.seed));
+    net_.add(std::make_unique<nn::Gelu>());
+    for (std::int64_t b = 0; b < cfg.blocks; ++b) {
+      if (mode_ == core::TpMode::k1d) {
+        net_.add(std::make_unique<tp::Mlp1D>(env, "block" + std::to_string(b),
                                              cfg.hidden, 2 * cfg.hidden,
                                              cfg.seed + 10 * (b + 1)));
-        net_.add(std::make_unique<Convert3D>(env));
+      } else {
+        net_.add(std::make_unique<nn::Mlp>("block" + std::to_string(b),
+                                           cfg.hidden, 2 * cfg.hidden,
+                                           cfg.seed + 10 * (b + 1)));
       }
-      net_.add(std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
-                                              cfg.classes, cfg.seed + 999));
-      break;
     }
+    net_.add(std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
+                                          cfg.seed + 999));
   }
 }
 
 Classifier::~Classifier() = default;
 
 t::Tensor Classifier::shard_input(const t::Tensor& full) const {
-  switch (mode_) {
-    case core::TpMode::kNone:
-    case core::TpMode::k1d:
-      return full.clone();
-    case core::TpMode::k2d: {
-      auto& ctx = *env_->ctx;
-      return tp::Linear2D::shard_activation(full, ctx.grid_side(),
-                                            ctx.row_coord(env_->grank),
-                                            ctx.col_coord(env_->grank));
-    }
-    case core::TpMode::k2p5d: {
-      auto& ctx = *env_->ctx;
-      return tp::Linear2p5D::shard_activation(
-          full, ctx.grid_side(), ctx.depth(), ctx.depth_coord(env_->grank),
-          ctx.row_coord(env_->grank), ctx.col_coord(env_->grank));
-    }
-    case core::TpMode::k3d: {
-      auto& ctx = *env_->ctx;
-      return tp::Linear3D::shard_input(full, ctx.grid_side(),
-                                       ctx.cube_i(env_->grank),
-                                       ctx.cube_j(env_->grank),
-                                       ctx.cube_k(env_->grank));
-    }
+  if (core::is_grid(mode_)) return tp::Linear2p5D::shard_activation(full, *env_);
+  if (mode_ == core::TpMode::k3d) {
+    auto& ctx = *env_->ctx;
+    return tp::Linear3D::shard_input(full, ctx.grid_side(),
+                                     ctx.cube_i(env_->grank),
+                                     ctx.cube_j(env_->grank),
+                                     ctx.cube_k(env_->grank));
   }
   return full.clone();
 }
 
-t::Tensor Classifier::gather_full(const t::Tensor& local,
-                                  std::int64_t full_cols) const {
-  if (mode_ == core::TpMode::kNone || mode_ == core::TpMode::k1d) {
-    (void)full_cols;
-    return local;  // replicated already
-  }
-  auto& ctx = *env_->ctx;
-  auto& g = ctx.tensor_group(env_->grank);
-  const int p = g.size();
-  t::Tensor flat(t::Shape{local.numel() * p});
-  g.all_gather(env_->grank, local.data(), flat.data());
-
-  const std::int64_t block_rows = local.dim(0);
-  const std::int64_t block_cols = local.dim(1);
-  const int q = ctx.grid_side();
-  switch (mode_) {
-    case core::TpMode::k2d:
-      return reassemble(flat, block_rows, block_cols, q, q, [q](int m) {
-        return std::pair<int, int>{m / q, m % q};
-      });
-    case core::TpMode::k2p5d: {
-      const int d = ctx.depth();
-      return reassemble(flat, block_rows, block_cols, d * q, q, [q](int m) {
-        const int dd = m / (q * q), r = (m / q) % q, c = m % q;
-        return std::pair<int, int>{dd * q + r, c};
-      });
-    }
-    case core::TpMode::k3d: {
-      const int l = q;
-      return reassemble(flat, block_rows, block_cols, l * l, l, [l](int m) {
-        const int i = m / (l * l), j = (m / l) % l, k = m % l;
-        return std::pair<int, int>{i * l + k, j};
-      });
-    }
-    default:
-      return local;
-  }
-}
-
-t::Tensor Classifier::shard_like_output(const t::Tensor& full) const {
-  if (mode_ == core::TpMode::kNone || mode_ == core::TpMode::k1d) return full;
-  auto& ctx = *env_->ctx;
-  switch (mode_) {
-    case core::TpMode::kNone:
-    case core::TpMode::k1d:
-      return full;
-    case core::TpMode::k2d:
-      return tp::Linear2D::shard_activation(full, ctx.grid_side(),
-                                            ctx.row_coord(env_->grank),
-                                            ctx.col_coord(env_->grank));
-    case core::TpMode::k2p5d:
-      return tp::Linear2p5D::shard_activation(
-          full, ctx.grid_side(), ctx.depth(), ctx.depth_coord(env_->grank),
-          ctx.row_coord(env_->grank), ctx.col_coord(env_->grank));
-    case core::TpMode::k3d:
-      return tp::Linear3D::shard_output(full, ctx.grid_side(),
-                                        ctx.cube_i(env_->grank),
-                                        ctx.cube_j(env_->grank),
-                                        ctx.cube_k(env_->grank));
-  }
-  return full;
-}
-
 t::Tensor Classifier::logits(const t::Tensor& x_full) {
   auto local = net_.forward(shard_input(x_full));
-  return gather_full(local, cfg_.classes);
+  return env_ ? detail::gather_logits(*env_, mode_, local) : local;
 }
 
 float Classifier::train_batch(const t::Tensor& x_full,
@@ -237,7 +112,7 @@ float Classifier::train_batch(const t::Tensor& x_full,
   auto full_logits = logits(x_full);
   t::Tensor dl;
   const float loss = t::cross_entropy(full_logits, labels, dl);
-  net_.backward(shard_like_output(dl));
+  net_.backward(env_ ? detail::shard_logits(*env_, mode_, dl) : dl);
   return loss;
 }
 

@@ -52,9 +52,6 @@ class Classifier {
 
  private:
   tensor::Tensor shard_input(const tensor::Tensor& full) const;
-  tensor::Tensor gather_full(const tensor::Tensor& local,
-                             std::int64_t full_cols) const;
-  tensor::Tensor shard_like_output(const tensor::Tensor& full) const;
 
   Config cfg_;
   core::TpMode mode_ = core::TpMode::kNone;

@@ -3,6 +3,9 @@
 #include <functional>
 
 #include "tensor/ops.hpp"
+#include "tp/env.hpp"
+#include "tp/linear2p5d.hpp"
+#include "tp/linear3d.hpp"
 
 namespace ca::models::detail {
 
@@ -28,6 +31,45 @@ inline tensor::Tensor reassemble_blocks(
           pf.data() + (rc * block_rows + r) * full_cols + cc * block_cols;
       std::copy(src + r * block_cols, src + (r + 1) * block_cols, dst);
     }
+  }
+  return full;
+}
+
+/// Gather per-rank 2-d (batch, classes) logits blocks of `mode`'s output
+/// layout into the full matrix, replicated on every rank of the tensor group.
+inline tensor::Tensor gather_logits(const tp::Env& env, core::TpMode mode,
+                                    const tensor::Tensor& local) {
+  namespace t = ca::tensor;
+  if (!core::is_grid(mode) && mode != core::TpMode::k3d) return local;
+  auto& ctx = *env.ctx;
+  auto& g = ctx.tensor_group(env.grank);
+  t::Tensor flat(t::Shape{local.numel() * g.size()});
+  g.all_gather(env.grank, local.data(), flat.data());
+  const std::int64_t br = local.dim(0), bc = local.dim(1);
+  const int q = ctx.grid_side();
+  if (core::is_grid(mode)) {
+    return reassemble_blocks(flat, br, bc, ctx.depth() * q, q, [q](int m) {
+      const int dd = m / (q * q), r = (m / q) % q, c = m % q;
+      return std::pair<int, int>{dd * q + r, c};
+    });
+  }
+  return reassemble_blocks(flat, br, bc, q * q, q, [q](int m) {
+    const int i = m / (q * q), j = (m / q) % q, k = m % q;
+    return std::pair<int, int>{i * q + k, j};
+  });
+}
+
+/// Slice this rank's block of full (batch, classes) logits (or their
+/// gradient) in `mode`'s output layout — the inverse of gather_logits.
+inline tensor::Tensor shard_logits(const tp::Env& env, core::TpMode mode,
+                                   const tensor::Tensor& full) {
+  if (core::is_grid(mode)) return tp::Linear2p5D::shard_activation(full, env);
+  if (mode == core::TpMode::k3d) {
+    auto& ctx = *env.ctx;
+    return tp::Linear3D::shard_output(full, ctx.grid_side(),
+                                      ctx.cube_i(env.grank),
+                                      ctx.cube_j(env.grank),
+                                      ctx.cube_k(env.grank));
   }
   return full;
 }

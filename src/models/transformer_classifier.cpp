@@ -56,95 +56,30 @@ struct TransformerClassifier::Impl {
   std::unique_ptr<nn::Linear> head_s;
 
   // grid (2D / 2.5D) members
-  std::unique_ptr<tp::Linear2D> embed_2d, head_2d;
-  std::unique_ptr<tp::Linear2p5D> embed_25d, head_25d;
+  std::unique_ptr<tp::Linear2p5D> embed_grid, head_grid;
 
   // 3D members
   std::unique_ptr<tp::Linear3D> embed_3d, head_3d;
 
   std::int64_t saved_local_seq = 0;
 
-  // ---- layout helpers --------------------------------------------------------
-
   t::Tensor shard_input(const t::Tensor& full) const {
-    auto& ctx = *env->ctx;
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        return full.clone();
-      case core::TpMode::k2d:
-        return tp::shard_tokens(full, ctx.grid_side(), 1, 0,
-                                ctx.row_coord(env->grank),
-                                ctx.col_coord(env->grank));
-      case core::TpMode::k2p5d:
-        return tp::shard_tokens(full, ctx.grid_side(), ctx.depth(),
-                                ctx.depth_coord(env->grank),
-                                ctx.row_coord(env->grank),
-                                ctx.col_coord(env->grank));
-      case core::TpMode::k3d:
-        return tp::shard_tokens_3d(full, ctx.grid_side(),
-                                   ctx.cube_i(env->grank),
-                                   ctx.cube_j(env->grank),
-                                   ctx.cube_k(env->grank));
+    if (core::is_grid(mode)) return tp::shard_tokens(full, *env);
+    if (mode == core::TpMode::k3d) {
+      auto& ctx = *env->ctx;
+      return tp::shard_tokens_3d(full, ctx.grid_side(), ctx.cube_i(env->grank),
+                                 ctx.cube_j(env->grank),
+                                 ctx.cube_k(env->grank));
     }
     return full.clone();
   }
 
-  /// Gather per-rank 2-d logits blocks into the full (batch, classes).
   t::Tensor gather_logits(const t::Tensor& local) const {
-    if (mode == core::TpMode::kNone || mode == core::TpMode::k1d) return local;
-    auto& ctx = *env->ctx;
-    auto& g = ctx.tensor_group(env->grank);
-    const int p = g.size();
-    t::Tensor flat(t::Shape{local.numel() * p});
-    g.all_gather(env->grank, local.data(), flat.data());
-    const std::int64_t br = local.dim(0), bc = local.dim(1);
-    const int q = ctx.grid_side();
-    switch (mode) {
-      case core::TpMode::k2d:
-        return detail::reassemble_blocks(flat, br, bc, q, q, [q](int m) {
-          return std::pair<int, int>{m / q, m % q};
-        });
-      case core::TpMode::k2p5d: {
-        const int d = ctx.depth();
-        return detail::reassemble_blocks(flat, br, bc, d * q, q, [q](int m) {
-          const int dd = m / (q * q), r = (m / q) % q, c = m % q;
-          return std::pair<int, int>{dd * q + r, c};
-        });
-      }
-      case core::TpMode::k3d: {
-        const int l = q;
-        return detail::reassemble_blocks(flat, br, bc, l * l, l, [l](int m) {
-          const int i = m / (l * l), j = (m / l) % l, k = m % l;
-          return std::pair<int, int>{i * l + k, j};
-        });
-      }
-      default:
-        return local;
-    }
+    return env ? detail::gather_logits(*env, mode, local) : local;
   }
 
   t::Tensor shard_dlogits(const t::Tensor& full) const {
-    auto& ctx = *env->ctx;
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        return full;
-      case core::TpMode::k2d:
-        return tp::Linear2D::shard_activation(full, ctx.grid_side(),
-                                              ctx.row_coord(env->grank),
-                                              ctx.col_coord(env->grank));
-      case core::TpMode::k2p5d:
-        return tp::Linear2p5D::shard_activation(
-            full, ctx.grid_side(), ctx.depth(), ctx.depth_coord(env->grank),
-            ctx.row_coord(env->grank), ctx.col_coord(env->grank));
-      case core::TpMode::k3d:
-        return tp::Linear3D::shard_output(full, ctx.grid_side(),
-                                          ctx.cube_i(env->grank),
-                                          ctx.cube_j(env->grank),
-                                          ctx.cube_k(env->grank));
-    }
-    return full;
+    return env ? detail::shard_logits(*env, mode, full) : full;
   }
 
   // ---- forward / backward ----------------------------------------------------
@@ -154,82 +89,54 @@ struct TransformerClassifier::Impl {
     const std::int64_t b = x.dim(0), s = x.dim(1), f = x.dim(2);
     saved_local_seq = s;
 
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d: {
-        auto h = embed_s->forward(x);
-        for (auto& blk : blocks) h = blk->forward(h);
-        return head_s->forward(mean_pool(h, cfg.patches));
-      }
-      case core::TpMode::k2d: {
-        auto h = embed_2d->forward(x);
-        for (auto& blk : blocks) h = blk->forward(h);
-        return head_2d->forward(mean_pool(h, cfg.patches));
-      }
-      case core::TpMode::k2p5d: {
-        auto h = embed_25d->forward(x);
-        for (auto& blk : blocks) h = blk->forward(h);
-        return head_25d->forward(mean_pool(h, cfg.patches));
-      }
-      case core::TpMode::k3d: {
-        const int l = env->ctx->grid_side();
-        auto y = embed_3d->forward(x.reshape(t::Shape{b * s, f}));
-        auto h3 = tp::convert_3d_y_to_x(*env, y).reshape(
-            t::Shape{b, s, cfg.hidden / (l * l)});
-        for (auto& blk : blocks) h3 = blk->forward(h3);
-        return head_3d->forward(mean_pool(h3, cfg.patches));
-      }
+    if (core::is_grid(mode)) {
+      auto h = embed_grid->forward(x);
+      for (auto& blk : blocks) h = blk->forward(h);
+      return head_grid->forward(mean_pool(h, cfg.patches));
     }
-    return {};
+    if (mode == core::TpMode::k3d) {
+      const int l = env->ctx->grid_side();
+      auto y = embed_3d->forward(x.reshape(t::Shape{b * s, f}));
+      auto h3 = tp::convert_3d_y_to_x(*env, y).reshape(
+          t::Shape{b, s, cfg.hidden / (l * l)});
+      for (auto& blk : blocks) h3 = blk->forward(h3);
+      return head_3d->forward(mean_pool(h3, cfg.patches));
+    }
+    auto h = embed_s->forward(x);
+    for (auto& blk : blocks) h = blk->forward(h);
+    return head_s->forward(mean_pool(h, cfg.patches));
   }
 
   void backward(const t::Tensor& dlogits_local) {
     const std::int64_t s = saved_local_seq;
-    switch (mode) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d: {
-        auto g = unpool(head_s->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        embed_s->backward(g);
-        break;
-      }
-      case core::TpMode::k2d: {
-        auto g = unpool(head_2d->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        embed_2d->backward(g);
-        break;
-      }
-      case core::TpMode::k2p5d: {
-        auto g = unpool(head_25d->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        embed_25d->backward(g);
-        break;
-      }
-      case core::TpMode::k3d: {
-        auto g = unpool(head_3d->backward(dlogits_local), s, cfg.patches);
-        for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-          g = (*it)->backward(g);
-        const std::int64_t b = g.dim(0), hc = g.dim(2);
-        embed_3d->backward(
-            tp::convert_3d_x_to_y(*env, g.reshape(t::Shape{b * s, hc})));
-        break;
-      }
+    if (core::is_grid(mode)) {
+      auto g = unpool(head_grid->backward(dlogits_local), s, cfg.patches);
+      for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
+        g = (*it)->backward(g);
+      embed_grid->backward(g);
+    } else if (mode == core::TpMode::k3d) {
+      auto g = unpool(head_3d->backward(dlogits_local), s, cfg.patches);
+      for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
+        g = (*it)->backward(g);
+      const std::int64_t b = g.dim(0), hc = g.dim(2);
+      embed_3d->backward(
+          tp::convert_3d_x_to_y(*env, g.reshape(t::Shape{b * s, hc})));
+    } else {
+      auto g = unpool(head_s->backward(dlogits_local), s, cfg.patches);
+      for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
+        g = (*it)->backward(g);
+      embed_s->backward(g);
     }
   }
 
   std::vector<nn::Parameter*> parameters() {
     std::vector<nn::Parameter*> out;
     if (embed_s) embed_s->collect_parameters(out);
-    if (embed_2d) embed_2d->collect_parameters(out);
-    if (embed_25d) embed_25d->collect_parameters(out);
+    if (embed_grid) embed_grid->collect_parameters(out);
     if (embed_3d) embed_3d->collect_parameters(out);
     for (auto& b : blocks) b->collect_parameters(out);
     if (head_s) head_s->collect_parameters(out);
-    if (head_2d) head_2d->collect_parameters(out);
-    if (head_25d) head_25d->collect_parameters(out);
+    if (head_grid) head_grid->collect_parameters(out);
     if (head_3d) head_3d->collect_parameters(out);
     return out;
   }
@@ -259,55 +166,35 @@ TransformerClassifier::TransformerClassifier(const tp::Env& env, Config cfg)
   for (std::int64_t b = 0; b < cfg.blocks; ++b) {
     const std::string name = "block" + std::to_string(b);
     const std::uint64_t seed = cfg.seed + 1000 * (b + 1);
-    switch (I.mode) {
-      case core::TpMode::kNone:
-        I.blocks.push_back(std::make_unique<nn::TransformerBlock>(
-            name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-        break;
-      case core::TpMode::k1d:
-        I.blocks.push_back(std::make_unique<tp::TransformerBlock1D>(
-            env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-        break;
-      case core::TpMode::k2d:
-        I.blocks.push_back(std::make_unique<tp::TransformerBlock2D>(
-            env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-        break;
-      case core::TpMode::k2p5d:
-        I.blocks.push_back(std::make_unique<tp::TransformerBlock2p5D>(
-            env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-        break;
-      case core::TpMode::k3d:
-        I.blocks.push_back(std::make_unique<tp::TransformerBlock3D>(
-            env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-        break;
+    if (core::is_grid(I.mode)) {
+      I.blocks.push_back(std::make_unique<tp::GridTransformerBlock>(
+          env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
+    } else if (I.mode == core::TpMode::k3d) {
+      I.blocks.push_back(std::make_unique<tp::TransformerBlock3D>(
+          env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
+    } else if (I.mode == core::TpMode::k1d) {
+      I.blocks.push_back(std::make_unique<tp::TransformerBlock1D>(
+          env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
+    } else {
+      I.blocks.push_back(std::make_unique<nn::TransformerBlock>(
+          name, cfg.hidden, cfg.heads, cfg.ffn, seed));
     }
   }
-  switch (I.mode) {
-    case core::TpMode::kNone:
-    case core::TpMode::k1d:
-      I.embed_s = std::make_unique<nn::Linear>("embed", cfg.patch_dim,
-                                               cfg.hidden, cfg.seed);
-      I.head_s = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
-                                              cfg.seed + 999);
-      break;
-    case core::TpMode::k2d:
-      I.embed_2d = std::make_unique<tp::Linear2D>(env, "embed", cfg.patch_dim,
-                                                  cfg.hidden, cfg.seed);
-      I.head_2d = std::make_unique<tp::Linear2D>(env, "head", cfg.hidden,
-                                                 cfg.classes, cfg.seed + 999);
-      break;
-    case core::TpMode::k2p5d:
-      I.embed_25d = std::make_unique<tp::Linear2p5D>(
-          env, "embed", cfg.patch_dim, cfg.hidden, cfg.seed);
-      I.head_25d = std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
-                                                    cfg.classes, cfg.seed + 999);
-      break;
-    case core::TpMode::k3d:
-      I.embed_3d = std::make_unique<tp::Linear3D>(env, "embed", cfg.patch_dim,
-                                                  cfg.hidden, cfg.seed);
-      I.head_3d = std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
-                                                 cfg.classes, cfg.seed + 999);
-      break;
+  if (core::is_grid(I.mode)) {
+    I.embed_grid = std::make_unique<tp::Linear2p5D>(
+        env, "embed", cfg.patch_dim, cfg.hidden, cfg.seed);
+    I.head_grid = std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
+                                                   cfg.classes, cfg.seed + 999);
+  } else if (I.mode == core::TpMode::k3d) {
+    I.embed_3d = std::make_unique<tp::Linear3D>(env, "embed", cfg.patch_dim,
+                                                cfg.hidden, cfg.seed);
+    I.head_3d = std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
+                                               cfg.classes, cfg.seed + 999);
+  } else {
+    I.embed_s = std::make_unique<nn::Linear>("embed", cfg.patch_dim,
+                                             cfg.hidden, cfg.seed);
+    I.head_s = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
+                                            cfg.seed + 999);
   }
 }
 

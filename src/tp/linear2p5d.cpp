@@ -57,7 +57,19 @@ t::Tensor Linear2p5D::shard_activation(const t::Tensor& full, int q, int depth,
   return t::chunk(t::chunk(slab, 0, q, r), 1, q, c);
 }
 
-t::Tensor Linear2p5D::gather_weight_block() {
+t::Tensor Linear2p5D::shard_activation(const t::Tensor& full, const Env& env) {
+  const core::ParallelContext& ctx = *env.ctx;
+  return shard_activation(full, ctx.grid_side(), ctx.depth(),
+                          ctx.depth_coord(env.grank), ctx.row_coord(env.grank),
+                          ctx.col_coord(env.grank));
+}
+
+std::int64_t Linear2p5D::gathered_bytes() const {
+  return d_ > 1 ? weight_.numel() * d_ * kF : 0;
+}
+
+t::Tensor Linear2p5D::weight_block() {
+  if (d_ == 1) return weight_.value;  // the slab is the whole block
   auto& depth_g = env_.ctx->depth_group(env_.grank);
   return all_gather_dim0(depth_g, env_.grank, weight_.value,
                          env_.ctx->comm_dtype());
@@ -72,11 +84,12 @@ t::Tensor Linear2p5D::forward(const t::Tensor& x) {
 
   // gather-use-free: the full grid block exists only for the duration of the
   // SUMMA pass.
-  sim::ScopedAlloc wtmp(env_.mem(), weight_.numel() * d_ * kF);
-  auto w_block = gather_weight_block();
+  sim::ScopedAlloc wtmp(env_.mem(), gathered_bytes());
+  auto w_block = weight_block();
 
   const t::Dtype wire = env_.ctx->comm_dtype();
   auto y = t::zeros(x.shape().with_dim(-1, out_ / q_));
+  // SUMMA: Y(r,c) = sum_t X(r,t) W(t,c)
   for (int step = 0; step < q_; ++step) {
     sim::ScopedAlloc tmp_a(env_.mem(), x.numel() * kF);
     sim::ScopedAlloc tmp_b(env_.mem(), w_block.numel() * kF);
@@ -96,7 +109,6 @@ t::Tensor Linear2p5D::forward(const t::Tensor& x) {
 t::Tensor Linear2p5D::backward(const t::Tensor& dy) {
   auto& row = env_.ctx->row_group(env_.grank);
   auto& col = env_.ctx->col_group(env_.grank);
-  auto& depth_g = env_.ctx->depth_group(env_.grank);
   assert(dy.dim(-1) == out_ / q_);
   const t::Dtype wire = env_.ctx->comm_dtype();
 
@@ -104,14 +116,17 @@ t::Tensor Linear2p5D::backward(const t::Tensor& dy) {
     // db(c) = sum over all row blocks of all depth slabs.
     auto db = t::sum_to_lastdim(dy);
     all_reduce(col, env_.grank, db, wire);
-    all_reduce(depth_g, env_.grank, db, wire);
+    if (d_ > 1) {
+      all_reduce(env_.ctx->depth_group(env_.grank), env_.grank, db, wire);
+    }
     t::add_(bias_.grad, db);
   }
 
-  sim::ScopedAlloc wtmp(env_.mem(), weight_.numel() * d_ * kF);
-  auto w_block = gather_weight_block();
+  sim::ScopedAlloc wtmp(env_.mem(), gathered_bytes());
+  auto w_block = weight_block();
 
-  // dX(r, t) = sum_c dY(r, c) W(t, c)^T — as in 2D, per depth layer.
+  // dX(r, t) = sum_c dY(r, c) W(t, c)^T : broadcast W(t, c) down the column,
+  // multiply locally, reduce across the row to the rank in column t.
   auto dx = t::zeros(saved_x_.shape());
   for (int step = 0; step < q_; ++step) {
     sim::ScopedAlloc tmp_b(env_.mem(), w_block.numel() * kF);
@@ -125,8 +140,10 @@ t::Tensor Linear2p5D::backward(const t::Tensor& dy) {
     if (c_ == step) dx = partial;
   }
 
-  // dW(t, c): SUMMA pass per depth layer, then reduce-scatter over depth so
-  // every rank ends with exactly its slab's gradient summed over the batch.
+  // dW(t, c) = sum_r X(r, t)^T dY(r, c) : broadcast X(r, t) along the row,
+  // multiply locally, reduce down the column to the rank in row t; then
+  // reduce-scatter over depth so every rank ends with exactly its slab's
+  // gradient summed over the batch.
   t::Tensor dw_block = t::zeros(t::Shape{in_ / q_, out_ / q_});
   for (int step = 0; step < q_; ++step) {
     sim::ScopedAlloc tmp_a(env_.mem(), saved_x_.numel() * kF);
@@ -139,8 +156,11 @@ t::Tensor Linear2p5D::backward(const t::Tensor& dy) {
     col.reduce(env_.grank, partial.data(), step);
     if (r_ == step) dw_block = partial;
   }
-  auto dw_slab = reduce_scatter_dim0(depth_g, env_.grank, dw_block, wire);
-  t::add_(weight_.grad, dw_slab);
+  if (d_ > 1) {
+    dw_block = reduce_scatter_dim0(env_.ctx->depth_group(env_.grank),
+                                   env_.grank, dw_block, wire);
+  }
+  t::add_(weight_.grad, dw_block);
 
   acts_.release_all();
   return dx;

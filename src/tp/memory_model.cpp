@@ -28,28 +28,18 @@ std::int64_t two_layer_peak_1d(const TwoLayerShape& s, int p) {
   return (params + acts) * s.bytes_per_elem;
 }
 
-std::int64_t two_layer_peak_2d(const TwoLayerShape& s, int p) {
-  const std::int64_t b = s.batch, h = s.hidden;
-  const std::int64_t q = isqrt_side(p);
-  const std::int64_t params = 2 * 2 * (h * h / p + h / q);
-  // end-of-forward holds 4 activation blocks of b*h/p; the peak comes during
-  // the second layer's backward SUMMA pass: 4 held blocks + transient
-  // broadcast weight (h^2/p) + partial (b*h/p).
-  const std::int64_t peak_acts = 5 * b * h / p + h * h / p;
-  return (params + peak_acts) * s.bytes_per_elem;
-}
-
 std::int64_t two_layer_peak_2p5d(const TwoLayerShape& s, int p, int depth) {
   const std::int64_t b = s.batch, h = s.hidden;
   assert(p % depth == 0);
   const std::int64_t k = isqrt_side(p / depth);
   const std::int64_t d = depth;
   const std::int64_t params = 2 * 2 * (h * h / p + h / k);
-  // activation blocks are b*h/p; the transient gathered weight block is
-  // d*h^2/p and exists together with a broadcast buffer of the same size
-  // (peak during the second layer's backward dX pass, which also carries a
-  // b*h/p partial).
-  const std::int64_t peak_acts = 5 * b * h / p + 2 * d * h * h / p;
+  // end-of-forward holds 4 activation blocks of b*h/p; the peak comes during
+  // the second layer's backward dX pass: 4 held blocks + a b*h/p partial +
+  // the transient broadcast weight block (d*h^2/p). For d > 1 the block is
+  // gathered over depth first, so the gathered copy (d*h^2/p) is live too;
+  // at depth 1 (2D) the slab is the block and is broadcast in place.
+  const std::int64_t peak_acts = 5 * b * h / p + (d > 1 ? 2 * d : 1) * h * h / p;
   return (params + peak_acts) * s.bytes_per_elem;
 }
 
@@ -71,14 +61,12 @@ std::int64_t two_layer_peak(core::TpMode mode, const TwoLayerShape& s, int p,
                             int depth) {
   switch (mode) {
     case core::TpMode::k1d: return two_layer_peak_1d(s, p);
-    case core::TpMode::k2d: return two_layer_peak_2d(s, p);
-    case core::TpMode::k2p5d: return two_layer_peak_2p5d(s, p, depth);
     case core::TpMode::k3d: return two_layer_peak_3d(s, p);
     case core::TpMode::kNone:
       return (2 * 2 * (s.hidden * s.hidden + s.hidden) + 4 * s.batch * s.hidden) *
              s.bytes_per_elem;
+    default: return two_layer_peak_2p5d(s, p, depth);  // the grid modes
   }
-  return 0;
 }
 
 std::int64_t transformer_peak(core::TpMode mode, const TransformerShape& s,
@@ -106,16 +94,14 @@ std::int64_t transformer_peak(core::TpMode mode, const TransformerShape& s,
       // qkv/ctx/mlp intermediates (~8*bsh/p), heads-sharded scores.
       acts = L * (4 * bsh + 8 * bsh / p + scores / p);
       break;
-    case core::TpMode::k2d:
-    case core::TpMode::k3d:
+    default:  // the grid modes and 3D
       acts = L * (12 * bsh / p + scores / p);
+      // the grid's transient depth-gathered weight block (largest: the 4h^2
+      // mlp fc1 block); a depth-1 grid (2D) uses its block in place.
+      if (core::is_grid(mode) && depth > 1) {
+        param_shard += depth * 4 * h * h / p;
+      }
       break;
-    case core::TpMode::k2p5d: {
-      acts = L * (12 * bsh / p + scores / p);
-      // transient gathered weight block (largest: the 4h^2 mlp fc1 block)
-      param_shard += depth * 4 * h * h / p;
-      break;
-    }
   }
   return (param_shard + acts) * s.bytes_per_elem + opt;
 }

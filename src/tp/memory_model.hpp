@@ -13,9 +13,10 @@ namespace ca::tp {
 /// The formulas mirror the allocation accounting of the functional layers
 /// exactly (parameters+gradients at construction; saved inputs/outputs held
 /// from forward to backward; SUMMA broadcast buffers and 2.5D gathered weight
-/// blocks as transient peaks). test_tp_memory.cpp cross-validates them
+/// blocks as transient peaks). tests/test_tp.cpp cross-validates them
 /// against measured MemoryTracker peaks at small sizes, which makes the
-/// large-scale extrapolation in bench_memory_range trustworthy.
+/// large-scale extrapolation in bench_memory_range trustworthy. 2D is the
+/// 2.5D grid at depth 1, so two_layer_peak_2p5d(s, p, 1) is its peak.
 struct TwoLayerShape {
   std::int64_t batch = 0;
   std::int64_t hidden = 0;
@@ -23,7 +24,6 @@ struct TwoLayerShape {
 };
 
 std::int64_t two_layer_peak_1d(const TwoLayerShape& s, int p);
-std::int64_t two_layer_peak_2d(const TwoLayerShape& s, int p);
 std::int64_t two_layer_peak_2p5d(const TwoLayerShape& s, int p, int depth);
 std::int64_t two_layer_peak_3d(const TwoLayerShape& s, int p);
 

@@ -25,8 +25,6 @@ bool SimTransformer::fits() const {
 void SimTransformer::train_step() {
   switch (mode_) {
     case core::TpMode::k1d: step_1d(); break;
-    case core::TpMode::k2d: step_2d(1); break;
-    case core::TpMode::k2p5d: step_2d(env_.ctx->depth()); break;
     case core::TpMode::k3d: step_3d(); break;
     case core::TpMode::kNone: {
       // serial: compute only
@@ -37,6 +35,7 @@ void SimTransformer::train_step() {
       replay_.flush();
       break;
     }
+    default: step_grid(); break;  // 2D and 2.5D
   }
 }
 
@@ -95,7 +94,8 @@ void SimTransformer::summa_linear(std::int64_t m, std::int64_t k,
   (void)y_blk;
 }
 
-void SimTransformer::step_2d(std::int64_t depth) {
+void SimTransformer::step_grid() {
+  const std::int64_t depth = env_.ctx->depth();
   const std::int64_t h = shape_.hidden;
   // each depth layer works on its slab of the rows
   const std::int64_t rows = shape_.batch * shape_.seq / depth;

@@ -36,7 +36,8 @@ class SimTransformer {
 
  private:
   void step_1d();
-  void step_2d(std::int64_t rows_factor);  // rows_factor: depth split for 2.5D
+  /// 2D and 2.5D: SUMMA per depth layer of the context's grid (depth 1 = 2D).
+  void step_grid();
   void step_3d();
 
   /// One SUMMA linear fwd+bwd over (M, K) x (K, N) on the row/col grid.

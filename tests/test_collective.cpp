@@ -179,7 +179,8 @@ TEST(Group, ClockAdvancesByCostModel) {
   const std::int64_t bytes = 1024 * 4;
   const std::vector<int> ranks{0, 1, 2, 3};
   const double expect =
-      col::collective_time(col::Op::kAllReduce, f.cluster.topology(), ranks, bytes);
+      col::collective_time(col::Op::kAllReduce, col::Algo::kChunked,
+                           f.cluster.topology(), ranks, bytes);
   for (int r = 0; r < n; ++r)
     EXPECT_NEAR(f.cluster.device(r).clock(), expect, 1e-12);
 }
@@ -235,17 +236,20 @@ TEST(Cost, AllReduceSlowerOnPartiallyConnectedBox) {
   auto partial = sim::Topology::system_ii();
   const std::vector<int> ranks{0, 1, 2, 3, 4, 5, 6, 7};
   const std::int64_t bytes = 125 * 1000 * 1000;
+  constexpr auto kChunked = col::Algo::kChunked;
   const double t_full =
-      col::collective_time(col::Op::kAllReduce, full, ranks, bytes);
+      col::collective_time(col::Op::kAllReduce, kChunked, full, ranks, bytes);
   const double t_partial =
-      col::collective_time(col::Op::kAllReduce, partial, ranks, bytes);
+      col::collective_time(col::Op::kAllReduce, kChunked, partial, ranks, bytes);
   EXPECT_GT(t_partial / t_full, 8.0);  // 184/15 ~ 12x link ratio
 }
 
 TEST(Cost, ZeroBytesCostsNothing) {
   auto topo = sim::Topology::system_i();
   const std::vector<int> ranks{0, 1};
-  EXPECT_EQ(col::collective_time(col::Op::kAllReduce, topo, ranks, 0), 0.0);
+  EXPECT_EQ(col::collective_time(col::Op::kAllReduce, col::Algo::kChunked,
+                                 topo, ranks, 0),
+            0.0);
   EXPECT_EQ(col::p2p_time(topo, 0, 1, 0), 0.0);
 }
 

@@ -669,15 +669,21 @@ TEST(HierarchicalCost, PerRankVolumeIsAlgorithmInvariant) {
   // (m-1)/m + (l-1)/(l*m) = (p-1)/p: the two-level decomposition re-routes
   // the inter-block share over the leader ring but moves exactly the same
   // per-rank total, so device byte counters never depend on the algorithm.
-  const auto topo = sim::Topology::system_iii(4);
-  std::vector<int> ranks(16);
-  std::iota(ranks.begin(), ranks.end(), 0);
-  const auto plan = col::plan_two_level(topo, ranks);
-  const std::int64_t bytes = 1 << 20;
+  constexpr int kWorld = 16;
+  const std::int64_t n = 1 << 12;
+  const std::int64_t want =
+      col::bytes_sent_per_rank(col::Op::kAllReduce, kWorld, n * 4);
   for (const auto algo : kAllAlgos) {
-    EXPECT_EQ(col::bytes_sent_per_rank(col::Op::kAllReduce, algo, 16, bytes,
-                                       plan),
-              col::bytes_sent_per_rank(col::Op::kAllReduce, 16, bytes));
+    Fixture f(sim::Topology::system_iii(4));
+    f.backend.set_forced_algo(algo);
+    std::vector<std::vector<float>> bufs(kWorld, std::vector<float>(n, 1.0f));
+    f.cluster.run([&](int rank) {
+      f.backend.world().all_reduce(rank, bufs[static_cast<std::size_t>(rank)]);
+    });
+    for (int r = 0; r < kWorld; ++r) {
+      EXPECT_EQ(f.cluster.device(r).bytes_sent(), want)
+          << "algo=" << col::algo_name(algo) << " rank=" << r;
+    }
   }
 }
 

@@ -135,6 +135,34 @@ TEST(Context, Grid2dGroups) {
   EXPECT_THROW((void)ctx.depth_group(0), std::logic_error);
 }
 
+TEST(Context, Grid2dIsDepthOneGridWhateverTensorDepth) {
+  // tensor_depth is the d of 2.5D: a "2d" config carrying depth 4 still
+  // builds the 4-GPU grid at depth 1 (the value is not even validated).
+  World w(4);
+  core::Config cfg;
+  cfg.tensor_parallel_size = 4;
+  cfg.tensor_mode = core::TpMode::k2d;
+  cfg.tensor_depth = 4;
+  core::ParallelContext ctx(w.backend, cfg);
+
+  EXPECT_EQ(ctx.grid_side(), 2);
+  EXPECT_EQ(ctx.depth(), 1);
+  for (int g = 0; g < 4; ++g) EXPECT_EQ(ctx.depth_coord(g), 0) << g;
+  EXPECT_EQ(ctx.row_group(3).ranks(), (std::vector<int>{2, 3}));
+  EXPECT_EQ(ctx.col_group(3).ranks(), (std::vector<int>{1, 3}));
+  EXPECT_THROW((void)ctx.depth_group(0), std::logic_error);
+
+  // "2.5d" at depth 1 is the same grid, also without depth groups.
+  World w2(4);
+  cfg.tensor_mode = core::TpMode::k2p5d;
+  cfg.tensor_depth = 1;
+  core::ParallelContext ctx2(w2.backend, cfg);
+  EXPECT_EQ(ctx2.depth(), 1);
+  EXPECT_EQ(ctx2.row_group(3).ranks(), ctx.row_group(3).ranks());
+  EXPECT_EQ(ctx2.col_group(3).ranks(), ctx.col_group(3).ranks());
+  EXPECT_THROW((void)ctx2.depth_group(0), std::logic_error);
+}
+
 TEST(Context, Grid2p5dGroups) {
   World w(8);
   core::Config cfg;

@@ -25,7 +25,6 @@
 #include "sim/cluster.hpp"
 #include "tensor/ops.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 #include "tp/relayout.hpp"
@@ -58,22 +57,13 @@ struct ElasticModel {
   ElasticModel(const tp::Env& env, std::uint64_t seed) : env_(env) {
     core::ParallelContext& ctx = *env.ctx;
     mode_ = ctx.config().tensor_mode;
-    switch (mode_) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        layer_ = std::make_unique<tp::Linear1DCol>(env, "l", kHidden, kHidden,
-                                                   seed, /*gather_output=*/true);
-        break;
-      case core::TpMode::k2d:
-        layer_ = std::make_unique<tp::Linear2D>(env, "l", kHidden, kHidden, seed);
-        break;
-      case core::TpMode::k2p5d:
-        layer_ =
-            std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
-        break;
-      case core::TpMode::k3d:
-        layer_ = std::make_unique<tp::Linear3D>(env, "l", kHidden, kHidden, seed);
-        break;
+    if (core::is_grid(mode_)) {
+      layer_ = std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
+    } else if (mode_ == core::TpMode::k3d) {
+      layer_ = std::make_unique<tp::Linear3D>(env, "l", kHidden, kHidden, seed);
+    } else {
+      layer_ = std::make_unique<tp::Linear1DCol>(env, "l", kHidden, kHidden,
+                                                 seed, /*gather_output=*/true);
     }
   }
 
@@ -85,64 +75,36 @@ struct ElasticModel {
   t::Tensor forward_full(const t::Tensor& x) {
     core::ParallelContext& ctx = *env_.ctx;
     const int g = env_.grank;
-    switch (mode_) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        return layer_->forward(x);  // gather_output gives the full y
-      case core::TpMode::k2d: {
-        const int q = ctx.grid_side();
-        const int r = ctx.row_coord(g), c = ctx.col_coord(g);
-        auto y = layer_->forward(tp::Linear2D::shard_activation(x, q, r, c));
-        const nn::ShardSpec spec{kRows, kHidden, q, r, q, c, 1, true};
-        return tp::gather_full(ctx.tensor_group(g), g, spec, y);
-      }
-      case core::TpMode::k2p5d: {
-        const int q = ctx.grid_side(), d = ctx.depth();
-        const int r = ctx.row_coord(g), c = ctx.col_coord(g);
-        const int dd = ctx.depth_coord(g);
-        auto y = layer_->forward(
-            tp::Linear2p5D::shard_activation(x, q, d, dd, r, c));
-        const nn::ShardSpec spec{kRows, kHidden, d * q, dd * q + r, q, c, 1,
-                                 true};
-        return tp::gather_full(ctx.tensor_group(g), g, spec, y);
-      }
-      case core::TpMode::k3d: {
-        const int l = ctx.grid_side();
-        const int i = ctx.cube_i(g), j = ctx.cube_j(g), k = ctx.cube_k(g);
-        auto y = layer_->forward(tp::Linear3D::shard_input(x, l, i, j, k));
-        const nn::ShardSpec spec{kRows, kHidden, l * l, i * l + k, l, j, 1,
-                                 true};
-        return tp::gather_full(ctx.tensor_group(g), g, spec, y);
-      }
+    if (core::is_grid(mode_)) {
+      const int q = ctx.grid_side(), d = ctx.depth();
+      const int r = ctx.row_coord(g), c = ctx.col_coord(g);
+      const int dd = ctx.depth_coord(g);
+      auto y = layer_->forward(tp::Linear2p5D::shard_activation(x, env_));
+      const nn::ShardSpec spec{kRows, kHidden, d * q, dd * q + r, q, c, 1,
+                               true};
+      return tp::gather_full(ctx.tensor_group(g), g, spec, y);
     }
-    throw std::logic_error("unreachable");
+    if (mode_ == core::TpMode::k3d) {
+      const int l = ctx.grid_side();
+      const int i = ctx.cube_i(g), j = ctx.cube_j(g), k = ctx.cube_k(g);
+      auto y = layer_->forward(tp::Linear3D::shard_input(x, l, i, j, k));
+      const nn::ShardSpec spec{kRows, kHidden, l * l, i * l + k, l, j, 1,
+                               true};
+      return tp::gather_full(ctx.tensor_group(g), g, spec, y);
+    }
+    return layer_->forward(x);  // gather_output gives the full y
   }
 
   void backward_full(const t::Tensor& dy) {
     core::ParallelContext& ctx = *env_.ctx;
     const int g = env_.grank;
-    switch (mode_) {
-      case core::TpMode::kNone:
-      case core::TpMode::k1d:
-        layer_->backward(dy);
-        return;
-      case core::TpMode::k2d: {
-        const int q = ctx.grid_side();
-        layer_->backward(tp::Linear2D::shard_activation(
-            dy, q, ctx.row_coord(g), ctx.col_coord(g)));
-        return;
-      }
-      case core::TpMode::k2p5d: {
-        layer_->backward(tp::Linear2p5D::shard_activation(
-            dy, ctx.grid_side(), ctx.depth(), ctx.depth_coord(g),
-            ctx.row_coord(g), ctx.col_coord(g)));
-        return;
-      }
-      case core::TpMode::k3d: {
-        layer_->backward(tp::Linear3D::shard_output(
-            dy, ctx.grid_side(), ctx.cube_i(g), ctx.cube_j(g), ctx.cube_k(g)));
-        return;
-      }
+    if (core::is_grid(mode_)) {
+      layer_->backward(tp::Linear2p5D::shard_activation(dy, env_));
+    } else if (mode_ == core::TpMode::k3d) {
+      layer_->backward(tp::Linear3D::shard_output(
+          dy, ctx.grid_side(), ctx.cube_i(g), ctx.cube_j(g), ctx.cube_k(g)));
+    } else {
+      layer_->backward(dy);
     }
   }
 

@@ -11,6 +11,7 @@
 #include "models/classifier.hpp"
 #include "models/configs.hpp"
 #include "models/vit.hpp"
+#include "tp_case_name.hpp"
 
 namespace t = ca::tensor;
 namespace nn = ca::nn;
@@ -125,6 +126,11 @@ struct ConvergenceCase {
   int size;
   int depth;
 };
+
+// Names each case in test listings (e.g. "2d_p4_d1") instead of a byte dump.
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << tp_case_name(c.mode, c.size, c.depth);
+}
 
 class ConvergenceEquivalence : public ::testing::TestWithParam<ConvergenceCase> {};
 

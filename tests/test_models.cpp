@@ -149,6 +149,7 @@ TEST(Vit, ParamCountIndependentOfMode) {
 // ---- TransformerClassifier: the strongest Figure-7 form ----------------------------
 
 #include "models/transformer_classifier.hpp"
+#include "tp_case_name.hpp"
 
 namespace {
 
@@ -177,6 +178,11 @@ struct TcCase {
   int size;
   int depth;
 };
+
+// Names each case in test listings (e.g. "2d_p4_d1") instead of a byte dump.
+void PrintTo(const TcCase& c, std::ostream* os) {
+  *os << tp_case_name(c.mode, c.size, c.depth);
+}
 
 class TransformerClassifierModes : public ::testing::TestWithParam<TcCase> {};
 

@@ -11,10 +11,10 @@
 #include "tensor/half.hpp"
 #include "tensor/ops.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 #include "tp/memory_model.hpp"
+#include "tp_case_name.hpp"
 
 namespace t = ca::tensor;
 namespace nn = ca::nn;
@@ -220,12 +220,14 @@ struct TpSweepCase {
   core::TpMode mode;
   int p;
   int depth;
-  // gtest names each case by a byte dump of this struct; an explicit zero
-  // field keeps indeterminate padding bytes out of the test names.
-  std::int32_t pad;
   std::int64_t rows, in, out;
   std::uint64_t seed;
 };
+
+// Names each case in test listings (e.g. "2d_p4_d1") instead of a byte dump.
+void PrintTo(const TpSweepCase& c, std::ostream* os) {
+  *os << tp_case_name(c.mode, c.p, c.depth);
+}
 
 class TpExactnessSweep : public ::testing::TestWithParam<TpSweepCase> {};
 
@@ -261,25 +263,13 @@ TEST_P(TpExactnessSweep, LinearForwardBackwardMatchSerial) {
         dx_expect = dx_ref;
         break;
       }
-      case core::TpMode::k2d: {
-        const int q = ctx.grid_side();
-        const int r = ctx.row_coord(g), cc = ctx.col_coord(g);
-        tp::Linear2D lin(env, "l", c.in, c.out, c.seed);
-        y = lin.forward(tp::Linear2D::shard_activation(x, q, r, cc));
-        dx = lin.backward(tp::Linear2D::shard_activation(dy, q, r, cc));
-        y_expect = tp::Linear2D::shard_activation(y_ref, q, r, cc);
-        dx_expect = tp::Linear2D::shard_activation(dx_ref, q, r, cc);
-        break;
-      }
+      case core::TpMode::k2d:
       case core::TpMode::k2p5d: {
-        const int q = ctx.grid_side(), d = ctx.depth();
-        const int dd = ctx.depth_coord(g), r = ctx.row_coord(g),
-                  cc = ctx.col_coord(g);
         tp::Linear2p5D lin(env, "l", c.in, c.out, c.seed);
-        y = lin.forward(tp::Linear2p5D::shard_activation(x, q, d, dd, r, cc));
-        dx = lin.backward(tp::Linear2p5D::shard_activation(dy, q, d, dd, r, cc));
-        y_expect = tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, cc);
-        dx_expect = tp::Linear2p5D::shard_activation(dx_ref, q, d, dd, r, cc);
+        y = lin.forward(tp::Linear2p5D::shard_activation(x, env));
+        dx = lin.backward(tp::Linear2p5D::shard_activation(dy, env));
+        y_expect = tp::Linear2p5D::shard_activation(y_ref, env);
+        dx_expect = tp::Linear2p5D::shard_activation(dx_ref, env);
         break;
       }
       case core::TpMode::k3d: {
@@ -306,11 +296,11 @@ TEST_P(TpExactnessSweep, LinearForwardBackwardMatchSerial) {
 INSTANTIATE_TEST_SUITE_P(
     ModesSizesSeeds, TpExactnessSweep,
     ::testing::Values(
-        TpSweepCase{core::TpMode::k1d, 2, 1, 0, 6, 10, 8, 100},
-        TpSweepCase{core::TpMode::k1d, 8, 1, 0, 16, 24, 16, 200},
-        TpSweepCase{core::TpMode::k2d, 4, 1, 0, 10, 6, 14, 300},
-        TpSweepCase{core::TpMode::k2d, 9, 1, 0, 12, 9, 27, 400},
-        TpSweepCase{core::TpMode::k2p5d, 8, 2, 0, 16, 12, 10, 500},
-        TpSweepCase{core::TpMode::k2p5d, 12, 3, 0, 18, 24, 8, 600},
-        TpSweepCase{core::TpMode::k3d, 8, 1, 0, 12, 16, 20, 700},
-        TpSweepCase{core::TpMode::k3d, 27, 1, 0, 27, 18, 36, 800}));
+        TpSweepCase{core::TpMode::k1d, 2, 1, 6, 10, 8, 100},
+        TpSweepCase{core::TpMode::k1d, 8, 1, 16, 24, 16, 200},
+        TpSweepCase{core::TpMode::k2d, 4, 1, 10, 6, 14, 300},
+        TpSweepCase{core::TpMode::k2d, 9, 1, 12, 9, 27, 400},
+        TpSweepCase{core::TpMode::k2p5d, 8, 2, 16, 12, 10, 500},
+        TpSweepCase{core::TpMode::k2p5d, 12, 3, 18, 24, 8, 600},
+        TpSweepCase{core::TpMode::k3d, 8, 1, 12, 16, 20, 700},
+        TpSweepCase{core::TpMode::k3d, 27, 1, 27, 18, 36, 800}));

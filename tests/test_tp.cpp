@@ -16,11 +16,11 @@
 #include "nn/layers.hpp"
 #include "tp/comm_volume.hpp"
 #include "tp/linear1d.hpp"
-#include "tp/linear2d.hpp"
 #include "tp/linear2p5d.hpp"
 #include "tp/linear3d.hpp"
 #include "tp/memory_model.hpp"
 #include "tp/sim_transformer.hpp"
+#include "tp_case_name.hpp"
 
 namespace t = ca::tensor;
 namespace nn = ca::nn;
@@ -195,169 +195,130 @@ TEST(Tp1d, RowLinearAllReduceBytesMatchRingFormula) {
             p * col::bytes_sent_per_rank(col::Op::kAllReduce, p, payload));
 }
 
-// ---- 2D -----------------------------------------------------------------------
+// ---- 2D / 2.5D: one SUMMA grid, 2D at depth 1 ----------------------------------
 
 namespace {
 
-/// Run a two-sided comparison of a 2D linear against serial, with nonzero
-/// bias propagated into the shards.
-void check_2d_linear(int p, std::int64_t in, std::int64_t out,
-                     std::int64_t rows) {
-  const int q = core::Config::exact_sqrt(p);
-  TpWorld w(tp_config(core::TpMode::k2d, p));
+/// Per-rank results of one grid-linear run, in rank order.
+struct GridLinearRun {
+  std::vector<t::Tensor> y, dx, dw, db;
+  std::vector<double> clocks;
+  std::int64_t bytes = 0;
+};
 
-  nn::Linear serial("l", in, out, 51);
-  auto bias_full = t::randn(t::Shape{out}, 52);
+/// Two-sided comparison of a grid linear (mode 2d, or 2.5d at depth d)
+/// against serial, with a nonzero bias propagated into the shards.
+GridLinearRun check_grid_linear(core::TpMode mode, int p, int d,
+                                std::int64_t in, std::int64_t out,
+                                std::int64_t rows, std::uint64_t seed) {
+  TpWorld w(tp_config(mode, p, d));
+  const int q = w.ctx.grid_side();
+  EXPECT_EQ(w.ctx.depth(), d);
+
+  nn::Linear serial("l", in, out, seed);
+  auto bias_full = t::randn(t::Shape{out}, seed + 1);
   serial.bias()->value = bias_full;
-  auto x = t::randn(t::Shape{rows, in}, 53);
+  auto x = t::randn(t::Shape{rows, in}, seed + 2);
   auto y_ref = serial.forward(x);
-  auto dy = t::randn(t::Shape{rows, out}, 54);
+  auto dy = t::randn(t::Shape{rows, out}, seed + 3);
   auto dx_ref = serial.backward(dy);
 
-  std::vector<t::Tensor> y(p), dx(p), dw(p), db(p);
+  GridLinearRun run;
+  run.y.resize(p);
+  run.dx.resize(p);
+  run.dw.resize(p);
+  run.db.resize(p);
   w.cluster.run([&](int g) {
-    const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::Linear2D lin(w.env(g), "l", in, out, 51);
-    lin.bias()->value = t::chunk(bias_full, 0, q, c);
-    auto x_blk = tp::Linear2D::shard_activation(x, q, r, c);
-    auto dy_blk = tp::Linear2D::shard_activation(dy, q, r, c);
-    y[g] = lin.forward(x_blk);
-    dx[g] = lin.backward(dy_blk);
-    dw[g] = lin.weight().grad.clone();
-    db[g] = lin.bias()->grad.clone();
+    tp::Linear2p5D lin(w.env(g), "l", in, out, seed);
+    lin.bias()->value = t::chunk(bias_full, 0, q, w.ctx.col_coord(g));
+    run.y[g] = lin.forward(tp::Linear2p5D::shard_activation(x, w.env(g)));
+    run.dx[g] = lin.backward(tp::Linear2p5D::shard_activation(dy, w.env(g)));
+    run.dw[g] = lin.weight().grad.clone();
+    run.db[g] = lin.bias()->grad.clone();
   });
   for (int g = 0; g < p; ++g) {
-    const int r = g / q, c = g % q;
-    EXPECT_TRUE(t::allclose(y[g], tp::Linear2D::shard_activation(y_ref, q, r, c),
-                            1e-4f))
-        << "block " << r << "," << c;
+    const int dd = g / (q * q), r = (g % (q * q)) / q, c = g % q;
     EXPECT_TRUE(t::allclose(
-        dx[g], tp::Linear2D::shard_activation(dx_ref, q, r, c), 1e-4f));
-    auto dw_ref = t::chunk(t::chunk(serial.weight().grad, 0, q, r), 1, q, c);
-    EXPECT_TRUE(t::allclose(dw[g], dw_ref, 1e-4f));
+        run.y[g], tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, c), 1e-4f))
+        << "grank " << g;
+    EXPECT_TRUE(t::allclose(
+        run.dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, d, dd, r, c),
+        1e-4f))
+        << "grank " << g;
+    // weight slab dd of grid block (r, c)
+    auto block = t::chunk(t::chunk(serial.weight().grad, 0, q, r), 1, q, c);
+    EXPECT_TRUE(t::allclose(run.dw[g], t::chunk(block, 0, d, dd), 1e-4f))
+        << "grank " << g;
     EXPECT_TRUE(
-        t::allclose(db[g], t::chunk(serial.bias()->grad, 0, q, c), 1e-4f));
+        t::allclose(run.db[g], t::chunk(serial.bias()->grad, 0, q, c), 1e-4f))
+        << "grank " << g;
+    run.clocks.push_back(w.cluster.device(g).clock());
+  }
+  run.bytes = w.cluster.total_bytes_sent();
+  return run;
+}
+
+/// Grid MLP (Linear -> GELU -> Linear) against serial.
+void check_grid_mlp(core::TpMode mode, int p, int d, std::int64_t rows,
+                    std::uint64_t seed) {
+  const std::int64_t h = 8, f = 16;
+  TpWorld w(tp_config(mode, p, d));
+  const int q = w.ctx.grid_side();
+
+  nn::Mlp serial("m", h, f, seed);
+  auto x = t::randn(t::Shape{rows, h}, seed + 1);
+  auto y_ref = serial.forward(x);
+  auto dy = t::randn(t::Shape{rows, h}, seed + 2);
+  auto dx_ref = serial.backward(dy);
+
+  std::vector<t::Tensor> y(p), dx(p);
+  w.cluster.run([&](int g) {
+    tp::Mlp2p5D mlp(w.env(g), "m", h, f, seed);
+    y[g] = mlp.forward(tp::Linear2p5D::shard_activation(x, w.env(g)));
+    dx[g] = mlp.backward(tp::Linear2p5D::shard_activation(dy, w.env(g)));
+  });
+  for (int g = 0; g < p; ++g) {
+    const int dd = g / (q * q), r = (g % (q * q)) / q, c = g % q;
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, c), 1e-4f))
+        << "grank " << g;
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, d, dd, r, c), 1e-4f))
+        << "grank " << g;
   }
 }
 
 }  // namespace
 
-TEST(Tp2d, LinearMatchesSerial4Gpus) { check_2d_linear(4, 8, 12, 6); }
-TEST(Tp2d, LinearMatchesSerial9Gpus) { check_2d_linear(9, 9, 18, 9); }
-
-TEST(Tp2d, MlpMatchesSerial) {
-  const int p = 4, q = 2;
-  const std::int64_t h = 8, f = 16, rows = 4;
-  TpWorld w(tp_config(core::TpMode::k2d, p));
-
-  nn::Mlp serial("m", h, f, 61);
-  auto x = t::randn(t::Shape{rows, h}, 62);
-  auto y_ref = serial.forward(x);
-  auto dy = t::randn(t::Shape{rows, h}, 63);
-  auto dx_ref = serial.backward(dy);
-
-  std::vector<t::Tensor> y(p), dx(p);
-  w.cluster.run([&](int g) {
-    const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::Mlp2D mlp(w.env(g), "m", h, f, 61);
-    y[g] = mlp.forward(tp::Linear2D::shard_activation(x, q, r, c));
-    dx[g] = mlp.backward(tp::Linear2D::shard_activation(dy, q, r, c));
-  });
-  for (int g = 0; g < p; ++g) {
-    const int r = g / q, c = g % q;
-    EXPECT_TRUE(t::allclose(y[g], tp::Linear2D::shard_activation(y_ref, q, r, c),
-                            1e-4f));
-    EXPECT_TRUE(t::allclose(
-        dx[g], tp::Linear2D::shard_activation(dx_ref, q, r, c), 1e-4f));
-  }
+TEST(Tp2d, LinearMatchesSerial4Gpus) {
+  check_grid_linear(core::TpMode::k2d, 4, 1, 8, 12, 6, 51);
 }
-
-// ---- 2.5D ----------------------------------------------------------------------
+TEST(Tp2d, LinearMatchesSerial9Gpus) {
+  check_grid_linear(core::TpMode::k2d, 9, 1, 9, 18, 9, 51);
+}
+TEST(Tp2d, MlpMatchesSerial) { check_grid_mlp(core::TpMode::k2d, 4, 1, 4, 61); }
 
 TEST(Tp2p5d, LinearMatchesSerial8Gpus) {
-  const int p = 8, d = 2, q = 2;
-  const std::int64_t in = 8, out = 12, rows = 8;
-  TpWorld w(tp_config(core::TpMode::k2p5d, p, d));
-
-  nn::Linear serial("l", in, out, 71);
-  auto x = t::randn(t::Shape{rows, in}, 72);
-  auto y_ref = serial.forward(x);
-  auto dy = t::randn(t::Shape{rows, out}, 73);
-  auto dx_ref = serial.backward(dy);
-
-  std::vector<t::Tensor> y(p), dx(p), dw(p);
-  w.cluster.run([&](int g) {
-    const int dd = w.ctx.depth_coord(g), r = w.ctx.row_coord(g),
-              c = w.ctx.col_coord(g);
-    tp::Linear2p5D lin(w.env(g), "l", in, out, 71);
-    auto x_blk = tp::Linear2p5D::shard_activation(x, q, d, dd, r, c);
-    auto dy_blk = tp::Linear2p5D::shard_activation(dy, q, d, dd, r, c);
-    y[g] = lin.forward(x_blk);
-    dx[g] = lin.backward(dy_blk);
-    dw[g] = lin.weight().grad.clone();
-  });
-  for (int g = 0; g < p; ++g) {
-    const int dd = g / (q * q), r = (g % (q * q)) / q, c = g % q;
-    EXPECT_TRUE(t::allclose(
-        y[g], tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, c), 1e-4f));
-    EXPECT_TRUE(t::allclose(
-        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, d, dd, r, c), 1e-4f));
-    // weight slab dd of grid block (r, c)
-    auto block = t::chunk(t::chunk(serial.weight().grad, 0, q, r), 1, q, c);
-    EXPECT_TRUE(t::allclose(dw[g], t::chunk(block, 0, d, dd), 1e-4f))
-        << "grank " << g;
-  }
+  check_grid_linear(core::TpMode::k2p5d, 8, 2, 8, 12, 8, 71);
 }
 
 TEST(Tp2p5d, DepthOneDegeneratesTo2d) {
-  // depth == 1: 2.5D must equal 2D numerically on the same grid.
-  const int p = 4, q = 2;
-  const std::int64_t in = 8, out = 8, rows = 4;
-  TpWorld w(tp_config(core::TpMode::k2p5d, p, 1));
-
-  nn::Linear serial("l", in, out, 81);
-  auto x = t::randn(t::Shape{rows, in}, 82);
-  auto y_ref = serial.forward(x);
-
-  std::vector<t::Tensor> y(p);
-  w.cluster.run([&](int g) {
-    const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::Linear2p5D lin(w.env(g), "l", in, out, 81);
-    y[g] = lin.forward(tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c));
-  });
-  for (int g = 0; g < p; ++g) {
-    const int r = g / q, c = g % q;
-    EXPECT_TRUE(t::allclose(y[g], tp::Linear2D::shard_activation(y_ref, q, r, c),
-                            1e-4f));
+  // "2.5d" at depth 1 and "2d" are the same grid: bit-identical outputs,
+  // gradients, clocks and traffic.
+  const auto a = check_grid_linear(core::TpMode::k2p5d, 4, 1, 8, 8, 4, 81);
+  const auto b = check_grid_linear(core::TpMode::k2d, 4, 1, 8, 8, 4, 81);
+  for (int g = 0; g < 4; ++g) {
+    EXPECT_EQ(t::max_diff(a.y[g], b.y[g]), 0.0f) << g;
+    EXPECT_EQ(t::max_diff(a.dx[g], b.dx[g]), 0.0f) << g;
+    EXPECT_EQ(t::max_diff(a.dw[g], b.dw[g]), 0.0f) << g;
+    EXPECT_EQ(t::max_diff(a.db[g], b.db[g]), 0.0f) << g;
   }
+  EXPECT_EQ(a.clocks, b.clocks);
+  EXPECT_EQ(a.bytes, b.bytes);
 }
 
 TEST(Tp2p5d, MlpMatchesSerial) {
-  const int p = 8, d = 2, q = 2;
-  const std::int64_t h = 8, f = 16, rows = 8;
-  TpWorld w(tp_config(core::TpMode::k2p5d, p, d));
-
-  nn::Mlp serial("m", h, f, 91);
-  auto x = t::randn(t::Shape{rows, h}, 92);
-  auto y_ref = serial.forward(x);
-  auto dy = t::randn(t::Shape{rows, h}, 93);
-  auto dx_ref = serial.backward(dy);
-
-  std::vector<t::Tensor> y(p), dx(p);
-  w.cluster.run([&](int g) {
-    const int dd = w.ctx.depth_coord(g), r = w.ctx.row_coord(g),
-              c = w.ctx.col_coord(g);
-    tp::Mlp2p5D mlp(w.env(g), "m", h, f, 91);
-    y[g] = mlp.forward(tp::Linear2p5D::shard_activation(x, q, d, dd, r, c));
-    dx[g] = mlp.backward(tp::Linear2p5D::shard_activation(dy, q, d, dd, r, c));
-  });
-  for (int g = 0; g < p; ++g) {
-    const int dd = g / (q * q), r = (g % (q * q)) / q, c = g % q;
-    EXPECT_TRUE(t::allclose(
-        y[g], tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, c), 1e-4f));
-    EXPECT_TRUE(t::allclose(
-        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, d, dd, r, c), 1e-4f));
-  }
+  check_grid_mlp(core::TpMode::k2p5d, 8, 2, 8, 91);
 }
 
 // ---- 3D -----------------------------------------------------------------------
@@ -473,13 +434,19 @@ TEST(CommVolume, AdvancedModesBeat1dAtScale) {
 }
 
 TEST(CommVolume, MeasuredTrafficOrdersLikeTable1) {
-  // Functional layers at equal (rows, h) on p=8... 1D vs 3D; and p=4 1D vs 2D.
+  // Functional layers at equal (rows, h): p=8 1D vs 3D, p=4 2D vs 2.5D(d=1).
   const std::int64_t rows = 8, h = 8;
   auto measure = [&](core::TpMode mode, int p, int depth) {
     TpWorld w(tp_config(mode, p, depth));
     auto x = t::randn(t::Shape{rows, h}, 1);
     auto dy = t::randn(t::Shape{rows, h}, 2);
     w.cluster.run([&](int g) {
+      if (core::is_grid(mode)) {
+        tp::Linear2p5D lin(w.env(g), "l", h, h, 3);
+        lin.forward(tp::Linear2p5D::shard_activation(x, w.env(g)));
+        lin.backward(tp::Linear2p5D::shard_activation(dy, w.env(g)));
+        return;
+      }
       switch (mode) {
         case core::TpMode::k1d: {
           // Megatron pair: col (no gather) + row — the Figure 4 module
@@ -488,16 +455,6 @@ TEST(CommVolume, MeasuredTrafficOrdersLikeTable1) {
           auto y = r1.forward(c1.forward(x));
           (void)y;
           c1.backward(r1.backward(dy));
-          break;
-        }
-        case core::TpMode::k2d: {
-          const int q = w.ctx.grid_side();
-          tp::Linear2D lin(w.env(g), "l", h, h, 3);
-          auto xb = tp::Linear2D::shard_activation(x, q, w.ctx.row_coord(g),
-                                                   w.ctx.col_coord(g));
-          auto dyb = tp::Linear2D::shard_activation(dy, q, w.ctx.row_coord(g),
-                                                    w.ctx.col_coord(g));
-          lin.backward(lin.forward(xb).shares_storage_with(xb) ? dyb : dyb);
           break;
         }
         case core::TpMode::k3d: {
@@ -520,6 +477,10 @@ TEST(CommVolume, MeasuredTrafficOrdersLikeTable1) {
 
   // At p=8 the 3D algorithm must move less than the two 1D all-reduces.
   EXPECT_LT(measure(core::TpMode::k3d, 8, 1), measure(core::TpMode::k1d, 8, 1));
+  // Table 1 at d = 1: 3(k-1)(S_X/d + S_W) is 2D's 3(j-1)(S_X + S_W).
+  const auto b2d = measure(core::TpMode::k2d, 4, 1);
+  EXPECT_GT(b2d, 0);
+  EXPECT_EQ(measure(core::TpMode::k2p5d, 4, 1), b2d);
 }
 
 // ---- memory model cross-validation -----------------------------------------------
@@ -533,6 +494,14 @@ std::int64_t measured_two_layer_peak(core::TpMode mode, int p, int depth,
   auto dy = t::randn(t::Shape{b, h}, 6);
   w.cluster.run([&](int g) {
     tp::Env env = w.env(g);
+    if (core::is_grid(mode)) {
+      tp::Linear2p5D l1(env, "a", h, h, 7);
+      tp::Linear2p5D l2(env, "b", h, h, 8);
+      auto y = l2.forward(l1.forward(tp::Linear2p5D::shard_activation(x, env)));
+      (void)y;
+      l1.backward(l2.backward(tp::Linear2p5D::shard_activation(dy, env)));
+      return;
+    }
     switch (mode) {
       case core::TpMode::k1d: {
         tp::Linear1DCol l1(env, "a", h, h, 7, false);
@@ -540,29 +509,6 @@ std::int64_t measured_two_layer_peak(core::TpMode mode, int p, int depth,
         auto y = l2.forward(l1.forward(x));
         (void)y;
         l1.backward(l2.backward(dy));
-        break;
-      }
-      case core::TpMode::k2d: {
-        const int q = w.ctx.grid_side();
-        const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-        tp::Linear2D l1(env, "a", h, h, 7);
-        tp::Linear2D l2(env, "b", h, h, 8);
-        auto y = l2.forward(l1.forward(tp::Linear2D::shard_activation(x, q, r, c)));
-        (void)y;
-        l1.backward(l2.backward(tp::Linear2D::shard_activation(dy, q, r, c)));
-        break;
-      }
-      case core::TpMode::k2p5d: {
-        const int q = w.ctx.grid_side(), d = w.ctx.depth();
-        const int dd = w.ctx.depth_coord(g), r = w.ctx.row_coord(g),
-                  c = w.ctx.col_coord(g);
-        tp::Linear2p5D l1(env, "a", h, h, 7);
-        tp::Linear2p5D l2(env, "b", h, h, 8);
-        auto y = l2.forward(
-            l1.forward(tp::Linear2p5D::shard_activation(x, q, d, dd, r, c)));
-        (void)y;
-        l1.backward(
-            l2.backward(tp::Linear2p5D::shard_activation(dy, q, d, dd, r, c)));
         break;
       }
       case core::TpMode::k3d: {
@@ -590,11 +536,13 @@ struct MemModelCase {
   core::TpMode mode;
   int p;
   int depth;
-  // gtest names each case by a byte dump of this struct; an explicit zero
-  // field keeps indeterminate padding bytes out of the test names.
-  std::int32_t pad;
   std::int64_t b, h;
 };
+
+// Names each case in test listings (e.g. "2d_p4_d1") instead of a byte dump.
+void PrintTo(const MemModelCase& c, std::ostream* os) {
+  *os << tp_case_name(c.mode, c.p, c.depth);
+}
 
 class MemoryModelValidation : public ::testing::TestWithParam<MemModelCase> {};
 
@@ -608,12 +556,13 @@ TEST_P(MemoryModelValidation, AnalyticPeakEqualsMeasured) {
 INSTANTIATE_TEST_SUITE_P(
     AllModes, MemoryModelValidation,
     ::testing::Values(
-        MemModelCase{core::TpMode::k1d, 4, 1, 0, 8, 16},
-        MemModelCase{core::TpMode::k1d, 8, 1, 0, 16, 32},
-        MemModelCase{core::TpMode::k2d, 4, 1, 0, 8, 16},
-        MemModelCase{core::TpMode::k2d, 9, 1, 0, 9, 18},
-        MemModelCase{core::TpMode::k2p5d, 8, 2, 0, 16, 16},
-        MemModelCase{core::TpMode::k3d, 8, 1, 0, 16, 16}));
+        MemModelCase{core::TpMode::k1d, 4, 1, 8, 16},
+        MemModelCase{core::TpMode::k1d, 8, 1, 16, 32},
+        MemModelCase{core::TpMode::k2d, 4, 1, 8, 16},
+        MemModelCase{core::TpMode::k2d, 9, 1, 9, 18},
+        MemModelCase{core::TpMode::k2p5d, 4, 1, 8, 16},
+        MemModelCase{core::TpMode::k2p5d, 8, 2, 16, 16},
+        MemModelCase{core::TpMode::k3d, 8, 1, 16, 16}));
 
 TEST(MemoryModel, AdvancedModesBeat1dAtPaperScale) {
   // the Figure 8 claims at the paper's sizes: transformer-style inputs are

@@ -50,7 +50,8 @@ struct ElasticModel {
     core::ParallelContext& ctx = *env.ctx;
     mode_ = ctx.config().tensor_mode;
     if (core::is_grid(mode_)) {
-      layer_ = std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
+      layer_ =
+          std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
     } else if (mode_ == core::TpMode::k3d) {
       layer_ = std::make_unique<tp::Linear3D>(env, "l", kHidden, kHidden, seed);
     } else {
@@ -247,7 +248,8 @@ int main() {
   for (const Case& c : cases) {
     const Mttr m = run_scenario(c.mode, c.tp, c.depth, c.kill);
     std::printf("%-6s %-4d %-3lld | %9.3f %11.6f %11.1f %11.1f %9.4f %8.0f\n",
-                core::to_string(c.mode).c_str(), c.tp, static_cast<long long>(c.kill),
+                core::to_string(c.mode).c_str(), c.tp,
+                static_cast<long long>(c.kill),
                 m.detect_s, m.consensus_s, m.rebuild_wall_ns / 1e3,
                 m.reshard_wall_ns / 1e3, m.replay_s, m.replayed_steps);
     const std::string shape = core::to_string(c.mode) + "_tp" +

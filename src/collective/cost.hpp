@@ -86,9 +86,9 @@ double collective_latency(Op op, Algo algo, const CostProfile& profile,
 
 /// The same model for a group given by its ranks and two-level plan: builds
 /// the profile and prices through the overload above. `plan` may be a
-/// non-viable plan (the default) for non-hierarchical algorithms. The bottleneck
-/// link of the rank ring bounds bandwidth — this is what makes 1D tensor
-/// parallelism collapse on partially-connected machines (paper Figs 10-11).
+/// non-viable plan (the default) for non-hierarchical algorithms. The
+/// bottleneck link of the rank ring bounds bandwidth — this is what makes 1D
+/// tensor parallelism collapse on partially-connected machines (Figs 10-11).
 double collective_time(Op op, Algo algo, const sim::Topology& topo,
                        std::span<const int> ranks, std::int64_t bytes,
                        const TwoLevelPlan& plan = {});

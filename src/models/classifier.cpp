@@ -91,7 +91,9 @@ Classifier::Classifier(const tp::Env& env, Config cfg)
 Classifier::~Classifier() = default;
 
 t::Tensor Classifier::shard_input(const t::Tensor& full) const {
-  if (core::is_grid(mode_)) return tp::Linear2p5D::shard_activation(full, *env_);
+  if (core::is_grid(mode_)) {
+    return tp::Linear2p5D::shard_activation(full, *env_);
+  }
   if (mode_ == core::TpMode::k3d) {
     auto& ctx = *env_->ctx;
     return tp::Linear3D::shard_input(full, ctx.grid_side(),

@@ -50,16 +50,11 @@ struct TransformerClassifier::Impl {
   core::TpMode mode = core::TpMode::kNone;
   std::optional<tp::Env> env;
 
-  // serial / 1D members
-  std::unique_ptr<nn::Linear> embed_s;
+  // the mode's linear (serial/1D: replicated nn::Linear; grid: Linear2p5D;
+  // 3D: Linear3D)
+  std::unique_ptr<nn::Module> embed;
   std::vector<std::unique_ptr<nn::Module>> blocks;
-  std::unique_ptr<nn::Linear> head_s;
-
-  // grid (2D / 2.5D) members
-  std::unique_ptr<tp::Linear2p5D> embed_grid, head_grid;
-
-  // 3D members
-  std::unique_ptr<tp::Linear3D> embed_3d, head_3d;
+  std::unique_ptr<nn::Module> head;
 
   std::int64_t saved_local_seq = 0;
 
@@ -89,55 +84,37 @@ struct TransformerClassifier::Impl {
     const std::int64_t b = x.dim(0), s = x.dim(1), f = x.dim(2);
     saved_local_seq = s;
 
-    if (core::is_grid(mode)) {
-      auto h = embed_grid->forward(x);
-      for (auto& blk : blocks) h = blk->forward(h);
-      return head_grid->forward(mean_pool(h, cfg.patches));
-    }
+    t::Tensor h;
     if (mode == core::TpMode::k3d) {
+      // Linear3D takes 2-d input and emits its Y layout; blocks want X.
       const int l = env->ctx->grid_side();
-      auto y = embed_3d->forward(x.reshape(t::Shape{b * s, f}));
-      auto h3 = tp::convert_3d_y_to_x(*env, y).reshape(
+      auto y = embed->forward(x.reshape(t::Shape{b * s, f}));
+      h = tp::convert_3d_y_to_x(*env, y).reshape(
           t::Shape{b, s, cfg.hidden / (l * l)});
-      for (auto& blk : blocks) h3 = blk->forward(h3);
-      return head_3d->forward(mean_pool(h3, cfg.patches));
+    } else {
+      h = embed->forward(x);
     }
-    auto h = embed_s->forward(x);
     for (auto& blk : blocks) h = blk->forward(h);
-    return head_s->forward(mean_pool(h, cfg.patches));
+    return head->forward(mean_pool(h, cfg.patches));
   }
 
   void backward(const t::Tensor& dlogits_local) {
     const std::int64_t s = saved_local_seq;
-    if (core::is_grid(mode)) {
-      auto g = unpool(head_grid->backward(dlogits_local), s, cfg.patches);
-      for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-        g = (*it)->backward(g);
-      embed_grid->backward(g);
-    } else if (mode == core::TpMode::k3d) {
-      auto g = unpool(head_3d->backward(dlogits_local), s, cfg.patches);
-      for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-        g = (*it)->backward(g);
+    auto g = unpool(head->backward(dlogits_local), s, cfg.patches);
+    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
+      g = (*it)->backward(g);
+    if (mode == core::TpMode::k3d) {
       const std::int64_t b = g.dim(0), hc = g.dim(2);
-      embed_3d->backward(
-          tp::convert_3d_x_to_y(*env, g.reshape(t::Shape{b * s, hc})));
-    } else {
-      auto g = unpool(head_s->backward(dlogits_local), s, cfg.patches);
-      for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
-        g = (*it)->backward(g);
-      embed_s->backward(g);
+      g = tp::convert_3d_x_to_y(*env, g.reshape(t::Shape{b * s, hc}));
     }
+    embed->backward(g);
   }
 
   std::vector<nn::Parameter*> parameters() {
     std::vector<nn::Parameter*> out;
-    if (embed_s) embed_s->collect_parameters(out);
-    if (embed_grid) embed_grid->collect_parameters(out);
-    if (embed_3d) embed_3d->collect_parameters(out);
+    embed->collect_parameters(out);
     for (auto& b : blocks) b->collect_parameters(out);
-    if (head_s) head_s->collect_parameters(out);
-    if (head_grid) head_grid->collect_parameters(out);
-    if (head_3d) head_3d->collect_parameters(out);
+    head->collect_parameters(out);
     return out;
   }
 };
@@ -145,15 +122,15 @@ struct TransformerClassifier::Impl {
 TransformerClassifier::TransformerClassifier(Config cfg)
     : impl_(std::make_unique<Impl>()) {
   impl_->cfg = cfg;
-  impl_->embed_s =
+  impl_->embed =
       std::make_unique<nn::Linear>("embed", cfg.patch_dim, cfg.hidden, cfg.seed);
   for (std::int64_t b = 0; b < cfg.blocks; ++b) {
     impl_->blocks.push_back(std::make_unique<nn::TransformerBlock>(
         "block" + std::to_string(b), cfg.hidden, cfg.heads, cfg.ffn,
         cfg.seed + 1000 * (b + 1)));
   }
-  impl_->head_s = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
-                                               cfg.seed + 999);
+  impl_->head = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
+                                             cfg.seed + 999);
 }
 
 TransformerClassifier::TransformerClassifier(const tp::Env& env, Config cfg)
@@ -181,20 +158,20 @@ TransformerClassifier::TransformerClassifier(const tp::Env& env, Config cfg)
     }
   }
   if (core::is_grid(I.mode)) {
-    I.embed_grid = std::make_unique<tp::Linear2p5D>(
-        env, "embed", cfg.patch_dim, cfg.hidden, cfg.seed);
-    I.head_grid = std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
-                                                   cfg.classes, cfg.seed + 999);
+    I.embed = std::make_unique<tp::Linear2p5D>(env, "embed", cfg.patch_dim,
+                                               cfg.hidden, cfg.seed);
+    I.head = std::make_unique<tp::Linear2p5D>(env, "head", cfg.hidden,
+                                              cfg.classes, cfg.seed + 999);
   } else if (I.mode == core::TpMode::k3d) {
-    I.embed_3d = std::make_unique<tp::Linear3D>(env, "embed", cfg.patch_dim,
-                                                cfg.hidden, cfg.seed);
-    I.head_3d = std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
-                                               cfg.classes, cfg.seed + 999);
-  } else {
-    I.embed_s = std::make_unique<nn::Linear>("embed", cfg.patch_dim,
+    I.embed = std::make_unique<tp::Linear3D>(env, "embed", cfg.patch_dim,
                                              cfg.hidden, cfg.seed);
-    I.head_s = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
-                                            cfg.seed + 999);
+    I.head = std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
+                                            cfg.classes, cfg.seed + 999);
+  } else {
+    I.embed = std::make_unique<nn::Linear>("embed", cfg.patch_dim, cfg.hidden,
+                                           cfg.seed);
+    I.head = std::make_unique<nn::Linear>("head", cfg.hidden, cfg.classes,
+                                          cfg.seed + 999);
   }
 }
 

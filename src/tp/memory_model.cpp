@@ -39,7 +39,8 @@ std::int64_t two_layer_peak_2p5d(const TwoLayerShape& s, int p, int depth) {
   // the transient broadcast weight block (d*h^2/p). For d > 1 the block is
   // gathered over depth first, so the gathered copy (d*h^2/p) is live too;
   // at depth 1 (2D) the slab is the block and is broadcast in place.
-  const std::int64_t peak_acts = 5 * b * h / p + (d > 1 ? 2 * d : 1) * h * h / p;
+  const std::int64_t peak_acts =
+      5 * b * h / p + (d > 1 ? 2 * d : 1) * h * h / p;
   return (params + peak_acts) * s.bytes_per_elem;
 }
 

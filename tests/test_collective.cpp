@@ -240,7 +240,8 @@ TEST(Cost, AllReduceSlowerOnPartiallyConnectedBox) {
   const double t_full =
       col::collective_time(col::Op::kAllReduce, kChunked, full, ranks, bytes);
   const double t_partial =
-      col::collective_time(col::Op::kAllReduce, kChunked, partial, ranks, bytes);
+      col::collective_time(col::Op::kAllReduce, kChunked, partial, ranks,
+                           bytes);
   EXPECT_GT(t_partial / t_full, 8.0);  // 184/15 ~ 12x link ratio
 }
 

@@ -58,7 +58,8 @@ struct ElasticModel {
     core::ParallelContext& ctx = *env.ctx;
     mode_ = ctx.config().tensor_mode;
     if (core::is_grid(mode_)) {
-      layer_ = std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
+      layer_ =
+          std::make_unique<tp::Linear2p5D>(env, "l", kHidden, kHidden, seed);
     } else if (mode_ == core::TpMode::k3d) {
       layer_ = std::make_unique<tp::Linear3D>(env, "l", kHidden, kHidden, seed);
     } else {

@@ -80,7 +80,8 @@ PinRun run(Model model, int p, t::Dtype wire, sim::SimBackend backend,
   for (std::int64_t i = 0; i < batch; ++i) labels.push_back(i % (3 * q));
 
   std::vector<std::vector<float>> losses(static_cast<std::size_t>(p));
-  std::vector<std::vector<std::uint32_t>> grad_bits(static_cast<std::size_t>(p));
+  std::vector<std::vector<std::uint32_t>> grad_bits(
+      static_cast<std::size_t>(p));
   cluster.run([&](int g) {
     const tp::Env env{&ctx, g};
     auto step = [&](auto& m, const t::Tensor& x) {
@@ -123,12 +124,11 @@ PinRun run(Model model, int p, t::Dtype wire, sim::SimBackend backend,
   out.losses = losses[0];
   Fnv1a h;
   for (int g = 0; g < p; ++g) {
-    EXPECT_EQ(losses[static_cast<std::size_t>(g)].size(),
-              static_cast<std::size_t>(kSteps));
-    for (int s = 0; s < kSteps && s < static_cast<int>(out.losses.size()); ++s) {
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(
-                    losses[static_cast<std::size_t>(g)][static_cast<std::size_t>(s)]),
-                std::bit_cast<std::uint32_t>(out.losses[static_cast<std::size_t>(s)]))
+    const auto& mine = losses[static_cast<std::size_t>(g)];
+    EXPECT_EQ(mine.size(), out.losses.size()) << "rank " << g;
+    for (std::size_t s = 0; s < mine.size() && s < out.losses.size(); ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(mine[s]),
+                std::bit_cast<std::uint32_t>(out.losses[s]))
           << "rank " << g << " step " << s;
     }
     for (std::uint32_t w : grad_bits[static_cast<std::size_t>(g)]) h.add(w);
@@ -184,7 +184,8 @@ PinRun uniform(std::vector<float> losses, std::uint64_t grad_hash, int p,
 }
 
 void check(Model model, int p, t::Dtype wire, const PinRun& want) {
-  for (sim::SimBackend be : {sim::SimBackend::kThreads, sim::SimBackend::kTasks}) {
+  for (const sim::SimBackend be :
+       {sim::SimBackend::kThreads, sim::SimBackend::kTasks}) {
     SCOPED_TRACE(be == sim::SimBackend::kThreads ? "threads" : "tasks");
     expect_pinned(run(model, p, wire, be), want);
   }
@@ -256,9 +257,10 @@ TEST(Grid2dPin, StrayTensorDepthIsIgnored) {
   // builds the 4-GPU depth-1 grid and trains bit-identically to depth 1.
   for (t::Dtype wire : {t::Dtype::kF32, t::Dtype::kBF16}) {
     const bool f32 = wire == t::Dtype::kF32;
-    expect_pinned(run(Model::kTransformer, 4, wire, sim::SimBackend::kThreads, 4),
+    const auto threads = sim::SimBackend::kThreads;
+    expect_pinned(run(Model::kTransformer, 4, wire, threads, /*depth=*/4),
                   f32 ? kTransformerP4Fp32 : kTransformerP4Bf16);
-    expect_pinned(run(Model::kMlp, 4, wire, sim::SimBackend::kThreads, 4),
+    expect_pinned(run(Model::kMlp, 4, wire, threads, /*depth=*/4),
                   f32 ? kMlpP4Fp32 : kMlpP4Bf16);
   }
 }

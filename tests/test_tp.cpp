@@ -195,7 +195,7 @@ TEST(Tp1d, RowLinearAllReduceBytesMatchRingFormula) {
             p * col::bytes_sent_per_rank(col::Op::kAllReduce, p, payload));
 }
 
-// ---- 2D / 2.5D: one SUMMA grid, 2D at depth 1 ----------------------------------
+// ---- 2D / 2.5D: one SUMMA grid, 2D at depth 1 -------------------------------
 
 namespace {
 
@@ -239,7 +239,8 @@ GridLinearRun check_grid_linear(core::TpMode mode, int p, int d,
   for (int g = 0; g < p; ++g) {
     const int dd = g / (q * q), r = (g % (q * q)) / q, c = g % q;
     EXPECT_TRUE(t::allclose(
-        run.y[g], tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, c), 1e-4f))
+        run.y[g], tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, c),
+        1e-4f))
         << "grank " << g;
     EXPECT_TRUE(t::allclose(
         run.dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, d, dd, r, c),

@@ -28,5 +28,7 @@ inline std::string tp_case_name(ca::core::TpMode mode, int p = 0,
 namespace ca::core {
 /// gtest printer for a bare mode parameter (found by argument-dependent
 /// lookup).
-inline void PrintTo(TpMode mode, std::ostream* os) { *os << tp_case_name(mode); }
+inline void PrintTo(TpMode mode, std::ostream* os) {
+  *os << tp_case_name(mode);
+}
 }  // namespace ca::core

@@ -1,12 +1,13 @@
 // Ablation benches for design choices DESIGN.md calls out:
 //   1. chunk size sweep for the PatrickStar-style chunk manager (bandwidth
 //      utilization vs fragmentation),
-//   2. pipeline schedule memory: fill-drain vs 1F1B in-flight micro-batches,
+//   2. pipeline schedule memory: fill-drain vs 1F1B in-flight micro-batches
+//      and bubbles, replayed from the compiled schedules,
 //   3. ring all-reduce vs naive (star) all-reduce traffic and time.
 
 #include "bench_common.hpp"
 #include "collective/cost.hpp"
-#include "pp/pipeline.hpp"
+#include "pp/schedule.hpp"
 #include "zero/offload.hpp"
 
 using namespace ca;
@@ -42,24 +43,35 @@ void chunk_size_sweep() {
               "sweet spot motivates PatrickStar's chunking)\n");
 }
 
+/// One replayed step of `sched` at unit per-chunk costs (a stage's forward,
+/// dgrad and wgrad each take 1 / chunks; free links).
+pp::PipeTiming unit_timing(pp::Schedule sched, int stages, int micros,
+                           int chunks) {
+  const double c = 1.0 / chunks;
+  return pp::time_schedule(
+      *pp::compile_schedule(sched, stages, micros, chunks),
+      pp::StageSeconds{c, c, c, 0.0, 0.0});
+}
+
 void pipeline_memory() {
   bench::header("Ablation 2: pipeline schedule peak in-flight micro-batches");
-  std::printf("%-10s %-14s %-22s\n", "micros", "fill-drain", "1F1B (stage 0)");
+  std::printf("(compiled programs replayed by pp::time_schedule, 2 stages, "
+              "unit costs)\n");
+  std::printf("%-10s %-14s %-14s %-14s %-14s\n", "micros", "fill-drain",
+              "1F1B", "bubble fd", "bubble 1F1B");
   for (int micros : {4, 8, 16}) {
-    // closed form, matching the tested Pipeline implementation: fill-drain
-    // parks every micro-batch; 1F1B parks at most stages - rank.
-    std::printf("%-10d %-14d %-22d\n", micros, micros,
-                std::min(micros, 2));
+    const auto fd = unit_timing(pp::Schedule::kFillDrain, 2, micros, 1);
+    const auto f1b = unit_timing(pp::Schedule::kOneFOneB, 2, micros, 1);
+    std::printf("%-10d %-14d %-14d %-14.3f %-14.3f\n", micros, fd.peak_micros,
+                f1b.peak_micros, fd.bubble_fraction, f1b.bubble_fraction);
   }
-  std::printf("bubble fraction is identical for both: ");
-  for (int micros : {4, 8, 16})
-    std::printf("M=%d: %.2f  ", micros, pp::bubble_fraction(2, micros));
-  std::printf("\n");
 
   std::printf("\ninterleaved virtual stages shrink the bubble (8 stages, "
               "M=8):\n  chunks: ");
   for (int v : {1, 2, 4, 7}) {
-    std::printf("V=%d: %.3f  ", v, pp::bubble_fraction_interleaved(8, 8, v));
+    std::printf("V=%d: %.3f  ", v,
+                unit_timing(pp::Schedule::kInterleaved, 8, 8, v)
+                    .bubble_fraction);
   }
   std::printf("\n  (the interleaved Pipeline schedule runs these virtual stages "
               "functionally; test_pp verifies gradient equality)\n");

@@ -27,7 +27,7 @@ void figure5_series() {
     };
     const auto v1 = tp::comm_volume_1d(m, p);
     const auto v2 =
-        core::Config::exact_sqrt(p) != 0 ? tp::comm_volume_2d(m, p) : 0;
+        core::Config::exact_sqrt(p) != 0 ? tp::comm_volume_2p5d(m, p, 1) : 0;
     const auto v25 = (p % 4 == 0 && core::Config::exact_sqrt(p / 4) != 0)
                          ? tp::comm_volume_2p5d(m, p, 4)
                          : 0;

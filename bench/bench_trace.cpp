@@ -2,7 +2,8 @@
 // step and a 1F1B pipeline step at world 4, export Chrome traces + summary
 // JSONs, and assert the two headline metrics read off the spans — bucketed DP
 // comm overlaps compute (overlap fraction > 0) and the pipeline shows a
-// bubble. Also checks that tracing does not perturb the simulated clocks.
+// bubble. Also checks that tracing does not perturb the simulated clocks, and
+// that pp::time_schedule predicts the executed 1F1B step exactly.
 // Writes trace_dp.json / trace_pp.json (open at ui.perfetto.dev),
 // trace_dp_summary.json / trace_pp_summary.json, and BENCH_trace.json.
 
@@ -13,12 +14,14 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "collective/cost.hpp"
 #include "engine/engine.hpp"
 #include "nn/layers.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/report.hpp"
 #include "optim/optimizer.hpp"
 #include "pp/pipeline.hpp"
+#include "pp/schedule.hpp"
 #include "tensor/ops.hpp"
 
 namespace t = ca::tensor;
@@ -36,6 +39,7 @@ constexpr int kBlocks = 24;
 constexpr std::int64_t kHidden = 16;
 constexpr std::int64_t kBatch = 1, kSeq = 2;
 constexpr int kSteps = 3;
+constexpr int kMicros = 8;  // pipeline micro-batches per step
 // Modeled FLOPs per block forward: ~8 us of fp16 on the A100 model, so the
 // backward sweep is long enough for issued bucket reduces to hide under it.
 constexpr double kBlockFlops = 2e9;
@@ -142,7 +146,7 @@ double run_dp(bench::World& w, bool trace) {
 /// drain busy — zero-bubble — nearly vanishes from the window average).
 double run_pp(bench::World& w, pp::Schedule sched, int chunks, int steps) {
   w.cluster.enable_tracing();
-  const int micros = 8;
+  const int micros = kMicros;
   std::vector<t::Tensor> inputs;
   for (int m = 0; m < micros; ++m)
     inputs.push_back(t::randn(t::Shape{kBatch * kSeq, kHidden},
@@ -188,6 +192,22 @@ core::Config pp_config() {
   core::Config cfg;
   cfg.pipeline_parallel_size = kWorld;
   return cfg;
+}
+
+/// pp::time_schedule's price of one 1F1B CostedStage step in world `w`:
+/// every task charges kBlockFlops of fp16, and each message carries one
+/// activation in the context's wire dtype.
+double predicted_1f1b_step(bench::World& w) {
+  const double task_s = kBlockFlops / w.cluster.device(0).gpu().flops_fp16;
+  const std::int64_t bytes =
+      kBatch * kSeq * kHidden * t::dtype_bytes(w.ctx.comm_dtype());
+  const pp::StageSeconds secs{
+      task_s, task_s, task_s, w.cluster.topology().latency(),
+      ca::collective::p2p_time(w.cluster.topology(), 0, 1, bytes)};
+  return pp::time_schedule(
+             *pp::compile_schedule(pp::Schedule::kOneFOneB, kWorld, kMicros, 1),
+             secs)
+      .step_s;
 }
 
 /// Traced bubble fraction of `steps` pipeline steps under `sched`.
@@ -254,10 +274,14 @@ int main() {
               "write trace_pp_summary.json");
   ok &= check(pp_rep.bubble_fraction > 0.0,
               "a 4-stage pipeline must show a bubble");
+  const double pp_predicted = predicted_1f1b_step(pipe);
+  ok &= check(pp_clock == pp_predicted,
+              "time_schedule must predict the executed 1F1B step exactly");
 
-  std::printf("PP  world %d: sim %.3f ms, bubble %.1f%% (ideal 1F1B %.1f%%)\n",
-              kWorld, pp_clock * 1e3, pp_rep.bubble_fraction * 100.0,
-              pp::bubble_fraction(kWorld, 8) * 100.0);
+  std::printf("PP  world %d: sim %.6f ms (time_schedule %.6f ms), bubble "
+              "%.1f%%\n",
+              kWorld, pp_clock * 1e3, pp_predicted * 1e3,
+              pp_rep.bubble_fraction * 100.0);
   report.add("trace_pp_bubble_fraction",
              "stages" + std::to_string(kWorld) + "_micros8",
              pp_rep.bubble_fraction, 0.0);
@@ -267,7 +291,7 @@ int main() {
   // (2 chunks per rank) shrinks the single-step bubble; over 8 back-to-back
   // steps the deferred-wgrad zero-bubble schedule keeps the drain busy and
   // the measured window bubble collapses, while 1F1B keeps paying its
-  // (S-1)/(M+S-1) per step.
+  // fill and drain every step.
   const double il_1 = pp_bubble(pp::Schedule::kInterleaved, 2, 1);
   const double f1b_8 = pp_bubble(pp::Schedule::kOneFOneB, 1, 8);
   const double zb_8 = pp_bubble(pp::Schedule::kZeroBubble, 1, 8);

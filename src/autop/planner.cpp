@@ -1,5 +1,6 @@
 #include "autop/planner.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -185,40 +186,35 @@ Plan Planner::plan(const std::vector<LinearNode>& graph,
   return plan;
 }
 
-PipeScheduleChoice best_pipeline_schedule(collective::PipeCostParams base,
+PipeScheduleChoice best_pipeline_schedule(int stages, int micros, int chunks,
+                                          const pp::StageSeconds& stage,
                                           std::int64_t held_bytes_per_micro,
                                           std::int64_t memory_budget) {
-  namespace col = ca::collective;
-  const int chunks = std::max(1, base.chunks);
-
   std::vector<PipeScheduleChoice> candidates;
-  auto add = [&](col::PipeSched sched) {
-    col::PipeCostParams p = base;
-    if (sched == col::PipeSched::kInterleaved) {
-      // per-chunk costs: the stage's work split evenly over its V chunks
-      p.fwd_s /= chunks;
-      p.bwd_input_s /= chunks;
-      p.bwd_weight_s /= chunks;
-    } else {
-      p.chunks = 1;
-    }
+  for (const pp::Schedule sched :
+       {pp::Schedule::kFillDrain, pp::Schedule::kOneFOneB,
+        pp::Schedule::kInterleaved, pp::Schedule::kZeroBubble}) {
+    const int v = sched == pp::Schedule::kInterleaved ? chunks : 1;
+    if (v <= 1 && sched == pp::Schedule::kInterleaved) continue;
+    // per-chunk costs: the stage's work split evenly over its v chunks
+    pp::StageSeconds secs = stage;
+    secs.fwd_s /= v;
+    secs.bwd_input_s /= v;
+    secs.bwd_weight_s /= v;
     PipeScheduleChoice c;
     c.sched = sched;
-    c.cost = col::pipeline_schedule_cost(sched, p);
+    c.timing = pp::time_schedule(
+        *pp::compile_schedule(sched, stages, micros, v), secs);
     c.peak_bytes =
-        static_cast<std::int64_t>(c.cost.peak_micros) * held_bytes_per_micro;
+        static_cast<std::int64_t>(c.timing.peak_micros) * held_bytes_per_micro;
     c.feasible = memory_budget <= 0 || c.peak_bytes <= memory_budget;
     candidates.push_back(c);
-  };
-  add(col::PipeSched::kFillDrain);
-  add(col::PipeSched::kOneFOneB);
-  if (chunks > 1) add(col::PipeSched::kInterleaved);
-  add(col::PipeSched::kZeroBubble);
+  }
 
   const PipeScheduleChoice* best = nullptr;
   for (const auto& c : candidates) {
     if (!c.feasible) continue;
-    if (best == nullptr || c.cost.step_s < best->cost.step_s) best = &c;
+    if (best == nullptr || c.timing.step_s < best->timing.step_s) best = &c;
   }
   if (best != nullptr) return *best;
   // over budget everywhere: surface the least-memory schedule, infeasible
@@ -243,13 +239,11 @@ double tp_comm_elems(core::TpMode mode, double rows, double hidden, int n,
       return 0.0;
     case core::TpMode::k1d:
       return 2.0 * act * (n - 1) / n;
-    case core::TpMode::k2d: {
-      const int q = core::Config::exact_sqrt(n);
-      return 4.0 * act / q;
-    }
+    case core::TpMode::k2d:  // the 2.5D grid at depth 1
     case core::TpMode::k2p5d: {
       const int q = core::Config::exact_sqrt(n / depth);
-      return 4.0 * act / (q * depth) + 2.0 * hidden * hidden / n;
+      const double grid = 4.0 * act / (q * depth);
+      return depth > 1 ? grid + 2.0 * hidden * hidden / n : grid;
     }
     case core::TpMode::k3d: {
       const int l = core::Config::exact_cbrt(n);
@@ -311,17 +305,14 @@ ElasticLayout best_survivor_layout(int survivors, std::int64_t rows,
         continue;
       }
       if (hidden % n == 0) consider(core::TpMode::k1d, n, 1, dp);
-      if (const int q = core::Config::exact_sqrt(n);
-          q > 1 && hidden % q == 0 &&
-          static_cast<std::int64_t>(brows) % q == 0) {
-        consider(core::TpMode::k2d, n, 1, dp);
-      }
-      for (int depth = 2; depth <= n; ++depth) {
+      // the SUMMA grid: 2D at depth 1, 2.5D above
+      for (int depth = 1; depth <= n; ++depth) {
         if (n % depth != 0) continue;
         const int q = core::Config::exact_sqrt(n / depth);
         if (q > 1 && hidden % (q * depth) == 0 &&
             static_cast<std::int64_t>(brows) % (q * depth) == 0) {
-          consider(core::TpMode::k2p5d, n, depth, dp);
+          consider(depth == 1 ? core::TpMode::k2d : core::TpMode::k2p5d, n,
+                   depth, dp);
         }
       }
       if (const int l = core::Config::exact_cbrt(n);

@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "autop/conversion.hpp"
-#include "collective/cost.hpp"
 #include "core/config.hpp"
+#include "pp/schedule.hpp"
 
 namespace ca::autop {
 
@@ -73,23 +73,24 @@ class Planner {
 
 /// The pipeline-schedule leg of the plan search.
 struct PipeScheduleChoice {
-  collective::PipeSched sched = collective::PipeSched::kOneFOneB;
-  collective::PipeCostResult cost;
+  pp::Schedule sched = pp::Schedule::kOneFOneB;
+  pp::PipeTiming timing;
   std::int64_t peak_bytes = 0;  ///< worst-rank resident micro-batch bytes
   bool feasible = true;         ///< fits `memory_budget`
 };
 
 /// Pick the cheapest pipeline schedule under a per-device activation memory
-/// budget, using the analytic collective::pipeline_schedule_cost model.
-/// `base` carries full-stage per-micro seconds with chunks = the virtual
-/// stages available per rank (1 disables the interleaved candidate; for V > 1
-/// the interleaved leg splits the stage costs evenly across chunks).
-/// `held_bytes_per_micro` prices one resident micro-batch; a budget <= 0
-/// means unconstrained. Zero-bubble wins on time when memory allows — its
-/// uncapped residency is exactly what the budget can veto, which is when the
-/// chooser falls back to 1F1B (the classic bubble at minimal residency). If
-/// nothing fits, the minimum-memory choice is returned with feasible=false.
-PipeScheduleChoice best_pipeline_schedule(collective::PipeCostParams base,
+/// budget, pricing each compiled candidate with pp::time_schedule. `stage`
+/// carries full-stage per-micro seconds; `chunks` is the virtual stages
+/// available per rank (1 disables the interleaved candidate, which splits
+/// the compute seconds evenly across its chunks). `held_bytes_per_micro`
+/// prices one resident micro-batch; a budget <= 0 means unconstrained.
+/// Zero-bubble wins on time when memory allows — its uncapped residency is
+/// exactly what the budget can veto, which is when the chooser falls back to
+/// 1F1B (minimal residency). If nothing fits, the minimum-memory choice is
+/// returned with feasible=false.
+PipeScheduleChoice best_pipeline_schedule(int stages, int micros, int chunks,
+                                          const pp::StageSeconds& stage,
                                           std::int64_t held_bytes_per_micro,
                                           std::int64_t memory_budget);
 

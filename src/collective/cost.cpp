@@ -216,61 +216,4 @@ std::int64_t bytes_sent_per_rank(Op op, int group_size, std::int64_t bytes) {
   return 0;
 }
 
-// ---- pipeline schedules -------------------------------------------------------
-
-std::optional<PipeSched> parse_pipe_sched(std::string_view name) {
-  if (name == "fill_drain" || name == "gpipe") return PipeSched::kFillDrain;
-  if (name == "1f1b") return PipeSched::kOneFOneB;
-  if (name == "interleaved") return PipeSched::kInterleaved;
-  if (name == "zero_bubble" || name == "zb") return PipeSched::kZeroBubble;
-  return std::nullopt;
-}
-
-PipeCostResult pipeline_schedule_cost(PipeSched sched,
-                                      const PipeCostParams& p) {
-  const int S = std::max(1, p.stages);
-  const int M = std::max(1, p.micros);
-  const int V = std::max(1, p.chunks);
-  const double f = p.fwd_s + p.p2p_s;
-  // With activation checkpointing the dgrad-side critical path re-runs the
-  // chunk forward before the backward proper.
-  const double b = (p.recompute ? p.fwd_s : 0.0) + p.bwd_input_s + p.p2p_s;
-  const double w = p.bwd_weight_s;
-  // Per-rank busy seconds per step; identical across schedules at fixed
-  // (micros, chunks, per-chunk costs) — only the bubble differs.
-  const double busy = static_cast<double>(M) * V * (f + b + w);
-
-  PipeCostResult r;
-  switch (sched) {
-    case PipeSched::kFillDrain:
-    case PipeSched::kOneFOneB:
-      // Classic fill + drain: S-1 forwards ahead of the steady state and S-1
-      // backwards behind it, with wgrad fused onto the backward.
-      r.step_s = busy + static_cast<double>(S - 1) * (f + b + w);
-      r.peak_micros =
-          sched == PipeSched::kFillDrain ? M * V : std::min(M, S) * V;
-      break;
-    case PipeSched::kInterleaved:
-      // Megatron interleaving: the fill/drain shrinks by 1/V because the
-      // first chunk of the next group starts after only S (not S*V) chunk
-      // forwards.
-      r.step_s = busy + static_cast<double>(S - 1) * (f + b + w);
-      // note f/b/w are per-chunk seconds here, so the absolute fill is
-      // already V times smaller than the single-chunk spelling above
-      r.peak_micros = std::min(M * V, S * V);
-      break;
-    case PipeSched::kZeroBubble:
-      // Deferred wgrad: the drain bubble (S-1)*b is backfilled with queued
-      // wgrad work, M*w of which is available per rank; the fill (S-1)*f is
-      // irreducible for the last stage.
-      r.step_s = busy + static_cast<double>(S - 1) * f +
-                 std::max(0.0, static_cast<double>(S - 1) * b -
-                                   static_cast<double>(M) * V * w);
-      r.peak_micros = std::min(M, 2 * S - 1) * V;
-      break;
-  }
-  r.bubble_fraction = r.step_s > 0.0 ? 1.0 - busy / r.step_s : 0.0;
-  return r;
-}
-
 }  // namespace ca::collective

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "collective/algo.hpp"
@@ -103,60 +101,5 @@ double p2p_time(const sim::Topology& topo, int src, int dst, std::int64_t bytes)
 /// ring but moves exactly the same total per rank; only the *time* model
 /// differs by algorithm.
 std::int64_t bytes_sent_per_rank(Op op, int group_size, std::int64_t bytes);
-
-// ---- pipeline schedules -------------------------------------------------------
-
-/// Pipeline micro-batch schedules (executed by pp::Pipeline, modeled here so
-/// the autop planner can search over them without depending on the executor):
-///   kFillDrain   — GPipe: all forwards, then all backwards
-///   kOneFOneB    — PipeDream-flush: same bubble, bounded in-flight micros
-///   kInterleaved — Megatron interleaved virtual stages: V chunks per rank
-///                  shrink the fill/drain by 1/V
-///   kZeroBubble  — backward split into dgrad/wgrad; deferred wgrad fills the
-///                  drain bubble (ZB-H1-style)
-enum class PipeSched { kFillDrain, kOneFOneB, kInterleaved, kZeroBubble };
-
-/// Canonical knob spelling ("fill_drain", "1f1b", "interleaved",
-/// "zero_bubble") — the values CA_PP_SCHEDULE / `pp.schedule` accept.
-constexpr const char* pipe_sched_name(PipeSched s) {
-  switch (s) {
-    case PipeSched::kFillDrain: return "fill_drain";
-    case PipeSched::kOneFOneB: return "1f1b";
-    case PipeSched::kInterleaved: return "interleaved";
-    case PipeSched::kZeroBubble: return "zero_bubble";
-  }
-  return "unknown";
-}
-
-/// Parse a knob spelling; nullopt on anything unknown.
-std::optional<PipeSched> parse_pipe_sched(std::string_view name);
-
-/// Per-(virtual-stage, micro) costs of one pipeline configuration. For
-/// kInterleaved pass chunks = V and per-chunk seconds; the other schedules
-/// take chunks = 1 with full-stage seconds, so plans are comparable at fixed
-/// total work per rank (micros * chunks * (fwd + bwd_input + bwd_weight)).
-struct PipeCostParams {
-  int stages = 1;
-  int micros = 1;
-  int chunks = 1;
-  double fwd_s = 0.0;        ///< forward seconds per micro per chunk
-  double bwd_input_s = 0.0;  ///< dgrad seconds per micro per chunk
-  double bwd_weight_s = 0.0; ///< wgrad seconds per micro per chunk
-  double p2p_s = 0.0;        ///< one activation/dy hop between stages
-  bool recompute = true;     ///< activation checkpointing: backward re-runs fwd
-};
-
-struct PipeCostResult {
-  double step_s = 0.0;           ///< modeled wall time of one training step
-  double bubble_fraction = 0.0;  ///< 1 - per-rank busy / step_s
-  /// Worst-rank count of micro-batch inputs resident at once (the memory
-  /// axis of the schedule tradeoff; multiply by held bytes per micro).
-  int peak_micros = 0;
-};
-
-/// Analytic per-schedule bubble/latency model (closed-form approximations of
-/// the compiled task-DAG executor; DESIGN.md section 12). Consumed by the
-/// autop chooser and by planning tests — the traced executor is the oracle.
-PipeCostResult pipeline_schedule_cost(PipeSched sched, const PipeCostParams& p);
 
 }  // namespace ca::collective

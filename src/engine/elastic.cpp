@@ -59,7 +59,7 @@ ElasticCoordinator::ElasticCoordinator(collective::Backend& backend,
       next.sequence_parallel_size = 1;
       next.tensor_parallel_size = l.tensor;
       next.tensor_mode = l.mode;
-      next.tensor_depth = l.mode == core::TpMode::k2p5d ? l.depth : 1;
+      next.tensor_depth = l.depth;
       next.validate();
       return next;
     };

@@ -10,18 +10,8 @@ namespace ca::pp {
 
 namespace t = ca::tensor;
 
-double bubble_fraction(int stages, int micro_batches) {
-  return static_cast<double>(stages - 1) /
-         static_cast<double>(micro_batches + stages - 1);
-}
-
-double bubble_fraction_interleaved(int stages, int micro_batches, int chunks) {
-  const double fill = static_cast<double>(stages - 1) / chunks;
-  return fill / (micro_batches + fill);
-}
-
 Schedule Pipeline::parse_schedule(std::string_view name) {
-  if (auto s = collective::parse_pipe_sched(name)) return *s;
+  if (auto s = parse_pipe_sched(name)) return *s;
   const core::KnobSpec& knob = core::knob_spec(core::Knob::kPpSchedule);
   core::throw_bad_knob(knob, "pipeline schedule", name);
 }
@@ -335,8 +325,7 @@ float Pipeline::train_step(int micros, std::span<const t::Tensor> inputs,
 
   if (obs::MetricsSink* mx = env_.dev().metrics()) {
     const double wall = env_.dev().clock() - t_step0;
-    // This rank's measured idle share of the step: the live counterpart of
-    // the analytic collective::pipeline_schedule_cost bubble.
+    // This rank's measured idle share of the step.
     mx->gauge("pp.bubble_fraction").set(wall > 0.0 ? wait_s_ / wall : 0.0);
   }
   return last_vs_ ? loss_sum_ / static_cast<float>(micros) : 0.0f;

@@ -16,15 +16,6 @@
 
 namespace ca::pp {
 
-/// Fraction of a pipelined step wasted in the bubble:
-/// (S - 1) / (M + S - 1) for fill-drain and 1F1B.
-double bubble_fraction(int stages, int micro_batches);
-
-/// Bubble fraction with `chunks` interleaved virtual stages per rank
-/// (Megatron-LM's interleaved schedule): the per-chunk fill/drain shrinks by
-/// 1/chunks: (S-1)/chunks / (M + (S-1)/chunks).
-double bubble_fraction_interleaved(int stages, int micro_batches, int chunks);
-
 /// Unified pipeline executor. Every schedule — fill-drain (GPipe), 1F1B
 /// (PipeDream-flush), interleaved 1F1B with virtual stages, and zero-bubble
 /// (dgrad/wgrad split) — compiles to the same per-rank PipeSchedule task

@@ -10,6 +10,14 @@
 
 namespace ca::pp {
 
+std::optional<Schedule> parse_pipe_sched(std::string_view name) {
+  if (name == "fill_drain" || name == "gpipe") return Schedule::kFillDrain;
+  if (name == "1f1b") return Schedule::kOneFOneB;
+  if (name == "interleaved") return Schedule::kInterleaved;
+  if (name == "zero_bubble" || name == "zb") return Schedule::kZeroBubble;
+  return std::nullopt;
+}
+
 const char* task_name(TaskKind k) {
   switch (k) {
     case TaskKind::kRecvFwd: return "recv_fwd";
@@ -41,7 +49,6 @@ class Compiler {
       : kind_(kind), S_(S), M_(M), V_(V), VS_(S * V) {
     done_f_.assign(total(), kNotDone);
     done_b_.assign(total(), kNotDone);
-    done_w_.assign(total(), kNotDone);
     started_f_.assign(total(), 0);
     started_b_.assign(total(), 0);
     started_w_.assign(total(), 0);
@@ -117,7 +124,6 @@ class Compiler {
             }
             if (fused) {
               started_w_[id(vs, m)] = 1;
-              done_w_[id(vs, m)] = t + dur_b;
               prog.tasks.push_back({TaskKind::kBwdWeight, v, mi});
               --remaining;
             }
@@ -125,7 +131,6 @@ class Compiler {
           }
           case 'W': {
             started_w_[id(vs, m)] = 1;
-            done_w_[id(vs, m)] = t + 1;
             busy_until[static_cast<std::size_t>(r)] = t + 1;
             prog.tasks.push_back({TaskKind::kBwdWeight, v, mi});
             break;
@@ -134,7 +139,6 @@ class Compiler {
         --remaining;
       }
     }
-    out.makespan = *std::max_element(busy_until.begin(), busy_until.end());
     for (int r = 0; r < S_; ++r) {
       insert_recv_markers(out.ranks[static_cast<std::size_t>(r)]);
       check_micro_ascending(out.ranks[static_cast<std::size_t>(r)]);
@@ -310,7 +314,7 @@ class Compiler {
 
   Schedule kind_;
   int S_, M_, V_, VS_;
-  std::vector<int> done_f_, done_b_, done_w_;
+  std::vector<int> done_f_, done_b_;
   std::vector<char> started_f_, started_b_, started_w_;
 };
 
@@ -320,6 +324,12 @@ std::shared_ptr<const PipeSchedule> compile_schedule(Schedule kind, int stages,
                                                      int micros, int chunks) {
   if (stages < 1 || micros < 1 || chunks < 1) {
     throw std::invalid_argument("compile_schedule: sizes must be >= 1");
+  }
+  constexpr int kMaxIndex = std::numeric_limits<std::int16_t>::max();
+  if (micros > kMaxIndex || chunks > kMaxIndex) {
+    throw std::invalid_argument(
+        "compile_schedule: micros and chunks must be <= 32767 (PipeTask "
+        "indices are int16)");
   }
   static std::mutex mu;
   static std::map<std::tuple<int, int, int, int>,
@@ -334,6 +344,102 @@ std::shared_ptr<const PipeSchedule> compile_schedule(Schedule kind, int stages,
   auto sched = std::make_shared<const PipeSchedule>(c.run());
   cache.emplace(key, sched);
   return sched;
+}
+
+PipeTiming time_schedule(const PipeSchedule& sched, const StageSeconds& secs) {
+  const auto S = static_cast<std::size_t>(sched.stages);
+  // One incoming FIFO channel: per position, the producer's send stamp and
+  // this rank's post stamp; `pos` maps a consumer tag to its position. Both
+  // stamp sequences are nondecreasing, so waiting for message k covers the
+  // executor's in-order waits on every earlier message too.
+  struct Chan {
+    std::map<std::pair<int, int>, std::size_t> pos;
+    std::vector<double> sent, posted;
+  };
+  struct Walk {
+    std::size_t pc = 0;
+    double clock = 0.0, busy = 0.0;
+    int held = 0, peak = 0;
+    Chan in[2];  // [0] activations, [1] dys
+  };
+  std::vector<Walk> walks(S);
+  for (std::size_t r = 0; r < S; ++r) {
+    const RankProgram& prog = sched.ranks[r];
+    for (int d = 0; d < 2; ++d) {
+      const auto& order = d == 0 ? prog.in_fwd : prog.in_bwd;
+      for (std::size_t k = 0; k < order.size(); ++k)
+        walks[r].in[d].pos[{order[k].chunk, order[k].micro}] = k;
+    }
+  }
+  // Run rank r's next task; false while it waits on a message not yet sent.
+  // With one stage, payloads are handed over locally and cost nothing.
+  auto step = [&](std::size_t r) {
+    Walk& w = walks[r];
+    const PipeTask& tk = sched.ranks[r].tasks[w.pc];
+    const int d = tk.kind == TaskKind::kRecvBwd ||
+                  tk.kind == TaskKind::kBwdInput ||
+                  tk.kind == TaskKind::kSendBwd;
+    Chan& c = w.in[d];
+    double compute = 0.0;
+    switch (tk.kind) {
+      case TaskKind::kRecvFwd:
+      case TaskKind::kRecvBwd:
+        if (S > 1) {
+          const std::size_t k = c.pos.at({tk.chunk, tk.micro});
+          while (c.posted.size() <= k) c.posted.push_back(w.clock);
+        }
+        break;
+      case TaskKind::kFwd:
+      case TaskKind::kBwdInput: {
+        const bool local = d ? r == S - 1 && tk.chunk == sched.chunks - 1
+                             : r == 0 && tk.chunk == 0;
+        if (S > 1 && !local) {
+          const std::size_t k = c.pos.at({tk.chunk, tk.micro});
+          if (c.sent.size() <= k) return false;
+          while (c.posted.size() <= k) c.posted.push_back(w.clock);
+          w.clock = std::max(w.clock,
+                             std::max(c.sent[k], c.posted[k]) + secs.hop_s);
+        }
+        compute = d ? secs.bwd_input_s : secs.fwd_s;
+        w.held += d ? -1 : 1;
+        w.peak = std::max(w.peak, w.held);
+        break;
+      }
+      case TaskKind::kRecompute: compute = secs.fwd_s; break;
+      case TaskKind::kBwdWeight: compute = secs.bwd_weight_s; break;
+      case TaskKind::kSendFwd:
+      case TaskKind::kSendBwd:
+        if (S > 1) {
+          const std::size_t dst = d ? (r + S - 1) % S : (r + 1) % S;
+          walks[dst].in[d].sent.push_back(w.clock);
+          w.clock += secs.send_s;
+        }
+        break;
+    }
+    w.clock += compute;
+    w.busy += compute;
+    return true;
+  };
+
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (std::size_t r = 0; r < S; ++r) {
+      const std::size_t n = sched.ranks[r].tasks.size();
+      for (; walks[r].pc < n && step(r); ++walks[r].pc) moved = true;
+    }
+  }
+  PipeTiming out;
+  double busy = 0.0;
+  for (std::size_t r = 0; r < S; ++r) {
+    if (walks[r].pc < sched.ranks[r].tasks.size()) {
+      throw std::logic_error("time_schedule: programs deadlock");
+    }
+    out.step_s = std::max(out.step_s, walks[r].clock);
+    out.peak_micros = std::max(out.peak_micros, walks[r].peak);
+    busy += walks[r].busy;
+  }
+  if (out.step_s > 0.0) out.bubble_fraction = 1.0 - busy / (S * out.step_s);
+  return out;
 }
 
 }  // namespace ca::pp

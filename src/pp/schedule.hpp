@@ -2,17 +2,36 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
-
-#include "collective/cost.hpp"
 
 namespace ca::pp {
 
-/// Pipeline schedule selector. Alias of the collective-layer enum so the
-/// analytic cost model (collective/cost.hpp) and the autop chooser can rank
-/// schedules without depending on the executor; existing call sites keep
-/// spelling pp::Schedule::kOneFOneB.
-using Schedule = collective::PipeSched;
+/// Pipeline micro-batch schedules, all compiled by compile_schedule and run
+/// by the one pp::Pipeline executor:
+///   kFillDrain   — GPipe: all forwards, then all backwards
+///   kOneFOneB    — PipeDream-flush: bounded in-flight micros
+///   kInterleaved — Megatron interleaved virtual stages: V chunks per rank
+///                  shrink the fill/drain
+///   kZeroBubble  — backward split into dgrad/wgrad; deferred wgrad fills the
+///                  drain bubble (ZB-H1-style)
+enum class Schedule { kFillDrain, kOneFOneB, kInterleaved, kZeroBubble };
+
+/// Canonical knob spelling ("fill_drain", "1f1b", "interleaved",
+/// "zero_bubble") — the values CA_PP_SCHEDULE / `pp.schedule` accept.
+constexpr const char* pipe_sched_name(Schedule s) {
+  switch (s) {
+    case Schedule::kFillDrain: return "fill_drain";
+    case Schedule::kOneFOneB: return "1f1b";
+    case Schedule::kInterleaved: return "interleaved";
+    case Schedule::kZeroBubble: return "zero_bubble";
+  }
+  return "unknown";
+}
+
+/// Parse a knob spelling (also "gpipe" and "zb"); nullopt on anything else.
+std::optional<Schedule> parse_pipe_sched(std::string_view name);
 
 /// One executor instruction. A schedule compiles to a per-rank ordered list
 /// of these; the executor walks the list and owns all channel/memory state
@@ -68,10 +87,6 @@ struct PipeSchedule {
   int micros = 1;
   int chunks = 1;
   std::vector<RankProgram> ranks;
-  /// Makespan of the compile-time list-scheduling simulation in forward-time
-  /// units (fwd = 1, dgrad = 1, wgrad = 1, recompute = 1) — a unit-cost
-  /// preview of the bubble the traced executor measures.
-  int makespan = 0;
 };
 
 /// Compile (or fetch from the process-wide cache) the program set for one
@@ -84,8 +99,33 @@ struct PipeSchedule {
 /// markers. Guarantees, for every schedule: per (rank, chunk) the dgrad and
 /// wgrad task sequences are micro-ascending (the bit-identity contract with
 /// the serial oracle), and each program's send order matches its consumer's
-/// recv-post order (the FIFO channel contract).
+/// recv-post order (the FIFO channel contract). Throws
+/// std::invalid_argument on sizes below 1, or on `micros` / `chunks` above
+/// INT16_MAX (the range of PipeTask::micro / chunk).
 std::shared_ptr<const PipeSchedule> compile_schedule(Schedule kind, int stages,
                                                      int micros, int chunks);
+
+/// Seconds per (chunk, micro) task and per message (kRecompute costs fwd_s;
+/// a sender pays send_s, a message spends hop_s on the wire).
+struct StageSeconds {
+  double fwd_s = 0.0, bwd_input_s = 0.0, bwd_weight_s = 0.0;
+  double send_s = 0.0, hop_s = 0.0;
+};
+
+/// One replayed step: the latest rank's finish, the idle share of the
+/// stages * step_s rank-seconds, and the worst rank's peak_in_flight().
+struct PipeTiming {
+  double step_s = 0.0;
+  double bubble_fraction = 0.0;
+  int peak_micros = 0;
+};
+
+/// Replay `sched` on the executor's clock rules (DESIGN.md section 12): each
+/// rank walks its program in order; compute tasks advance its clock; a send
+/// stamps the message, then charges the sender send_s; a recv marker stamps
+/// its post time; a consumer waits until max(send stamp, post stamp) + hop_s.
+/// On a uniform fabric step_s equals the executed Cluster::max_clock() bit
+/// for bit. Throws std::logic_error if the programs deadlock.
+PipeTiming time_schedule(const PipeSchedule& sched, const StageSeconds& secs);
 
 }  // namespace ca::pp

@@ -23,12 +23,12 @@ struct MatmulShape {
 /// mode — the exact formulas of Table 1.
 ///
 /// `p` is the total device count; for 2.5D, `depth` is d with p = d * k^2.
+/// 2D is the 2.5D grid at depth 1, where Table 1's 2.5D row is 2D's.
 std::int64_t comm_volume_1d(const MatmulShape& m, int p);
-std::int64_t comm_volume_2d(const MatmulShape& m, int p);
 std::int64_t comm_volume_2p5d(const MatmulShape& m, int p, int depth);
 std::int64_t comm_volume_3d(const MatmulShape& m, int p);
 
-/// Dispatch on mode (depth ignored except for 2.5D).
+/// Dispatch on mode; `depth` is 1 for 2D and ignored by 1D and 3D.
 std::int64_t comm_volume(core::TpMode mode, const MatmulShape& m, int p,
                          int depth = 1);
 

@@ -1,13 +1,14 @@
 // Tests for the automatic-parallelization module (Section 3.3): sharding
 // spec algebra, the greedy conversion search against the exact Dijkstra
-// reference, and the strategy planner with integrated activation
-// checkpointing.
+// reference, the strategy planner with integrated activation
+// checkpointing, and the pipeline-schedule chooser.
 
 #include <gtest/gtest.h>
 
 #include "autop/conversion.hpp"
 #include "autop/planner.hpp"
 #include "autop/sharding_spec.hpp"
+#include "pp/schedule.hpp"
 
 namespace ap = ca::autop;
 
@@ -224,48 +225,47 @@ TEST(Conversion, CostsScaleLinearlyWithTensorSize) {
   EXPECT_NEAR(big.total_cost / small.total_cost, 4.0, 1e-9);
 }
 
+namespace {
+const ca::pp::StageSeconds kUnitStage{1.0, 1.0, 1.0, 0.0, 0.0};
+}  // namespace
+
 TEST(PipeScheduleChooser, UnconstrainedPrefersZeroBubble) {
-  ca::collective::PipeCostParams p;
-  p.stages = 4;
-  p.micros = 8;
-  p.chunks = 2;
-  p.fwd_s = 1.0;
-  p.bwd_input_s = 1.0;
-  p.bwd_weight_s = 1.0;
-  const auto pick = ap::best_pipeline_schedule(p, 1 << 20, /*budget=*/0);
-  EXPECT_EQ(pick.sched, ca::collective::PipeSched::kZeroBubble);
+  const auto pick = ap::best_pipeline_schedule(4, 8, /*chunks=*/2, kUnitStage,
+                                               1 << 20, /*budget=*/0);
+  EXPECT_EQ(pick.sched, ca::pp::Schedule::kZeroBubble);
   EXPECT_TRUE(pick.feasible);
-  // it wins by shrinking the bubble below the classic (S-1)/(M+S-1)
-  const auto f1b = ca::collective::pipeline_schedule_cost(
-      ca::collective::PipeSched::kOneFOneB, p);
-  EXPECT_LT(pick.cost.bubble_fraction, f1b.bubble_fraction);
+  // it wins by shrinking the replayed 1F1B bubble
+  const auto f1b = ca::pp::time_schedule(
+      *ca::pp::compile_schedule(ca::pp::Schedule::kOneFOneB, 4, 8, 1),
+      kUnitStage);
+  EXPECT_LT(pick.timing.bubble_fraction, f1b.bubble_fraction);
 }
 
 TEST(PipeScheduleChooser, TightMemoryFallsBackToOneFOneB) {
-  ca::collective::PipeCostParams p;
-  p.stages = 4;
-  p.micros = 8;
-  p.chunks = 1;
-  p.fwd_s = 1.0;
-  p.bwd_input_s = 1.0;
-  p.bwd_weight_s = 1.0;
   const std::int64_t per_micro = 1 << 20;
-  // enough for 1F1B's min(M, S) resident micros but not zero-bubble's 2S-1
-  const auto pick = ap::best_pipeline_schedule(p, per_micro, 4 * per_micro);
-  EXPECT_EQ(pick.sched, ca::collective::PipeSched::kOneFOneB);
+  // enough for 1F1B's S resident micros but not zero-bubble's
+  const auto pick = ap::best_pipeline_schedule(4, 8, /*chunks=*/1, kUnitStage,
+                                               per_micro, 4 * per_micro);
+  EXPECT_EQ(pick.sched, ca::pp::Schedule::kOneFOneB);
   EXPECT_TRUE(pick.feasible);
   EXPECT_LE(pick.peak_bytes, 4 * per_micro);
 }
 
+TEST(PipeScheduleChooser, BudgetChecksExecutedResidency) {
+  const std::int64_t per_micro = 1 << 20;
+  // zero-bubble at S=4 M=8 holds all 8 micros on rank 0, so a 7-micro
+  // budget rules it out and leaves 1F1B's 4
+  const auto pick = ap::best_pipeline_schedule(4, 8, /*chunks=*/1, kUnitStage,
+                                               per_micro, 7 * per_micro);
+  EXPECT_EQ(pick.sched, ca::pp::Schedule::kOneFOneB);
+  EXPECT_TRUE(pick.feasible);
+  EXPECT_EQ(pick.peak_bytes, 4 * per_micro);
+}
+
 TEST(PipeScheduleChooser, NothingFitsReportsInfeasibleMinimum) {
-  ca::collective::PipeCostParams p;
-  p.stages = 4;
-  p.micros = 8;
-  p.fwd_s = 1.0;
-  p.bwd_input_s = 1.0;
-  p.bwd_weight_s = 1.0;
-  const auto pick = ap::best_pipeline_schedule(p, 1 << 20, /*budget=*/1);
+  const auto pick = ap::best_pipeline_schedule(4, 8, /*chunks=*/1, kUnitStage,
+                                               1 << 20, /*budget=*/1);
   EXPECT_FALSE(pick.feasible);
   // the least-memory candidate is the 1F1B cap
-  EXPECT_EQ(pick.sched, ca::collective::PipeSched::kOneFOneB);
+  EXPECT_EQ(pick.sched, ca::pp::Schedule::kOneFOneB);
 }

@@ -1,11 +1,13 @@
 // Pipeline parallelism tests: the PipeSchedule compiler (task order, cache,
 // zero-bubble wgrad deferral), the schedule x backend matrix pinning
 // bit-identical losses/gradients against the serial oracle, knob parsing and
-// precedence, bubble closed forms and the analytic per-schedule cost model,
-// memory accounting across schedules, and the bf16 wire byte cut.
+// precedence, the time_schedule replay (schedule ranking, and clocks and
+// residency equal to the executor's), memory accounting across schedules,
+// and the bf16 wire byte cut.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -124,20 +126,6 @@ PipeResult run_two_stage(pp::Schedule sched, int micros) {
 }
 
 }  // namespace
-
-TEST(Bubble, MatchesClosedForm) {
-  EXPECT_DOUBLE_EQ(pp::bubble_fraction(4, 4), 3.0 / 7.0);
-  EXPECT_DOUBLE_EQ(pp::bubble_fraction(1, 8), 0.0);
-  EXPECT_LT(pp::bubble_fraction(4, 64), pp::bubble_fraction(4, 8));
-}
-
-TEST(InterleavedBubble, ShrinksWithChunks) {
-  EXPECT_DOUBLE_EQ(pp::bubble_fraction_interleaved(4, 8, 1),
-                   pp::bubble_fraction(4, 8));
-  EXPECT_LT(pp::bubble_fraction_interleaved(4, 8, 2),
-            pp::bubble_fraction(4, 8));
-  EXPECT_NEAR(pp::bubble_fraction_interleaved(8, 8, 7), 1.0 / 9.0, 1e-9);
-}
 
 TEST(Pipeline, FillDrainMatchesSerial) {
   const int micros = 4;
@@ -384,7 +372,7 @@ MatrixResult run_pipelined(pp::Schedule sched, int stages, int chunks,
 
 void expect_matches_oracle(pp::Schedule sched, int stages, int chunks,
                            int micros) {
-  SCOPED_TRACE(std::string(col::pipe_sched_name(sched)) + " S=" +
+  SCOPED_TRACE(std::string(pp::pipe_sched_name(sched)) + " S=" +
                std::to_string(stages) + " V=" + std::to_string(chunks) +
                " M=" + std::to_string(micros));
   const auto ref = serial_oracle(stages * chunks, micros);
@@ -466,8 +454,10 @@ TEST(PipeSchedule, ZeroBubbleDefersWgradIntoDrain) {
   }
   EXPECT_EQ(wgrads, 8);
   EXPECT_GT(last_wgrad, last_dgrad);
-  // deferred wgrad shortens the unit-cost makespan
-  EXPECT_LT(zb->makespan, f1b->makespan);
+  // deferred wgrad shortens the replayed unit-cost step
+  const pp::StageSeconds unit{1.0, 1.0, 1.0, 0.0, 0.0};
+  EXPECT_LT(pp::time_schedule(*zb, unit).step_s,
+            pp::time_schedule(*f1b, unit).step_s);
   // both carry the same logical work per rank
   EXPECT_EQ(zb->stages, 4);
   EXPECT_EQ(zb->micros, 8);
@@ -516,46 +506,181 @@ TEST(PipeSchedule, KnobParsingAndPrecedence) {
   }
 }
 
-TEST(PipeSchedule, AnalyticCostModelRanksSchedules) {
-  col::PipeCostParams p;
-  p.stages = 4;
-  p.micros = 8;
-  p.fwd_s = 1.0;
-  p.bwd_input_s = 1.0;
-  p.bwd_weight_s = 1.0;
-  const auto fill = col::pipeline_schedule_cost(col::PipeSched::kFillDrain, p);
-  const auto f1b = col::pipeline_schedule_cost(col::PipeSched::kOneFOneB, p);
-  const auto zb = col::pipeline_schedule_cost(col::PipeSched::kZeroBubble, p);
-  // fill-drain and 1F1B share the (S-1)/(M+S-1) bubble; they differ in peak
-  // residency only
+TEST(PipeSchedule, RejectsIndicesBeyondInt16) {
+  // PipeTask::micro / chunk are int16: larger sizes would silently wrap
+  EXPECT_THROW(pp::compile_schedule(pp::Schedule::kOneFOneB, 2, 32768, 1),
+               std::invalid_argument);
+  EXPECT_THROW(pp::compile_schedule(pp::Schedule::kInterleaved, 2, 4, 32768),
+               std::invalid_argument);
+  EXPECT_THROW(pp::compile_schedule(pp::Schedule::kOneFOneB, 2, 0, 1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(pp::compile_schedule(pp::Schedule::kOneFOneB, 2, 4, 1));
+}
+
+namespace {
+
+pp::PipeTiming unit_timing(pp::Schedule sched, int stages, int micros,
+                           int chunks = 1) {
+  const double c = 1.0 / chunks;  // a stage's unit work split over chunks
+  return pp::time_schedule(
+      *pp::compile_schedule(sched, stages, micros, chunks),
+      pp::StageSeconds{c, c, c, 0.0, 0.0});
+}
+
+}  // namespace
+
+TEST(PipeSchedule, ReplayRanksSchedules) {
+  using S = pp::Schedule;
+  const auto fill = unit_timing(S::kFillDrain, 4, 8);
+  const auto f1b = unit_timing(S::kOneFOneB, 4, 8);
+  const auto zb = unit_timing(S::kZeroBubble, 4, 8);
+  // 1F1B pays a fill of S-1 forwards and a drain of S-1 dgrads: the
+  // recompute runs ahead of the dy wait and dx leaves before the wgrad
+  const double busy = 8 * 4.0;  // M * (fwd + recompute + dgrad + wgrad)
+  EXPECT_DOUBLE_EQ(f1b.step_s, busy + 3 * (1.0 + 1.0));
+  EXPECT_DOUBLE_EQ(f1b.bubble_fraction, 1.0 - busy / f1b.step_s);
+  // fill-drain and 1F1B share the bubble; they differ in residency only
+  EXPECT_DOUBLE_EQ(fill.step_s, f1b.step_s);
   EXPECT_DOUBLE_EQ(fill.bubble_fraction, f1b.bubble_fraction);
-  EXPECT_GT(fill.peak_micros, f1b.peak_micros);
-  // at M*V*w >= (S-1)*b the zero-bubble drain is fully filled by wgrads
+  EXPECT_EQ(fill.peak_micros, 8);
+  EXPECT_EQ(f1b.peak_micros, 4);
+  // deferred wgrads fill the drain, at the price of more resident micros
   EXPECT_LT(zb.bubble_fraction, f1b.bubble_fraction);
-  EXPECT_NEAR(zb.bubble_fraction,
-              1.0 - zb.step_s / (zb.step_s), 1.0);  // sanity: finite
-  EXPECT_GE(zb.peak_micros, f1b.peak_micros);
+  EXPECT_GT(zb.peak_micros, f1b.peak_micros);
+  // interleaving at V = 1 is plain 1F1B; 2 chunks cut the fill/drain share
+  EXPECT_EQ(unit_timing(S::kInterleaved, 4, 8, 1).step_s, f1b.step_s);
+  EXPECT_LT(unit_timing(S::kInterleaved, 4, 8, 2).bubble_fraction,
+            f1b.bubble_fraction);
+}
 
-  // interleaving with V chunks (per-chunk costs shrink by 1/V) cuts the
-  // fill/drain share
-  col::PipeCostParams pi = p;
-  pi.chunks = 2;
-  pi.fwd_s = 0.5;
-  pi.bwd_input_s = 0.5;
-  pi.bwd_weight_s = 0.5;
-  const auto il =
-      col::pipeline_schedule_cost(col::PipeSched::kInterleaved, pi);
-  EXPECT_LT(il.bubble_fraction, f1b.bubble_fraction);
+TEST(PipeSchedule, ReplayBubbleShrinksWithMicrosAndChunks) {
+  using S = pp::Schedule;
+  EXPECT_EQ(unit_timing(S::kOneFOneB, 1, 8).bubble_fraction, 0.0);
+  EXPECT_LT(unit_timing(S::kOneFOneB, 4, 64).bubble_fraction,
+            unit_timing(S::kOneFOneB, 4, 8).bubble_fraction);
+  double prev = 1.0;
+  for (const int v : {1, 2, 4, 7}) {
+    const double b = unit_timing(S::kInterleaved, 8, 8, v).bubble_fraction;
+    EXPECT_LT(b, prev) << "V=" << v;
+    prev = b;
+  }
+}
 
-  // compiled unit-cost makespans agree with the analytic ordering
-  const int mk_f1b =
-      pp::compile_schedule(pp::Schedule::kOneFOneB, 4, 8, 1)->makespan;
-  const int mk_fill =
-      pp::compile_schedule(pp::Schedule::kFillDrain, 4, 8, 1)->makespan;
-  const int mk_zb =
-      pp::compile_schedule(pp::Schedule::kZeroBubble, 4, 8, 1)->makespan;
-  EXPECT_EQ(mk_f1b, mk_fill);
-  EXPECT_LT(mk_zb, mk_f1b);
+TEST(PipeSchedule, ReplayThrowsOnDeadlock) {
+  // rank 0 waits for a dy that rank 1 only sends after an activation rank 0
+  // never sends
+  pp::PipeSchedule bad;
+  bad.stages = 2;
+  bad.ranks.resize(2);
+  bad.ranks[0].tasks = {{pp::TaskKind::kBwdInput, 0, 0}};
+  bad.ranks[0].in_bwd = {{0, 0}};
+  bad.ranks[1].tasks = {{pp::TaskKind::kFwd, 0, 0},
+                        {pp::TaskKind::kSendBwd, 0, 0}};
+  bad.ranks[1].in_fwd = {{0, 0}};
+  EXPECT_THROW(pp::time_schedule(bad, pp::StageSeconds{}), std::logic_error);
+}
+
+namespace {
+
+/// A virtual-stage linear that charges fixed seconds per task, with the
+/// dgrad/wgrad split, so the executor's clocks run on the replay's inputs.
+class SecondsStage : public nn::Module {
+ public:
+  SecondsStage(const tp::Env& env, std::unique_ptr<nn::Linear> lin,
+               const pp::StageSeconds& secs)
+      : env_(env), lin_(std::move(lin)), secs_(secs) {}
+
+  t::Tensor forward(const t::Tensor& x) override {
+    env_.dev().advance_clock(secs_.fwd_s);
+    return lin_->forward(x);
+  }
+  t::Tensor backward(const t::Tensor& dy) override {
+    auto dx = backward_input(dy);
+    backward_weight();
+    return dx;
+  }
+  bool has_split_backward() const override { return true; }
+  t::Tensor backward_input(const t::Tensor& dy) override {
+    env_.dev().advance_clock(secs_.bwd_input_s);
+    return lin_->backward_input(dy);
+  }
+  void backward_weight() override {
+    env_.dev().advance_clock(secs_.bwd_weight_s);
+    lin_->backward_weight();
+  }
+  void collect_parameters(std::vector<nn::Parameter*>& out) override {
+    lin_->collect_parameters(out);
+  }
+
+ private:
+  tp::Env env_;
+  std::unique_ptr<nn::Linear> lin_;
+  pp::StageSeconds secs_;
+};
+
+/// Execute one step of `sched` and check time_schedule's step and residency
+/// against the executed clocks and peak_in_flight().
+void expect_timing_matches(pp::Schedule sched, int stages, int chunks,
+                           int micros) {
+  SCOPED_TRACE(std::string(pp::pipe_sched_name(sched)) + " S=" +
+               std::to_string(stages) + " V=" + std::to_string(chunks) +
+               " M=" + std::to_string(micros));
+  PpWorld w(stages);  // fp32 wire: 8 floats per {2, 4} message
+  pp::StageSeconds secs{3e-4, 5e-4, 2e-4, 0.0, 0.0};
+  secs.send_s = w.cluster.topology().latency();
+  secs.hop_s = col::p2p_time(w.cluster.topology(), 0, 1, 8 * 4);
+  const int total_vs = stages * chunks;
+  auto inputs = make_micros(micros);
+  const std::vector<std::int64_t> labels{0, 1};
+  std::vector<int> peaks(static_cast<std::size_t>(stages), 0);
+  w.cluster.run([&](int g) {
+    std::vector<std::unique_ptr<SecondsStage>> own;
+    std::vector<nn::Module*> ptrs;
+    std::vector<t::Shape> shapes;
+    for (int v = 0; v < chunks; ++v) {
+      own.push_back(std::make_unique<SecondsStage>(
+          w.env(g), make_vs_layer(v * stages + g, total_vs), secs));
+      ptrs.push_back(own.back().get());
+      shapes.push_back(t::Shape{2, 4});
+    }
+    pp::Pipeline pipe(w.env(g), ptrs, shapes, sched);
+    pipe.train_step(micros,
+                    g == 0 ? std::span<const t::Tensor>(inputs)
+                           : std::span<const t::Tensor>{},
+                    [&](const t::Tensor& y, t::Tensor& dy, int) {
+                      return t::cross_entropy(y, labels, dy);
+                    });
+    peaks[static_cast<std::size_t>(g)] = pipe.peak_in_flight();
+  });
+  const auto timing = pp::time_schedule(
+      *pp::compile_schedule(sched, stages, micros, chunks), secs);
+  EXPECT_EQ(timing.step_s, w.cluster.max_clock());
+  EXPECT_EQ(timing.peak_micros, *std::max_element(peaks.begin(), peaks.end()));
+}
+
+void run_timing_matrix() {
+  using S = pp::Schedule;
+  for (const int stages : {2, 4}) {
+    for (const int micros : {4, 8}) {
+      for (const int chunks : {1, 2}) {
+        for (const S sched :
+             {S::kFillDrain, S::kOneFOneB, S::kInterleaved, S::kZeroBubble}) {
+          if (sched == S::kInterleaved && chunks == 1) continue;
+          expect_timing_matches(sched, stages, chunks, micros);
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(PipeSchedule, TimingMatchesExecutor) {
+  for (const char* backend : {"threads", "tasks"}) {
+    SCOPED_TRACE(backend);
+    ScopedEnv env("CA_SIM_BACKEND", backend);
+    run_timing_matrix();
+  }
 }
 
 TEST(PipeSchedule, Bf16WireHalvesPipelineBytes) {

@@ -418,7 +418,8 @@ TEST(CommVolume, Table1Formulas) {
   tp::MatmulShape m;  // b=32, s=512, h=1024 as in Figure 5
   // spot values computed by hand from Table 1
   EXPECT_EQ(tp::comm_volume_1d(m, 16), 2 * 15 * m.sx());
-  EXPECT_EQ(tp::comm_volume_2d(m, 16), 3 * 3 * (m.sx() + m.sw()));
+  EXPECT_EQ(tp::comm_volume(core::TpMode::k2d, m, 16),
+            3 * 3 * (m.sx() + m.sw()));
   EXPECT_EQ(tp::comm_volume_2p5d(m, 16, 4), 3 * 1 * (m.sx() / 4 + m.sw()));
   EXPECT_EQ(tp::comm_volume_3d(m, 8), 2 * 1 * (m.sx() + m.sw() + m.sy()) / 2);
 }
@@ -426,7 +427,9 @@ TEST(CommVolume, Table1Formulas) {
 TEST(CommVolume, AdvancedModesBeat1dAtScale) {
   tp::MatmulShape m;
   for (int p : {16, 64, 256}) {
-    EXPECT_LT(tp::comm_volume_2d(m, p), tp::comm_volume_1d(m, p)) << p;
+    EXPECT_LT(tp::comm_volume(core::TpMode::k2d, m, p),
+              tp::comm_volume_1d(m, p))
+        << p;
     EXPECT_LT(tp::comm_volume_2p5d(m, p, 4), tp::comm_volume_1d(m, p)) << p;
   }
   for (int p : {8, 64, 512}) {

@@ -1,9 +1,9 @@
 // Pipeline parallelism tests: the PipeSchedule compiler (task order, cache,
 // zero-bubble wgrad deferral), the schedule x backend matrix pinning
 // bit-identical losses/gradients against the serial oracle, knob parsing and
-// precedence, the time_schedule replay (schedule ranking, and clocks and
-// residency equal to the executor's), memory accounting across schedules,
-// and the bf16 wire byte cut.
+// precedence, the time_schedule replay (schedule ranking, bubble closed
+// forms, and clocks and residency equal to the executor's), memory
+// accounting across schedules, and the bf16 wire byte cut.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "collective/cost.hpp"
 #include "nn/layers.hpp"
@@ -553,10 +554,39 @@ TEST(PipeSchedule, ReplayRanksSchedules) {
             f1b.bubble_fraction);
 }
 
-TEST(PipeSchedule, ReplayBubbleShrinksWithMicrosAndChunks) {
+TEST(Bubble, MatchesClosedForm) {
   using S = pp::Schedule;
+  // 1F1B and fill-drain run M * (2f + b + w) of work per rank plus a fill of
+  // S-1 forwards and a drain of S-1 dgrads
+  for (const pp::StageSeconds c : {pp::StageSeconds{1.0, 1.0, 1.0, 0.0, 0.0},
+                                   pp::StageSeconds{1.0, 2.0, 3.0, 0.0, 0.0},
+                                   pp::StageSeconds{0.5, 3.0, 1.0, 0.0, 0.0}}) {
+    for (const auto& [stages, micros] :
+         {std::pair{2, 4}, std::pair{4, 8}, std::pair{8, 64}}) {
+      const double work = micros * (2 * c.fwd_s + c.bwd_input_s +
+                                    c.bwd_weight_s);
+      const double edge = (stages - 1) * (c.fwd_s + c.bwd_input_s);
+      for (const S sched : {S::kOneFOneB, S::kFillDrain}) {
+        const auto t = pp::time_schedule(
+            *pp::compile_schedule(sched, stages, micros, 1), c);
+        EXPECT_DOUBLE_EQ(t.step_s, work + edge);
+        EXPECT_NEAR(t.bubble_fraction, edge / (work + edge), 1e-12);
+      }
+    }
+  }
+  // with the forward and wgrad free it is the classic (S-1)/(M+S-1)
+  const auto dgrad_only = pp::time_schedule(
+      *pp::compile_schedule(S::kOneFOneB, 4, 4, 1),
+      pp::StageSeconds{0.0, 1.0, 0.0, 0.0, 0.0});
+  EXPECT_NEAR(dgrad_only.bubble_fraction, 3.0 / 7.0, 1e-12);
   EXPECT_EQ(unit_timing(S::kOneFOneB, 1, 8).bubble_fraction, 0.0);
   EXPECT_LT(unit_timing(S::kOneFOneB, 4, 64).bubble_fraction,
+            unit_timing(S::kOneFOneB, 4, 8).bubble_fraction);
+}
+
+TEST(InterleavedBubble, ShrinksWithChunks) {
+  using S = pp::Schedule;
+  EXPECT_EQ(unit_timing(S::kInterleaved, 4, 8, 1).bubble_fraction,
             unit_timing(S::kOneFOneB, 4, 8).bubble_fraction);
   double prev = 1.0;
   for (const int v : {1, 2, 4, 7}) {
@@ -564,6 +594,10 @@ TEST(PipeSchedule, ReplayBubbleShrinksWithMicrosAndChunks) {
     EXPECT_LT(b, prev) << "V=" << v;
     prev = b;
   }
+  // at M = S the fill and drain shrink to (S-1)(f+b)/V against the
+  // M * (2f + b + w) of work: 2 / (32 + 2) at S = 8, V = 7
+  EXPECT_NEAR(unit_timing(S::kInterleaved, 8, 8, 7).bubble_fraction,
+              1.0 / 17.0, 1e-12);
 }
 
 TEST(PipeSchedule, ReplayThrowsOnDeadlock) {

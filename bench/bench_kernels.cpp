@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <string>
+
 #include "bench_common.hpp"
 #include "collective/backend.hpp"
 #include "nn/layers.hpp"
@@ -136,39 +139,66 @@ BENCHMARK(BM_AllReduce)->Arg(2)->Arg(4)->Arg(8);
 void write_json_report() {
   bench::JsonReport report("BENCH_kernels.json");
 
-  const auto gemm_row = [&](const char* op, std::int64_t n, auto&& fn) {
-    auto a = t::randn(t::Shape{n, n}, 1);
-    auto b = t::randn(t::Shape{n, n}, 2);
+  // Shapes read m x k x n (batch first for bmm). Each variant gets operands
+  // in the layout it reads: NT takes b as (n, k), TN takes a as (k, m).
+  const auto label = [](std::initializer_list<std::int64_t> dims) {
+    std::string s;
+    for (std::int64_t d : dims) s += (s.empty() ? "" : "x") + std::to_string(d);
+    return s;
+  };
+  const auto gemm_row = [&](const std::string& op, std::int64_t m,
+                            std::int64_t k, std::int64_t n, auto&& fn) {
+    auto a = op == "matmul_tn" ? t::randn(t::Shape{k, m}, 1)
+                               : t::randn(t::Shape{m, k}, 1);
+    auto b = op == "matmul_nt" ? t::randn(t::Shape{n, k}, 2)
+                               : t::randn(t::Shape{k, n}, 2);
     const double ns = bench::time_ns([&] {
       auto c = fn(a, b);
       benchmark::DoNotOptimize(c.data().data());
     });
-    const double flops = 2.0 * static_cast<double>(n) * n * n;
-    report.add(op, std::to_string(n) + "x" + std::to_string(n) + "x" +
-                       std::to_string(n),
-               ns, flops / ns);
+    const double flops = 2.0 * static_cast<double>(m) * n * k;
+    report.add(op, label({m, k, n}), ns, flops / ns);
   };
+  const auto matmul = [](auto& a, auto& b) { return t::matmul(a, b); };
+  const auto matmul_nt = [](auto& a, auto& b) { return t::matmul_nt(a, b); };
+  const auto matmul_tn = [](auto& a, auto& b) { return t::matmul_tn(a, b); };
   for (std::int64_t n : {256, 512}) {
-    gemm_row("matmul", n, [](auto& a, auto& b) { return t::matmul(a, b); });
-    gemm_row("matmul_nt", n,
-             [](auto& a, auto& b) { return t::matmul_nt(a, b); });
-    gemm_row("matmul_tn", n,
-             [](auto& a, auto& b) { return t::matmul_tn(a, b); });
+    gemm_row("matmul", n, n, n, matmul);
+    gemm_row("matmul_nt", n, n, n, matmul_nt);
+    gemm_row("matmul_tn", n, n, n, matmul_tn);
   }
-  gemm_row("naive_matmul", 512,
+  // The workloads' shapes: hybrid_train's column-parallel MLP GEMM (128
+  // tokens x 128 hidden x 256 ffn/tp) and zero3_ckpt's 16-row fc2 (k = 1024).
+  for (const auto& [m, k, n] : {std::array<std::int64_t, 3>{128, 128, 256},
+                                std::array<std::int64_t, 3>{16, 1024, 256}}) {
+    gemm_row("matmul_nt", m, k, n, matmul_nt);
+    gemm_row("matmul_tn", m, k, n, matmul_tn);
+  }
+  gemm_row("naive_matmul", 512, 512, 512,
            [](auto& a, auto& b) { return t::naive_matmul(a, b); });
 
-  {
-    const std::int64_t batch = 8, n = 256;
-    auto a = t::randn(t::Shape{batch, n, n}, 3);
-    auto b = t::randn(t::Shape{batch, n, n}, 4);
+  const auto bmm_row = [&](const std::string& op, std::int64_t batch,
+                           std::int64_t m, std::int64_t k, std::int64_t n,
+                           auto&& fn) {
+    auto a = op == "bmm_tn" ? t::randn(t::Shape{batch, k, m}, 3)
+                            : t::randn(t::Shape{batch, m, k}, 3);
+    auto b = op == "bmm_nt" ? t::randn(t::Shape{batch, n, k}, 4)
+                            : t::randn(t::Shape{batch, k, n}, 4);
     const double ns = bench::time_ns([&] {
-      auto c = t::bmm(a, b);
+      auto c = fn(a, b);
       benchmark::DoNotOptimize(c.data().data());
     });
-    const double flops = 2.0 * static_cast<double>(batch) * n * n * n;
-    report.add("bmm", "8x256x256x256", ns, flops / ns);
-  }
+    const double flops = 2.0 * static_cast<double>(batch) * m * n * k;
+    report.add(op, label({batch, m, k, n}), ns, flops / ns);
+  };
+  bmm_row("bmm", 8, 256, 256, 256,
+          [](auto& a, auto& b) { return t::bmm(a, b); });
+  // Per-head attention matmuls at hybrid_train's shape: 8 (micro-batch x
+  // local heads) x 32 tokens x 32 head dim.
+  bmm_row("bmm_nt", 8, 32, 32, 32,
+          [](auto& a, auto& b) { return t::bmm_nt(a, b); });
+  bmm_row("bmm_tn", 8, 32, 32, 32,
+          [](auto& a, auto& b) { return t::bmm_tn(a, b); });
 
   // The Transformer block's elementwise kernels at the hybrid_train shapes:
   // the MLP activation (128 tokens x 512 ffn) and the attention scores.

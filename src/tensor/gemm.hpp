@@ -24,8 +24,22 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
                   const float* b, std::int64_t b_rs, std::int64_t b_cs,
                   float* c, bool threaded);
 
-/// Problems smaller than this many multiply-adds skip the blocked path: the
-/// packing overhead is not worth it, and the naive loops stay in L1 anyway.
+/// Depth of one packed k-block. Each element of C is one multiply-add chain
+/// per KC-long slice of k, started from +0 and added into C slice by slice,
+/// so this is the only blocking constant that sets the summation order. For
+/// k <= KC into a zeroed C the result is bit-identical to the naive
+/// rank-1-update loops (naive_matmul, naive_matmul_tn and the bmm loop), up
+/// to the sign of a zero whose every product underflowed.
+constexpr std::int64_t kKc = 256;
+
+/// Problems smaller than this many multiply-adds with k > KC keep the naive
+/// loops (there the two orders differ and packing would not pay); every
+/// other shape runs on the blocked kernel.
 constexpr std::int64_t kBlockedGemmCutoff = 1 << 18;
+
+/// True when the NN/TN matmuls and bmm* route (m, n, k) to gemm_blocked.
+constexpr bool use_blocked(std::int64_t m, std::int64_t n, std::int64_t k) {
+  return k <= kKc || m * n * k >= kBlockedGemmCutoff;
+}
 
 }  // namespace ca::tensor::detail

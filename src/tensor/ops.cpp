@@ -189,9 +189,9 @@ void add_bias_(Tensor& a, const Tensor& bias) {
 
 // The three layout variants all funnel into detail::gemm_blocked; a transposed
 // operand is expressed as a (row, col) stride swap and handled by the packing
-// step. The naive_* triple loops below are kept as the bit-for-bit reference
-// the blocked kernel is tested against, and still serve problems too small to
-// amortize packing.
+// step. The naive_* triple loops below are the reference the blocked kernel
+// is tested against, and still serve the small shapes detail::use_blocked
+// turns away (and every small NT shape, see matmul_nt).
 
 Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   assert(b.ndim() == 2);
@@ -271,7 +271,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   assert(k == b.dim(0));
   const std::int64_t n = b.dim(1);
   const std::int64_t m = a.numel() / k;
-  if (m * n * k < detail::kBlockedGemmCutoff) return naive_matmul(a, b);
+  if (!detail::use_blocked(m, n, k)) return naive_matmul(a, b);
 
   Tensor out(a.shape().with_dim(-1, n), 0.0f);
   detail::gemm_blocked(m, n, k, a.data().data(), k, 1, b.data().data(), n, 1,
@@ -284,7 +284,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const std::int64_t k = a.numel() / m;
   assert(b.numel() / b.dim(-1) == k);
   const std::int64_t n = b.dim(-1);
-  if (m * n * k < detail::kBlockedGemmCutoff) return naive_matmul_tn(a, b);
+  if (!detail::use_blocked(m, n, k)) return naive_matmul_tn(a, b);
 
   Tensor out(Shape{m, n}, 0.0f);
   detail::gemm_blocked(m, n, k, a.data().data(), 1, m, b.data().data(), n, 1,
@@ -298,6 +298,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   assert(k == b.dim(1));
   const std::int64_t n = b.dim(0);
   const std::int64_t m = a.numel() / k;
+  // Not use_blocked: naive_matmul_nt's dot-product loop is not the kernel's
+  // multiply-add chain (the compiler vectorizes its in-order sum over
+  // separately rounded products), so small NT shapes keep it for their bits.
   if (m * n * k < detail::kBlockedGemmCutoff) return naive_matmul_nt(a, b);
 
   Tensor out(a.shape().with_dim(-1, n), 0.0f);
@@ -335,7 +338,7 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, BmmMode mode) {
   const std::int64_t a_sz = a.dim(1) * a.dim(2);
   const std::int64_t b_sz = b.dim(1) * b.dim(2);
 
-  if (m * n * k >= detail::kBlockedGemmCutoff) {
+  if (detail::use_blocked(m, n, k)) {
     // Per-batch strides for the blocked kernel: a transposed operand is a
     // stride swap, exactly as in the 2-d matmul variants.
     std::int64_t a_rs = k, a_cs = 1, b_rs = n, b_cs = 1;

@@ -47,7 +47,7 @@ void add_bias_(Tensor& a, const Tensor& bias);
 // ---- matmul ---------------------------------------------------------------
 
 /// (..., m, k) x (k, n) -> (..., m, n). Leading dims of `a` are collapsed.
-/// Large problems run through the cache-blocked SIMD kernel in gemm.hpp.
+/// Runs through the cache-blocked SIMD kernel in gemm.hpp (see use_blocked).
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// a^T b for 2-d a:(k,m), b:(k,n) -> (m,n). For weight gradients `a` may have
 /// leading dims collapsed into its rows.
@@ -56,9 +56,11 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b);
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Unblocked triple-loop references for the three variants above. These are
-/// the oracle the blocked kernel is validated against (tests/test_gemm.cpp)
-/// and the fast path for small shapes; results may differ from the blocked
-/// kernel by float-rounding only.
+/// the oracle the blocked kernel is validated against (tests/test_gemm.cpp).
+/// naive_matmul and naive_matmul_tn are bit-identical to it for k <= KC;
+/// naive_matmul_nt sums dot products in a different rounding, so it is only
+/// float-close. The entry points use them for small shapes with k > KC, and
+/// matmul_nt for every small shape.
 Tensor naive_matmul(const Tensor& a, const Tensor& b);
 Tensor naive_matmul_tn(const Tensor& a, const Tensor& b);
 Tensor naive_matmul_nt(const Tensor& a, const Tensor& b);

@@ -11,6 +11,7 @@
 #include "collective/backend.hpp"
 #include "nn/layers.hpp"
 #include "sim/cluster.hpp"
+#include "tensor/convert.hpp"
 #include "tensor/ops.hpp"
 
 namespace t = ca::tensor;
@@ -216,6 +217,17 @@ void write_json_report() {
     auto scores = t::randn(t::Shape{16, 32, 32}, 7);
     report.add("softmax", "16x32x32", bench::time_ns([&] {
       auto y = t::softmax_lastdim_scaled(scores, 0.17677669f);
+      benchmark::DoNotOptimize(y.data().data());
+    }), 0.0);
+  }
+
+  // The bf16 wire round trip at hybrid_train's TP all-reduce size (16 Ki
+  // floats), below the OpenMP team threshold: one thread, SIMD.
+  {
+    auto x = t::randn(t::Shape{1 << 14}, 9);
+    auto y = t::Tensor(t::Shape{1 << 14});
+    report.add("round_trip_bf16", "16384", bench::time_ns([&] {
+      t::round_trip_bf16(x.data().data(), y.data().data(), x.numel());
       benchmark::DoNotOptimize(y.data().data());
     }), 0.0);
   }

@@ -117,6 +117,11 @@ class AlgoSelector {
                             const CostProfile& profile,
                             std::int64_t elem_bytes = 4) const;
 
+  /// The algorithm the policy currently forces (nullopt: auto-select).
+  [[nodiscard]] std::optional<Algo> forced() const {
+    return policy_ != nullptr ? policy_->forced : std::nullopt;
+  }
+
   /// Parse a knob value; "auto"/"" -> nullopt, unknown -> nullopt with
   /// `ok=false` for callers that want to reject bad config.
   static std::optional<Algo> parse(std::string_view name, bool* ok = nullptr);

@@ -1,6 +1,7 @@
 #include "collective/cost_replay.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -29,10 +30,20 @@ CostReplay::CostReplay(Group& scope, int grank)
     : scope_(scope),
       grank_(grank),
       scope_idx_(scope.index_of(grank)),
-      dev_(scope.cluster().device(grank)) {}
+      dev_(scope.cluster().device(grank)) {
+  static std::atomic<std::uint64_t> next_id{1};
+  id_ = next_id.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool CostReplay::recording() {
+  if (!stream_.empty()) return true;
+  if (live()) return false;
+  open_window();
+  return true;
+}
 
 void CostReplay::compute(double flops, Precision precision) {
-  if (live()) {
+  if (!recording()) {
     if (precision == Precision::kFp32) {
       dev_.compute_fp32(flops);
     } else {
@@ -40,7 +51,6 @@ void CostReplay::compute(double flops, Precision precision) {
     }
     return;
   }
-  if (stream_.empty()) open_window();
   stream_.push_back(Record{precision == Precision::kFp32 ? Record::Kind::kFp32
                                                          : Record::Kind::kFp16,
                            0, 0, std::bit_cast<std::uint64_t>(flops)});
@@ -48,25 +58,32 @@ void CostReplay::compute(double flops, Precision precision) {
 
 void CostReplay::collective(Group& g, Op op, std::int64_t bytes) {
   if (g.size() == 1) return;  // account_* charges nothing on a singleton
-  if (live()) {
+  if (!recording()) {
     g.account(grank_, op, bytes);
     return;
   }
-  if (stream_.empty()) open_window();
-  const std::uint16_t s = slot_of(g);
-  if (!g.members_[static_cast<std::size_t>(groups_[s].idx)].pending.empty()) {
-    throw std::logic_error("cost replay: rank " + std::to_string(grank_) +
-                           " records " + describe(op, bytes) + " on group '" +
-                           g.name() + "' with async ops still pending there");
-  }
   stream_.push_back(Record{Record::Kind::kCollective,
-                           static_cast<std::uint8_t>(op), s,
+                           static_cast<std::uint8_t>(op), slot_of(g),
                            static_cast<std::uint64_t>(bytes)});
 }
 
+void CostReplay::check_no_pending(const Group& g, int idx) const {
+  if (!g.members_[static_cast<std::size_t>(idx)].pending.empty()) {
+    throw std::logic_error("cost replay: rank " + std::to_string(grank_) +
+                           " records on group '" + g.name() +
+                           "' with async ops still pending there");
+  }
+}
+
 std::uint16_t CostReplay::slot_of(Group& g) {
+  if (last_slot_ < groups_.size() && groups_[last_slot_].g == &g) {
+    return last_slot_;
+  }
   for (std::size_t s = 0; s < groups_.size(); ++s) {
-    if (groups_[s].g == &g) return static_cast<std::uint16_t>(s);
+    if (groups_[s].g == &g) {
+      last_slot_ = static_cast<std::uint16_t>(s);
+      return last_slot_;
+    }
   }
   for (const int r : g.ranks()) {
     if (!scope_.contains(r)) {
@@ -80,14 +97,17 @@ std::uint16_t CostReplay::slot_of(Group& g) {
     throw std::logic_error("cost replay: too many distinct groups");
   }
   const int idx = g.index_of(grank_);
+  check_no_pending(g, idx);
   groups_.push_back(
       Slot{&g, idx, g.members_[static_cast<std::size_t>(idx)].seq});
-  return static_cast<std::uint16_t>(groups_.size() - 1);
+  last_slot_ = static_cast<std::uint16_t>(groups_.size() - 1);
+  return last_slot_;
 }
 
 void CostReplay::open_window() {
   window_clock_ = dev_.clock();
   for (Slot& s : groups_) {
+    check_no_pending(*s.g, s.idx);
     s.seq = s.g->members_[static_cast<std::size_t>(s.idx)].seq;
   }
 }
@@ -136,51 +156,51 @@ void CostReplay::flush() {
   stream_.clear();
 }
 
+void detail::ReplayTables::attach(std::size_t m, CostReplay* rec) {
+  recs[m] = rec;
+  if (ids[m] != rec->id_) {  // a new recorder: map its slots afresh
+    ids[m] = rec->id_;
+    match_of[m].clear();
+  }
+  auto& row = match_of[m];
+  for (std::size_t s = row.size(); s < rec->groups_.size(); ++s) {
+    Group* g = rec->groups_[s].g;
+    auto it = std::find_if(matches.begin(), matches.end(),
+                           [&](const Match& x) { return x.g == g; });
+    if (it == matches.end()) {
+      it = matches.emplace(matches.end());
+      it->g = g;
+    }
+    row.push_back(static_cast<std::size_t>(it - matches.begin()));
+  }
+}
+
 void CostReplay::settle_all() {
+  using Tables = detail::ReplayTables;
   const auto n = static_cast<std::size_t>(scope_.size());
-  std::vector<CostReplay*> recs(n);
+  if (!scope_.replay_tables_) {
+    scope_.replay_tables_ = std::make_unique<Tables>(n);
+  }
+  Tables& t = *scope_.replay_tables_;
   for (std::size_t m = 0; m < n; ++m) {
-    recs[m] = scope_.members_[m].replay;
-    if (recs[m] == nullptr) {
+    CostReplay* rec = scope_.members_[m].replay;
+    if (rec == nullptr) {
       throw std::logic_error(
           "cost replay: rank " + std::to_string(scope_.ranks()[m]) +
           " reached the flush rendezvous on group '" + scope_.name() +
           "' without flushing");
     }
+    t.attach(m, rec);
   }
-
-  // One matcher per distinct recorded group: the op it is assembling (the
-  // group's next op in issue order) and the members that have reached it.
-  struct Arrival {
-    int member;  // scope index
-    int idx;     // index in the matched group
-  };
-  struct Match {
-    Group* g = nullptr;
-    std::int64_t index = 0;        // ops completed on g in this flush
-    std::vector<Arrival> arrived;  // in arrival order
-    Op op = Op::kAllReduce;
-    std::int64_t bytes = 0;
-    double t_start = 0.0;          // max of the arrivals' entry clocks
-  };
-  std::vector<Match> matches;
-  // match_of[m][slot]: member m's group slot -> its matcher.
-  std::vector<std::vector<std::size_t>> match_of(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    for (const Slot& s : recs[m]->groups_) {
-      auto it = std::find_if(matches.begin(), matches.end(),
-                             [&](const Match& x) { return x.g == s.g; });
-      if (it == matches.end()) {
-        it = matches.emplace(matches.end());
-        it->g = s.g;
-      }
-      match_of[m].push_back(static_cast<std::size_t>(it - matches.begin()));
-    }
+  for (Tables::Match& x : t.matches) {
+    x.arrived.clear();  // non-empty only after a broken flush threw
+    x.index = 0;
   }
+  const std::vector<CostReplay*>& recs = t.recs;
 
-  auto granks = [&](const std::vector<Arrival>& arrivals) {
+  auto granks = [&](const std::vector<Tables::Arrival>& arrivals) {
     std::vector<int> out;
-    for (const Arrival& a : arrivals) {
+    for (const Tables::Arrival& a : arrivals) {
       out.push_back(recs[static_cast<std::size_t>(a.member)]->grank_);
     }
     std::sort(out.begin(), out.end());
@@ -192,15 +212,16 @@ void CostReplay::settle_all() {
   // Each rank's charges happen in its program order, and an op's start
   // depends only on its members' entry clocks, so the result does not
   // depend on the order members are walked in.
-  std::vector<std::size_t> pos(n, 0);
-  std::vector<int> ready(n);
-  for (std::size_t m = 0; m < n; ++m) ready[m] = static_cast<int>(n - 1 - m);
-  while (!ready.empty()) {
-    const auto m = static_cast<std::size_t>(ready.back());
-    ready.pop_back();
+  std::fill(t.pos.begin(), t.pos.end(), 0);
+  t.ready.clear();
+  for (std::size_t m = n; m-- > 0;) t.ready.push_back(static_cast<int>(m));
+  while (!t.ready.empty()) {
+    const auto m = static_cast<std::size_t>(t.ready.back());
+    t.ready.pop_back();
     CostReplay& r = *recs[m];
-    while (pos[m] < r.stream_.size()) {
-      const Record& rec = r.stream_[pos[m]++];
+    std::size_t& pos = t.pos[m];
+    while (pos < r.stream_.size()) {
+      const Record& rec = r.stream_[pos++];
       if (rec.kind == Record::Kind::kFp16) {
         r.dev_.compute_fp16(std::bit_cast<double>(rec.amount));
         continue;
@@ -211,7 +232,7 @@ void CostReplay::settle_all() {
       }
       const auto op = static_cast<Op>(rec.op);
       const auto bytes = static_cast<std::int64_t>(rec.amount);
-      Match& x = matches[match_of[m][rec.group]];
+      Tables::Match& x = t.matches[t.match_of[m][rec.group]];
       if (x.arrived.empty()) {
         x.op = op;
         x.bytes = bytes;
@@ -227,22 +248,26 @@ void CostReplay::settle_all() {
         x.t_start = std::max(x.t_start, r.dev_.clock());
       }
       x.arrived.push_back(
-          Arrival{static_cast<int>(m), r.groups_[rec.group].idx});
+          Tables::Arrival{static_cast<int>(m), r.groups_[rec.group].idx});
       if (std::cmp_less(x.arrived.size(), x.g->size())) break;  // blocked
 
-      // Complete: price once, charge every member through settle.
-      const Group::Priced priced = x.g->price_account(x.op, x.bytes);
-      for (const Arrival& a : x.arrived) {
-        recs[static_cast<std::size_t>(a.member)]->dev_.set_clock(
-            x.g->settle(a.idx, x.t_start, priced));
-        if (static_cast<std::size_t>(a.member) != m) ready.push_back(a.member);
+      // Complete: price once (in member 0's memo: every member of the group
+      // waits in this flush), charge every member through settle. A
+      // recorded window never runs with a fault injector installed.
+      const Group::Priced& priced = x.g->priced(0, x.op, x.bytes);
+      for (const Tables::Arrival& a : x.arrived) {
+        sim::Device& dev = recs[static_cast<std::size_t>(a.member)]->dev_;
+        dev.set_clock(x.g->settle(a.idx, x.t_start, priced, dev, nullptr));
+        if (static_cast<std::size_t>(a.member) != m) {
+          t.ready.push_back(a.member);
+        }
       }
       x.arrived.clear();
       ++x.index;
     }
   }
 
-  for (const Match& x : matches) {
+  for (const Tables::Match& x : t.matches) {
     if (x.arrived.empty()) continue;
     const std::vector<int> waiting = granks(x.arrived);
     std::vector<int> missing;

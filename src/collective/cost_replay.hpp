@@ -36,6 +36,8 @@ namespace ca::collective {
 /// With a fault injector installed, records execute live at once (compute on
 /// the device, collectives through the account_* rendezvous), so fail-stop,
 /// straggler and link-degradation semantics are exactly the live ones.
+/// Injectors are installed between SPMD regions, so whether a window records
+/// or executes live is decided once, when it opens.
 class CostReplay {
  public:
   enum class Precision : std::uint8_t { kFp16, kFp32 };
@@ -55,6 +57,8 @@ class CostReplay {
   void flush();
 
  private:
+  friend struct detail::ReplayTables;
+
   /// One stream entry: 16 bytes, so a layer's stream stays small.
   struct Record {
     enum class Kind : std::uint8_t { kFp16, kFp32, kCollective };
@@ -73,9 +77,17 @@ class CostReplay {
   };
 
   bool live() const { return scope_.cluster().fault_injector() != nullptr; }
+  /// True when the next record is deferred to the flush; false when it must
+  /// execute live. Opens the window on the first record after a flush.
+  bool recording();
+  /// g's slot; a new slot is checked for pending async ops once, here.
   std::uint16_t slot_of(Group& g);
-  /// Before the first record after a flush: snapshot what must not move.
+  /// Before the first record after a flush: snapshot what must not move,
+  /// and reject async ops pending on any known group (they would run live
+  /// inside the window).
   void open_window();
+  /// Throws if member `idx` of `g` has async ops pending.
+  void check_no_pending(const Group& g, int idx) const;
   /// Throws if anything open_window() snapshot moved.
   void check_window() const;
   /// The evaluator, run by the last member to arrive at the flush.
@@ -85,9 +97,51 @@ class CostReplay {
   int grank_;
   int scope_idx_;
   sim::Device& dev_;
+  std::uint64_t id_;  // unique per recorder, so kept tables spot a new one
   std::vector<Slot> groups_;
+  std::uint16_t last_slot_ = 0;  // slot_of's last hit
   std::vector<Record> stream_;
   double window_clock_ = 0.0;
 };
+
+namespace detail {
+
+/// The flush evaluator's tables for one scope group (Group::replay_tables_).
+/// They outlive a flush: the walk state is reset each time, and the
+/// group-to-matcher map is extended only when a member's slot list grew or
+/// its recorder was replaced, so a steady-state flush allocates nothing.
+struct ReplayTables {
+  /// A member that reached a matcher's op.
+  struct Arrival {
+    int member;  // scope index
+    int idx;     // index in the matched group
+  };
+  /// The op a recorded group is assembling (its next op in issue order) and
+  /// the members that have reached it.
+  struct Match {
+    Group* g = nullptr;
+    std::int64_t index = 0;        // ops completed on g in this flush
+    std::vector<Arrival> arrived;  // in arrival order
+    Op op = Op::kAllReduce;
+    std::int64_t bytes = 0;
+    double t_start = 0.0;          // max of the arrivals' entry clocks
+  };
+
+  explicit ReplayTables(std::size_t n)
+      : recs(n), ids(n, 0), match_of(n), pos(n) {}
+
+  /// Point the tables at this flush's recorders and map their new slots.
+  void attach(std::size_t m, CostReplay* rec);
+
+  std::vector<CostReplay*> recs;  // per scope member
+  std::vector<std::uint64_t> ids;  // recorder each match_of row maps
+  std::vector<Match> matches;      // one per distinct recorded group
+  // match_of[m][slot]: member m's group slot -> its matcher.
+  std::vector<std::vector<std::size_t>> match_of;
+  std::vector<std::size_t> pos;  // per member: next record to walk
+  std::vector<int> ready;        // members able to walk on
+};
+
+}  // namespace detail
 
 }  // namespace ca::collective

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <utility>
 
+#include "collective/cost_replay.hpp"
 #include "tensor/convert.hpp"
 
 namespace ca::collective {
@@ -15,6 +16,9 @@ constexpr std::int64_t kOmpMinElems = 1 << 16;
 /// Cache-friendly block for the reducing actions: the block stays L1-resident
 /// while every member's contribution is added to it.
 constexpr std::int64_t kReduceBlock = 2048;
+/// Entries of each member's price memo: a Table 3 layer issues at most six
+/// distinct (op, bytes) pairs on any one group.
+constexpr std::size_t kPriceMemo = 8;
 
 /// dst[0, n) = src[0, n), OpenMP-parallel for large n.
 void copy_elems(const float* src, float* dst, std::int64_t n) {
@@ -30,7 +34,7 @@ void copy_elems_scaled(const float* src, float* dst, std::int64_t n,
     copy_elems(src, dst, n);
     return;
   }
-#pragma omp parallel for simd schedule(static) if (n >= kOmpMinElems)
+#pragma omp parallel for simd schedule(static) if (parallel : n >= kOmpMinElems)
   for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] * scale;
 }
 
@@ -97,6 +101,8 @@ Group::Group(sim::Cluster& cluster, std::vector<int> ranks, std::string name,
   arena_.reserve(static_cast<std::size_t>(std::bit_ceil(
       static_cast<std::uint64_t>(std::max<std::size_t>(1024, ranks_.size() * 2048)))));
 }
+
+Group::~Group() = default;
 
 Group::PubToken Group::publish(int idx, const float* ptr, std::int64_t count,
                                double clock) {
@@ -187,24 +193,59 @@ Group::Priced Group::price(Op op, Algo algo, std::int64_t bytes,
                 bytes,
                 wire,
                 collective_time(op, algo, profile_, bytes),
+                collective_latency(op, algo, profile_, bytes),
                 bytes_sent_per_rank(op, size(), bytes)};
 }
 
-double Group::settle(int idx, double t_start, const Priced& p) {
+const Group::Priced& Group::priced(int idx, Op op, std::int64_t bytes,
+                                   tensor::Dtype wire) {
+  auto& me = members_[static_cast<std::size_t>(idx)];
+  // A price is a pure function of these four and the group's fixed profile,
+  // so a hit is exactly what recomputing would return.
+  const std::optional<Algo> forced = selector_.forced();
+  const auto hit = [&](const MemberState::Memo& m) {
+    return m.p.bytes == bytes && m.p.op == op && m.p.wire == wire &&
+           m.forced == forced;
+  };
+  // Streams repeat one (op, bytes) for a while: the last hit goes first.
+  if (me.memo_last < me.memo.size() && hit(me.memo[me.memo_last])) {
+    return me.memo[me.memo_last].p;
+  }
+  for (std::size_t i = 0; i < me.memo.size(); ++i) {
+    if (hit(me.memo[i])) {
+      me.memo_last = i;
+      return me.memo[i].p;
+    }
+  }
+  const Algo algo =
+      selector_.select(op, bytes, profile_, tensor::dtype_bytes(wire));
+  const MemberState::Memo fresh{price(op, algo, bytes, wire), forced};
+  if (me.memo.size() < kPriceMemo) {
+    me.memo_last = me.memo.size();
+    me.memo.push_back(fresh);
+  } else {
+    me.memo_last = me.memo_next;
+    me.memo[me.memo_next] = fresh;
+    me.memo_next = (me.memo_next + 1) % kPriceMemo;
+  }
+  return me.memo[me.memo_last].p;
+}
+
+double Group::settle(int idx, double t_start, const Priced& p,
+                     sim::Device& dev, const sim::FaultInjector* fi) {
   auto& me = members_[static_cast<std::size_t>(idx)];
   // Collectives on one group serialize on its comm lane: an op starts no
   // earlier than the previous one finished, even when both were issued
   // asynchronously (every member mirrors the same lane history).
   const double begin = std::max(t_start, me.lane_busy);
   double comm = p.predicted;
-  if (const sim::FaultInjector* fi = cluster_.fault_injector()) {
+  if (fi != nullptr) {
     // Link degradation stretches the op's bandwidth term; `begin` is the same
     // on every member, so all mirrors stay in lockstep.
     comm *= fi->link_slowdown(begin);
   }
   const double t_end = begin + comm;
   me.lane_busy = t_end;
-  auto& dev = cluster_.device(ranks_[static_cast<std::size_t>(idx)]);
   dev.add_bytes_sent(p.sent);
   if (obs::MetricsSink* mx = dev.metrics()) {
     // Like the trace emit below, this single point covers the whole comm
@@ -221,11 +262,9 @@ double Group::settle(int idx, double t_start, const Priced& p) {
     // through here, so this one emit point covers the whole comm plane.
     // t_issue is the op's logical start (issue-time clock for async ops);
     // alpha is the op's latency share: its hops x the per-hop latency.
-    tb->add(obs::TraceEvent{
-        name_ + "." + op_name(p.op), obs::Category::kComm, begin, t_end,
-        t_start, p.bytes, 0.0,
-        collective_latency(p.op, p.algo, profile_, p.bytes),
-        algo_name(p.algo), tensor::dtype_name(p.wire)});
+    tb->add(obs::TraceEvent{name_ + "." + op_name(p.op), obs::Category::kComm,
+                            begin, t_end, t_start, p.bytes, 0.0, p.latency,
+                            algo_name(p.algo), tensor::dtype_name(p.wire)});
   }
   return t_end;
 }
@@ -280,7 +319,8 @@ double Group::run_collective(int grank, Op op, const float* in,
   const std::int64_t bytes = modeled_bytes(op, n_in, n_out, size(), elem_bytes);
   // Deterministic across members: same op/bytes/plan and a shared policy, so
   // every member compiles the same schedule with the same barrier count.
-  const Algo algo = selector_.select(op, bytes, profile_, elem_bytes);
+  const Priced pr = priced(idx, op, bytes, wire);
+  const Algo algo = pr.algo;
 
   const sim::FaultInjector* fi = cluster_.fault_injector();
   // Fail-stop lands at collective *entry* — before publish, so every peer
@@ -385,7 +425,7 @@ double Group::run_collective(int grank, Op op, const float* in,
     }
   }
 
-  return settle(idx, tok.t_start, price(op, algo, sched.bytes, wire));
+  return settle(idx, tok.t_start, pr, cluster_.device(grank), fi);
 }
 
 // ---- blocking collectives ---------------------------------------------------
@@ -638,17 +678,15 @@ void Group::account(int grank, Op op, std::int64_t bytes) {
   flush(grank);
   const int idx = index_of(grank);
   auto& me = members_[static_cast<std::size_t>(idx)];
-  if (const sim::FaultInjector* fi = cluster_.fault_injector()) {
-    fi->check_alive(grank, cluster_.device(grank).clock());
-  }
+  sim::Device& dev = cluster_.device(grank);
+  const sim::FaultInjector* fi = cluster_.fault_injector();
+  if (fi != nullptr) fi->check_alive(grank, dev.clock());
   me.cur_op = op_name(op);
   me.cur_bytes = bytes;
-  const auto tok = publish(idx, nullptr, bytes,
-                           cluster_.device(grank).clock());
+  const auto tok = publish(idx, nullptr, bytes, dev.clock());
   // Same selector as the functional path, so the accounting twin charges
   // exactly what the matching data-moving call would.
-  cluster_.device(grank).set_clock(
-      settle(idx, tok.t_start, price_account(op, bytes)));
+  dev.set_clock(settle(idx, tok.t_start, priced(idx, op, bytes), dev, fi));
 }
 
 void Group::account_all_reduce(int grank, std::int64_t bytes) {

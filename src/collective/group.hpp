@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -23,6 +24,8 @@ class CostReplay;
 class Group;
 
 namespace detail {
+struct ReplayTables;  // cost_replay.hpp
+
 /// Completion record shared between a CollectiveHandle and the issuing
 /// group's deferred-op queue. Touched only by the owning member's thread
 /// (issue, execution inside a drain, and wait/test all happen there).
@@ -127,6 +130,7 @@ class Group {
 
   Group(const Group&) = delete;
   Group& operator=(const Group&) = delete;
+  ~Group();
 
   [[nodiscard]] const std::string& name() const { return name_; }
   /// The cluster this group communicates over (e.g. for reaching a member's
@@ -312,21 +316,28 @@ class Group {
     std::int64_t bytes;  ///< modeled payload (the span's bytes)
     tensor::Dtype wire;
     double predicted;    ///< pure cost-model seconds
+    double latency;      ///< its latency share: hops x alpha (the span's alpha)
     std::int64_t sent;   ///< interconnect bytes each member pushes
   };
   [[nodiscard]] Priced price(Op op, Algo algo, std::int64_t bytes,
-                             tensor::Dtype wire = tensor::Dtype::kF32) const;
-  /// The price an account_* call charges: the selector's pick at the
-  /// default element width, on an fp32 wire.
-  [[nodiscard]] Priced price_account(Op op, std::int64_t bytes) const {
-    return price(op, selector_.select(op, bytes, profile_), bytes);
-  }
+                             tensor::Dtype wire) const;
+  /// The price of `op` moving `bytes` on a `wire` wire, with the algorithm
+  /// the selector picks at that wire's element width (an account_* call
+  /// prices on the default fp32 wire). Memoized per member, so concurrent
+  /// callers each read their own memo: member `idx`'s, which only its own
+  /// thread touches — or, during a CostReplay flush, the evaluator while
+  /// every member waits in the flush. The reference is valid until the
+  /// member's next priced() call.
+  const Priced& priced(int idx, Op op, std::int64_t bytes,
+                       tensor::Dtype wire = tensor::Dtype::kF32);
 
-  /// Clock/byte accounting of member `idx`: start no earlier than the
-  /// group's comm-lane availability, advance the lane, charge
+  /// Clock/byte accounting of member `idx`, whose device is `dev`: start no
+  /// earlier than the group's comm-lane availability, stretch by the link
+  /// degradation of `fi` (nullptr: no faults), advance the lane, charge
   /// algorithm-aware bytes, emit the algorithm-tagged comm span, and return
   /// the op's completion time.
-  double settle(int idx, double t_start, const Priced& p);
+  double settle(int idx, double t_start, const Priced& p, sim::Device& dev,
+                const sim::FaultInjector* fi);
   void account(int grank, Op op, std::int64_t bytes);
 
   sim::Cluster& cluster_;
@@ -379,6 +390,17 @@ class Group {
     // has executed: steady-state steps replay cached schedules and allocate
     // nothing. Private per member, so no synchronization is needed.
     std::map<SchedKey, CommSchedule> schedules;
+    // priced()'s memo: up to kPriceMemo distinct prices, keyed by op, bytes,
+    // wire and the algorithm the policy forced (Backend's set_forced_algo
+    // may change it between ops). Grown on use, then overwritten round
+    // robin (memo_next); memo_last is the entry the last lookup returned.
+    struct Memo {
+      Priced p;
+      std::optional<Algo> forced;
+    };
+    std::vector<Memo> memo;
+    std::size_t memo_next = 0;
+    std::size_t memo_last = 0;
     // Half-wire pack staging, double-buffered by the same op parity as the
     // rendezvous slots: stage[seq & 1] holds this op's wire-rounded input
     // and is published in place of the user buffer. Safe under the parity
@@ -394,6 +416,10 @@ class Group {
   // disjoint ownership chunks during reduce/deposit phases, read-only during
   // copy-out phases, resized only inside ensure_arena's barrier pair.
   std::vector<float> arena_;
+
+  // The evaluator tables of CostReplay flushes scoped on this group, kept
+  // from one flush to the next (created by the first flush).
+  std::unique_ptr<detail::ReplayTables> replay_tables_;
 };
 
 }  // namespace ca::collective

@@ -76,7 +76,7 @@ void Sgd::step() {
       auto pvel = velocity_[i].data();
       const float mom = momentum_, lr = lr_;
       const auto n = static_cast<std::int64_t>(pv.size());
-#pragma omp parallel for simd schedule(static) if (n >= (1 << 14))
+#pragma omp parallel for simd schedule(static) if (parallel : n >= (1 << 14))
       for (std::int64_t e = 0; e < n; ++e) {
         const auto ii = static_cast<std::size_t>(e);
         const float vel = mom * pvel[ii] + pg[ii];
@@ -117,7 +117,8 @@ void Adam::update_range(std::size_t idx, std::int64_t begin, std::int64_t end) {
   const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t_));
   // Elementwise-independent, and update_range is only entered from a single
   // thread (Adam::step / HybridAdam::step), so the team parallelism is safe.
-#pragma omp parallel for simd schedule(static) if (end - begin >= (1 << 14))
+#pragma omp parallel for simd schedule(static) \
+    if (parallel : end - begin >= (1 << 14))
   for (std::int64_t i = begin; i < end; ++i) {
     const auto ii = static_cast<std::size_t>(i);
     float g = pg[ii];

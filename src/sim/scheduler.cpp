@@ -183,15 +183,20 @@ struct EhGlobals {
 #endif
 };
 
+/// A fiber stack: one mapping whose lowest page is a PROT_NONE guard and
+/// whose `usable` bytes above it are the stack.
+struct Stack {
+  void* base = nullptr;  // mmap base: the guard page
+  std::size_t usable = 0;
+};
+
 struct Fiber {
   Context ctx;
   EhGlobals eh;  // the fiber's exception state while it is switched out
   Pool* pool = nullptr;
   int rank = -1;
   const double* clock = nullptr;  // bound to obs::ThreadClock while running
-  void* map_base = nullptr;       // mmap base; guard page at the low end
-  std::size_t map_bytes = 0;
-  std::size_t usable = 0;  // writable stack bytes above the guard page
+  Stack stack;
   std::atomic<int> state{kReady};
   bool finished = false;
   Fiber* next = nullptr;          // TaskWaitQueue / free-list link
@@ -226,6 +231,75 @@ __attribute__((noinline)) Fiber*& tls_fiber() {
 
 void fiber_trampoline();
 
+/// Process-wide free list of fiber stacks. Mapping, guarding, faulting in
+/// and unmapping a stack per fiber cost more host time than an empty
+/// region's scheduling, so a finished fiber's stack goes back here and the
+/// next TaskScheduler::run reuses it, guard page and touched pages intact.
+/// Stacks match by exact size: CA_SIM_STACK_KB differs between clusters,
+/// and a stack must never serve a request larger than itself. At most
+/// kMaxStacks are kept (enough for a 1024-rank region); a release beyond
+/// that unmaps.
+class StackCache {
+ public:
+  static StackCache& instance() {
+    static StackCache cache;
+    return cache;
+  }
+
+  Stack acquire(std::size_t usable) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      // Newest first: back-to-back regions of one size hit the last entry.
+      for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
+        if (it->usable == usable) {
+          const Stack s = *it;
+          *it = free_.back();
+          free_.pop_back();
+          return s;
+        }
+      }
+    }
+    return map_stack(usable);
+  }
+
+  void release(const Stack& s) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (free_.size() < kMaxStacks) {
+        free_.push_back(s);
+        return;
+      }
+    }
+    munmap(s.base, s.usable + page_size());
+  }
+
+ private:
+  static constexpr std::size_t kMaxStacks = 1024;
+
+  static Stack map_stack(std::size_t usable) {
+    const std::size_t page = page_size();
+    const std::size_t total = usable + page;  // +1 guard page, kept PROT_NONE
+    void* base = mmap(nullptr, total, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (base == MAP_FAILED) {
+      throw std::runtime_error("TaskScheduler: fiber stack mmap failed");
+    }
+    if (mprotect(static_cast<char*>(base) + page, usable,
+                 PROT_READ | PROT_WRITE) != 0) {
+      munmap(base, total);
+      throw std::runtime_error("TaskScheduler: fiber stack mprotect failed");
+    }
+    return Stack{base, usable};
+  }
+
+  std::mutex mu_;
+  std::vector<Stack> free_;
+};
+
+char* stack_lo(const Stack& s) {
+  return static_cast<char*>(s.base) + page_size();
+}
+
 }  // namespace
 
 /// One TaskScheduler::run invocation: the worker threads, the ready deque,
@@ -247,10 +321,19 @@ class Pool {
         ready_.push_back(make_fiber(r, clock_of ? clock_of(r) : nullptr));
       }
     }
+    // The calling thread would only wait in join(), so it is one of the
+    // workers — unless it is itself a fiber, whose identity tls_fiber()
+    // must keep.
+    const bool caller_works = tls_fiber() == nullptr;
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(nworkers_));
-    for (int w = 0; w < nworkers_; ++w) {
+    for (int w = caller_works ? 1 : 0; w < nworkers_; ++w) {
       workers.emplace_back([this] { worker_loop(); });
+    }
+    if (caller_works) {
+      const double* clock = obs::ThreadClock::current();
+      worker_loop();
+      obs::ThreadClock::bind(clock);
     }
     for (auto& t : workers) t.join();
   }
@@ -283,30 +366,17 @@ class Pool {
  private:
   Fiber* make_fiber(int rank, const double* clock) {
     const std::size_t page = page_size();
-    const std::size_t usable = (stack_bytes_ + page - 1) / page * page;
-    const std::size_t total = usable + page;  // +1 guard page, kept PROT_NONE
-    void* base = mmap(nullptr, total, PROT_NONE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-    if (base == MAP_FAILED) {
-      throw std::runtime_error("TaskScheduler: fiber stack mmap failed");
-    }
-    if (mprotect(static_cast<char*>(base) + page, usable,
-                 PROT_READ | PROT_WRITE) != 0) {
-      munmap(base, total);
-      throw std::runtime_error("TaskScheduler: fiber stack mprotect failed");
-    }
+    const Stack stack =
+        StackCache::instance().acquire((stack_bytes_ + page - 1) / page * page);
     auto* f = new Fiber;
     f->pool = this;
     f->rank = rank;
     f->clock = clock;
-    f->map_base = base;
-    f->map_bytes = total;
-    f->usable = usable;
+    f->stack = stack;
 #ifdef CA_TSAN_FIBERS
     f->tsan_fiber = __tsan_create_fiber(0);
 #endif
-    init_context(f->ctx, static_cast<char*>(base) + page, usable,
-                 &fiber_trampoline);
+    init_context(f->ctx, stack_lo(stack), stack.usable, &fiber_trampoline);
     return f;
   }
 
@@ -316,11 +386,10 @@ class Pool {
 #endif
 #ifdef CA_ASAN_FIBERS
     // The fiber's last frames never returned, so their redzones are still
-    // poisoned; clear them before the range can be mapped again.
-    __asan_unpoison_memory_region(static_cast<char*>(f->map_base) + page_size(),
-                                  f->usable);
+    // poisoned; clear them before the next fiber runs on this stack.
+    __asan_unpoison_memory_region(stack_lo(f->stack), f->stack.usable);
 #endif
-    munmap(f->map_base, f->map_bytes);
+    StackCache::instance().release(f->stack);
     delete f;
   }
 
@@ -356,9 +425,8 @@ class Pool {
 #endif
 #ifdef CA_ASAN_FIBERS
     void* worker_fake = nullptr;
-    __sanitizer_start_switch_fiber(
-        &worker_fake, static_cast<char*>(f->map_base) + page_size(),
-        f->usable);
+    __sanitizer_start_switch_fiber(&worker_fake, stack_lo(f->stack),
+                                   f->stack.usable);
 #endif
     switch_context(worker_ctx, f->ctx);
 #ifdef CA_ASAN_FIBERS

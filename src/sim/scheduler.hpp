@@ -49,9 +49,10 @@ class TaskWaitQueue {
 
 /// The run-to-blocking-point fiber scheduler behind SimBackend::kTasks.
 /// `run` turns each rank into a stackful fiber (mmap'd stack, guard page at
-/// the low end; switched by a register-only asm routine on x86-64 and by
-/// swapcontext elsewhere) and drives all of them on a fixed pool of worker
-/// threads;
+/// the low end, kept on a process-wide free list for the next run; switched
+/// by a register-only asm routine on x86-64 and by swapcontext elsewhere)
+/// and drives all of them on a fixed pool of worker threads, the calling
+/// thread among them;
 /// a fiber that blocks parks itself on a TaskWaitQueue via SimCv and the
 /// worker picks up the next ready fiber. Wake-ups use a three-state handshake
 /// (running / parked / ready) so a notifier racing the fiber's switch-out can

@@ -15,12 +15,12 @@ constexpr std::int64_t kOmpMinElems = 1 << 16;
 }  // namespace
 
 void round_trip_f16(const float* src, float* dst, std::int64_t n) {
-#pragma omp parallel for simd if (n >= kOmpMinElems) schedule(static)
+#pragma omp parallel for simd if (parallel : n >= kOmpMinElems) schedule(static)
   for (std::int64_t i = 0; i < n; ++i) dst[i] = fp16_round_trip(src[i]);
 }
 
 void round_trip_bf16(const float* src, float* dst, std::int64_t n) {
-#pragma omp parallel for simd if (n >= kOmpMinElems) schedule(static)
+#pragma omp parallel for simd if (parallel : n >= kOmpMinElems) schedule(static)
   for (std::int64_t i = 0; i < n; ++i) dst[i] = bf16_round_trip(src[i]);
 }
 

@@ -54,7 +54,10 @@ t::Tensor& ShardedTensor::gather() {
   assert(state_ == TensorState::kHold);
   t::Tensor wire(t::Shape{padded_shard_ * group_.size()});
   group_.all_gather(grank_, shard_.data(), wire.data());
-  gathered_ = t::narrow(wire, 0, 0, full_numel_).reshape(full_shape_);
+  // Unpadded, the wire buffer is the full tensor; only a ragged tail needs
+  // the copy that trims it.
+  if (wire.numel() != full_numel_) wire = t::narrow(wire, 0, 0, full_numel_);
+  gathered_ = wire.reshape(full_shape_);
   fire(TensorState::kCompute);
   return gathered_;
 }

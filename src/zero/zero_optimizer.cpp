@@ -64,9 +64,11 @@ void ZeroOptimizer::gather_params() {
       mx->counter("zero.gather_bytes")
           .inc(shards_[i].padded * group_.size() * 4);
     }
-    params_[i]->value = shards_[i].sharded->gather().clone();
+    // A fresh buffer per gather, and release() drops only the sharded
+    // tensor's handle: the parameter takes the storage over, uncopied.
+    params_[i]->value = shards_[i].sharded->gather();
     params_[i]->grad = t::Tensor(shards_[i].sharded->full_shape(), 0.0f);
-    shards_[i].sharded->release();  // the wire buffer itself is not kept
+    shards_[i].sharded->release();
   }
 }
 
@@ -120,7 +122,7 @@ void ZeroOptimizer::step() {
   struct GradInFlight {
     std::size_t i = 0;
     t::Tensor grad_shard;
-    t::Tensor wire;  // stage 2/3 padded input; alive until the wait
+    t::Tensor wire;  // stage 2/3 input (the grad or its padded copy)
     collective::CollectiveHandle h;
   };
   struct GatherInFlight {
@@ -192,11 +194,15 @@ void ZeroOptimizer::step() {
     if (stage_ == 1) {
       pg.h = group_.all_reduce_async(env_.grank, p.grad.data(), avg, wire_);
     } else {
-      // pad the full gradient onto the wire and reduce-scatter
-      pg.wire = t::Tensor(t::Shape{s.padded * world}, 0.0f);
-      auto src = p.grad.data();
-      auto dst = pg.wire.data();
-      std::copy(src.begin(), src.end(), dst.begin());
+      // Reduce-scatter the full gradient; only a ragged tail needs a
+      // zero-padded copy to make equal chunks.
+      if (p.grad.numel() == s.padded * world) {
+        pg.wire = p.grad;
+      } else {
+        pg.wire = t::Tensor(t::Shape{s.padded * world}, 0.0f);
+        auto src = p.grad.data();
+        std::copy(src.begin(), src.end(), pg.wire.data().begin());
+      }
       pg.h = group_.reduce_scatter_async(env_.grank, pg.wire.data(),
                                          pg.grad_shard.data(), avg, wire_);
     }

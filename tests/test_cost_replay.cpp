@@ -446,6 +446,70 @@ TEST(CostReplay, FaultsExecuteLive) {
   EXPECT_EQ(run(true, true), live);
 }
 
+TEST(CostReplay, MemoizedPricesFollowForcedAlgoAndWire) {
+  // Four ops of one size per region: a replayed and a live account_*
+  // all-reduce, and data-moving ones on an fp32 and a bf16 wire (twice the
+  // elements, so the same bytes). Between the regions the backend forces
+  // single-root, so every op of the second region must be re-priced.
+  constexpr std::int64_t kBytes = 256 << 10;
+  sim::Cluster cluster(sim::Topology::system_iv(16));
+  cluster.enable_tracing();
+  col::Backend be(cluster);
+  col::Group& world = be.world();
+  auto region = [&] {
+    cluster.run([&](int r) {
+      col::CostReplay rp(world, r);
+      rp.collective(world, Op::kAllReduce, kBytes);
+      rp.flush();
+      world.account_all_reduce(r, kBytes);
+      std::vector<float> f32(kBytes / 4, 1.0f);
+      world.all_reduce(r, f32);
+      std::vector<float> bf16(kBytes / 2, 1.0f);
+      world.all_reduce(r, bf16, 1.0f, ca::tensor::Dtype::kBF16);
+    });
+  };
+  region();
+  be.set_forced_algo(col::Algo::kSingleRoot);
+  region();
+  be.set_forced_algo(std::nullopt);
+
+  struct Want {
+    col::Algo algo;
+    const char* dtype;
+  };
+  const col::Algo auto_f32 = world.algo_for(Op::kAllReduce, kBytes, 4);
+  const col::Algo auto_bf16 = world.algo_for(Op::kAllReduce, kBytes, 2);
+  ASSERT_NE(auto_f32, col::Algo::kSingleRoot);
+  const Want want[] = {{auto_f32, "f32"},
+                       {auto_f32, "f32"},
+                       {auto_f32, "f32"},
+                       {auto_bf16, "bf16"},
+                       {col::Algo::kSingleRoot, "f32"},
+                       {col::Algo::kSingleRoot, "f32"},
+                       {col::Algo::kSingleRoot, "f32"},
+                       {col::Algo::kSingleRoot, "bf16"}};
+  for (int r = 0; r < cluster.world_size(); ++r) {
+    std::vector<obs::TraceEvent> comm;
+    for (const obs::TraceEvent& e : cluster.tracer()->rank(r).events()) {
+      if (e.cat == obs::Category::kComm) comm.push_back(e);
+    }
+    ASSERT_EQ(comm.size(), std::size(want)) << "rank " << r;
+    for (std::size_t i = 0; i < comm.size(); ++i) {
+      SCOPED_TRACE("rank " + std::to_string(r) + " op " + std::to_string(i));
+      EXPECT_EQ(comm[i].name, "world.all_reduce");
+      EXPECT_EQ(comm[i].bytes, kBytes);
+      EXPECT_EQ(comm[i].algo, col::algo_name(want[i].algo));
+      EXPECT_EQ(comm[i].dtype, want[i].dtype);
+      EXPECT_DOUBLE_EQ(comm[i].t1 - comm[i].t0,
+                       col::collective_time(Op::kAllReduce, want[i].algo,
+                                            world.cost_profile(), kBytes));
+      EXPECT_EQ(comm[i].alpha,
+                col::collective_latency(Op::kAllReduce, want[i].algo,
+                                        world.cost_profile(), kBytes));
+    }
+  }
+}
+
 // ---- broken programs ------------------------------------------------------
 
 TEST(CostReplay, AsymmetricBytesNameGroupOpAndWaiters) {

@@ -2,23 +2,32 @@
 // tasks backend must be observationally identical to the thread-per-rank
 // oracle — bit-identical losses, simulated clocks, interconnect bytes, and
 // trace summaries — across world sizes, worker counts, and fault scenarios,
-// plus a 1024-rank smoke test with a wall-time ceiling and the knob-parsing
-// surface (CA_SIM_BACKEND / CA_SIM_WORKERS / sim.backend / sim.workers).
+// plus a 1024-rank smoke test with a wall-time ceiling, fiber stacks reused
+// across back-to-back regions (clocks unchanged, guard pages kept), and the
+// knob-parsing surface (CA_SIM_BACKEND / CA_SIM_WORKERS / sim.backend /
+// sim.workers).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "collective/backend.hpp"
+#include "collective/cost_replay.hpp"
 #include "collective/p2p.hpp"
 #include "core/launch.hpp"
 #include "obs/report.hpp"
@@ -355,6 +364,147 @@ TEST(BackendScale, Smoke1024RankAllReduceUnderWallCeiling) {
   }
   EXPECT_GT(cluster.max_clock(), 0.0);
   EXPECT_LT(wall, 30.0) << "1024-rank all-reduce took " << wall << " s";
+}
+
+// ---- fiber stacks across regions ---------------------------------------------
+
+namespace {
+
+/// One line of /proc/self/maps: [lo, hi) with its permission string.
+struct Vma {
+  std::uintptr_t lo = 0;
+  std::uintptr_t hi = 0;
+  std::string perms;
+};
+
+std::vector<Vma> read_maps() {
+  std::ifstream in("/proc/self/maps");
+  std::vector<Vma> out;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    Vma v;
+    char dash = 0;
+    ls >> std::hex >> v.lo >> dash >> v.hi >> v.perms;
+    out.push_back(v);
+  }
+  return out;
+}
+
+/// A small cost-only program: rank-skewed compute, a live account_* op and
+/// a cost-replay flush, so the region's clocks depend on every rank.
+void cost_program(sim::Cluster& cluster, col::Backend& be, int r) {
+  cluster.device(r).advance_clock(1e-6 * static_cast<double>(r + 1));
+  be.world().account_all_reduce(r, 1 << 20);
+  col::CostReplay rp(be.world(), r);
+  rp.compute(1e9 * static_cast<double>(1 + r % 3));
+  rp.collective(be.world(), col::Op::kAllGather, 64 << 10);
+  rp.flush();
+}
+
+std::vector<double> cost_program_clocks(int world, sim::SimBackend backend,
+                                        int workers,
+                                        std::vector<std::uintptr_t>* frames) {
+  sim::Cluster cluster(sim::Topology::system_iv(world));
+  cluster.set_backend(backend);
+  cluster.set_workers(workers);
+  col::Backend be(cluster);
+  cluster.run([&](int r) {
+    if (frames != nullptr) {
+      (*frames)[static_cast<std::size_t>(r)] =
+          reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+    }
+    cost_program(cluster, be, r);
+  });
+  std::vector<double> clocks;
+  for (int r = 0; r < world; ++r) clocks.push_back(cluster.device(r).clock());
+  return clocks;
+}
+
+/// Recurse until the stack runs out, touching 1 KiB of it per frame.
+[[gnu::noinline]] int exhaust_stack(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == std::numeric_limits<int>::max()) return frame[0];
+  return exhaust_stack(depth + 1) + frame[0];
+}
+
+}  // namespace
+
+TEST(BackendStacks, BackToBackRegionsReuseGuardedStacksBitwise) {
+  // Fiber stacks outlive a region: the next region of the same stack size
+  // runs on the same mappings, a different size never gets them, and every
+  // stack keeps its PROT_NONE guard page directly below it.
+  struct Region {
+    int world;
+    int workers;
+    const char* stack_kb;
+  };
+  constexpr Region kRegions[] = {
+      {16, 1, "128"}, {16, 3, "128"}, {8, 2, "256"}, {16, 0, "128"},
+      {12, 1, "256"}};
+  std::set<std::uintptr_t> first_stacks;
+  for (const Region& rg : kRegions) {
+    const std::string label = "world " + std::to_string(rg.world) +
+                              " workers " + std::to_string(rg.workers) +
+                              " stack " + rg.stack_kb + " KiB";
+    ScopedEnv kb("CA_SIM_STACK_KB", rg.stack_kb);
+    std::vector<std::uintptr_t> frames(static_cast<std::size_t>(rg.world));
+    const std::vector<double> got = cost_program_clocks(
+        rg.world, sim::SimBackend::kTasks, rg.workers, &frames);
+    const std::vector<double> want = cost_program_clocks(
+        rg.world, sim::SimBackend::kThreads, 0, nullptr);
+    for (int r = 0; r < rg.world; ++r) {
+      EXPECT_EQ(got[static_cast<std::size_t>(r)],
+                want[static_cast<std::size_t>(r)])
+          << label << " rank " << r;
+    }
+
+    const std::vector<Vma> maps = read_maps();
+    const std::uintptr_t want_bytes =
+        static_cast<std::uintptr_t>(std::stoi(rg.stack_kb)) << 10;
+    std::set<std::uintptr_t> stacks;
+    for (const std::uintptr_t fp : frames) {
+      const auto stack = std::find_if(maps.begin(), maps.end(), [&](auto& v) {
+        return v.lo <= fp && fp < v.hi;
+      });
+      ASSERT_NE(stack, maps.end()) << label;
+      EXPECT_EQ(stack->perms, "rw-p") << label;
+      EXPECT_GE(stack->hi - stack->lo, want_bytes) << label;
+      const auto guard = std::find_if(maps.begin(), maps.end(), [&](auto& v) {
+        return v.hi == stack->lo;
+      });
+      ASSERT_NE(guard, maps.end()) << label << ": nothing mapped below stack";
+      EXPECT_EQ(guard->perms, "---p") << label;
+      stacks.insert(stack->lo);
+    }
+    if (first_stacks.empty()) {
+      first_stacks = stacks;
+    } else if (std::string(rg.stack_kb) == kRegions[0].stack_kb) {
+      EXPECT_EQ(stacks, first_stacks) << label << ": stacks not reused";
+    } else {
+      for (const std::uintptr_t lo : stacks) {
+        EXPECT_EQ(first_stacks.count(lo), 0u) << label << ": smaller stack";
+      }
+    }
+  }
+}
+
+TEST(BackendStacksDeathTest, ReusedStackTrapsPastItsGuardPage) {
+  // Re-executed in a fresh process, so the first region below is what puts
+  // the stacks in the free list and the second overflows a reused one.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ScopedEnv kb("CA_SIM_STACK_KB", "128");
+  const auto overflow_reused_stack = [] {
+    sim::Cluster cluster(sim::Topology::uniform(4, 100e9));
+    cluster.set_backend(sim::SimBackend::kTasks);
+    cluster.set_workers(1);
+    cluster.run([](int) {});
+    cluster.run([](int r) {
+      if (r == 2) (void)exhaust_stack(0);
+    });
+  };
+  EXPECT_DEATH(overflow_reused_stack(), "");
 }
 
 // ---- knobs ------------------------------------------------------------------

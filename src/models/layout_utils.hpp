@@ -35,6 +35,42 @@ inline tensor::Tensor reassemble_blocks(
   return full;
 }
 
+/// Mean-pool (b, s, h) tokens over the sequence into (b, h), dividing by
+/// `full_seq`: a rank holding a sub-sequence gets its partial of the mean.
+inline tensor::Tensor mean_pool(const tensor::Tensor& tokens,
+                                std::int64_t full_seq) {
+  namespace t = ca::tensor;
+  const std::int64_t b = tokens.dim(0), s = tokens.dim(1), h = tokens.dim(2);
+  t::Tensor pooled(t::Shape{b, h}, 0.0f);
+  auto pt = tokens.data();
+  auto pp = pooled.data();
+  for (std::int64_t bi = 0; bi < b; ++bi)
+    for (std::int64_t si = 0; si < s; ++si)
+      for (std::int64_t c = 0; c < h; ++c)
+        pp[static_cast<std::size_t>(bi * h + c)] +=
+            pt[static_cast<std::size_t>((bi * s + si) * h + c)];
+  t::scale_(pooled, 1.0f / static_cast<float>(full_seq));
+  return pooled;
+}
+
+/// mean_pool's backward: every one of the `s` local tokens gets
+/// dpooled / full_seq.
+inline tensor::Tensor unpool(const tensor::Tensor& dpooled, std::int64_t s,
+                             std::int64_t full_seq) {
+  namespace t = ca::tensor;
+  const std::int64_t b = dpooled.dim(0), h = dpooled.dim(1);
+  t::Tensor dtokens(t::Shape{b, s, h});
+  auto pd = dtokens.data();
+  auto pp = dpooled.data();
+  const float inv = 1.0f / static_cast<float>(full_seq);
+  for (std::int64_t bi = 0; bi < b; ++bi)
+    for (std::int64_t si = 0; si < s; ++si)
+      for (std::int64_t c = 0; c < h; ++c)
+        pd[static_cast<std::size_t>((bi * s + si) * h + c)] =
+            pp[static_cast<std::size_t>(bi * h + c)] * inv;
+  return dtokens;
+}
+
 /// Gather per-rank 2-d (batch, classes) logits blocks of `mode`'s output
 /// layout into the full matrix, replicated on every rank of the tensor group.
 inline tensor::Tensor gather_logits(const tp::Env& env, core::TpMode mode,

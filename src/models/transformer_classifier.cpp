@@ -11,40 +11,6 @@ namespace ca::models {
 
 namespace t = ca::tensor;
 
-namespace {
-
-/// Mean-pool (b, s, h_local) -> (b, h_local); dy broadcast back over s.
-t::Tensor mean_pool(const t::Tensor& tokens, std::int64_t full_seq) {
-  const std::int64_t b = tokens.dim(0), s = tokens.dim(1), h = tokens.dim(2);
-  t::Tensor pooled(t::Shape{b, h}, 0.0f);
-  auto pt = tokens.data();
-  auto pp = pooled.data();
-  for (std::int64_t bi = 0; bi < b; ++bi)
-    for (std::int64_t si = 0; si < s; ++si)
-      for (std::int64_t c = 0; c < h; ++c)
-        pp[static_cast<std::size_t>(bi * h + c)] +=
-            pt[static_cast<std::size_t>((bi * s + si) * h + c)];
-  t::scale_(pooled, 1.0f / static_cast<float>(full_seq));
-  return pooled;
-}
-
-t::Tensor unpool(const t::Tensor& dpooled, std::int64_t s,
-                 std::int64_t full_seq) {
-  const std::int64_t b = dpooled.dim(0), h = dpooled.dim(1);
-  t::Tensor dtokens(t::Shape{b, s, h});
-  auto pd = dtokens.data();
-  auto pp = dpooled.data();
-  const float inv = 1.0f / static_cast<float>(full_seq);
-  for (std::int64_t bi = 0; bi < b; ++bi)
-    for (std::int64_t si = 0; si < s; ++si)
-      for (std::int64_t c = 0; c < h; ++c)
-        pd[static_cast<std::size_t>((bi * s + si) * h + c)] =
-            pp[static_cast<std::size_t>(bi * h + c)] * inv;
-  return dtokens;
-}
-
-}  // namespace
-
 struct TransformerClassifier::Impl {
   Config cfg;
   core::TpMode mode = core::TpMode::kNone;
@@ -95,12 +61,12 @@ struct TransformerClassifier::Impl {
       h = embed->forward(x);
     }
     for (auto& blk : blocks) h = blk->forward(h);
-    return head->forward(mean_pool(h, cfg.patches));
+    return head->forward(detail::mean_pool(h, cfg.patches));
   }
 
   void backward(const t::Tensor& dlogits_local) {
     const std::int64_t s = saved_local_seq;
-    auto g = unpool(head->backward(dlogits_local), s, cfg.patches);
+    auto g = detail::unpool(head->backward(dlogits_local), s, cfg.patches);
     for (auto it = blocks.rbegin(); it != blocks.rend(); ++it)
       g = (*it)->backward(g);
     if (mode == core::TpMode::k3d) {

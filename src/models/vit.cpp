@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "models/layout_utils.hpp"
 #include "sp/ring_attention.hpp"
 #include "tp/comm_helpers.hpp"
 #include "tp/linear1d.hpp"
@@ -69,16 +70,7 @@ t::Tensor VitClassifier::logits(const t::Tensor& x) {
   saved_tokens_ = final_ln_->forward(h);
 
   // mean-pool over the (full) sequence; SP ranks hold partial sums
-  const std::int64_t b = saved_tokens_.dim(0), sc = saved_tokens_.dim(1);
-  t::Tensor pooled(t::Shape{b, cfg_.hidden}, 0.0f);
-  auto pt = saved_tokens_.data();
-  auto pp = pooled.data();
-  for (std::int64_t bi = 0; bi < b; ++bi)
-    for (std::int64_t si = 0; si < sc; ++si)
-      for (std::int64_t c = 0; c < cfg_.hidden; ++c)
-        pp[static_cast<std::size_t>(bi * cfg_.hidden + c)] +=
-            pt[static_cast<std::size_t>((bi * sc + si) * cfg_.hidden + c)];
-  t::scale_(pooled, 1.0f / static_cast<float>(cfg_.patches));
+  auto pooled = detail::mean_pool(saved_tokens_, cfg_.patches);
   if (mode_ == Mode::kSequence) {
     auto& g = env_->ctx->sequence_group(env_->grank);
     // sum the partial means over the configured wire dtype
@@ -95,16 +87,7 @@ float VitClassifier::train_batch(const t::Tensor& x,
 
   auto dpooled = head_->backward(dl);  // (b, h), replicated in every mode
   // mean-pool backward: every (local) token gets dpooled / patches
-  const std::int64_t b = saved_tokens_.dim(0), sc = saved_tokens_.dim(1);
-  t::Tensor dtokens(saved_tokens_.shape());
-  auto pd = dtokens.data();
-  auto pq = dpooled.data();
-  const float inv = 1.0f / static_cast<float>(cfg_.patches);
-  for (std::int64_t bi = 0; bi < b; ++bi)
-    for (std::int64_t si = 0; si < sc; ++si)
-      for (std::int64_t c = 0; c < cfg_.hidden; ++c)
-        pd[static_cast<std::size_t>((bi * sc + si) * cfg_.hidden + c)] =
-            pq[static_cast<std::size_t>(bi * cfg_.hidden + c)] * inv;
+  auto dtokens = detail::unpool(dpooled, saved_tokens_.dim(1), cfg_.patches);
 
   auto g = final_ln_->backward(dtokens);
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)

@@ -175,60 +175,65 @@ t::Tensor merge_heads(const t::Tensor& x, std::int64_t heads) {
   return out;
 }
 
+Qkv split_qkv(const t::Tensor& qkv, std::int64_t heads) {
+  return {split_heads(t::chunk(qkv, -1, 3, 0), heads),
+          split_heads(t::chunk(qkv, -1, 3, 1), heads),
+          split_heads(t::chunk(qkv, -1, 3, 2), heads)};
+}
+
+t::Tensor merge_qkv(const Qkv& d, std::int64_t heads) {
+  return t::cat(std::vector<t::Tensor>{merge_heads(d.q, heads),
+                                       merge_heads(d.k, heads),
+                                       merge_heads(d.v, heads)},
+                -1);
+}
+
+// ---- AttentionCore --------------------------------------------------------------
+
+namespace {
+float attention_scale(const t::Tensor& q) {
+  return 1.0f / std::sqrt(static_cast<float>(q.dim(-1)));
+}
+}  // namespace
+
+t::Tensor AttentionCore::forward(Qkv qkv) {
+  saved_ = std::move(qkv);
+  auto scores = t::bmm_nt(saved_.q, saved_.k);  // (B, sq, skv)
+  probs_ = t::softmax_lastdim_scaled(scores, attention_scale(saved_.q));
+  return t::bmm(probs_, saved_.v);  // (B, sq, d)
+}
+
+Qkv AttentionCore::backward(const t::Tensor& dctx) {
+  // ctx = probs @ v
+  auto dprobs = t::bmm_nt(dctx, saved_.v);
+  auto dv = t::bmm_tn(probs_, dctx);
+  auto dscores =
+      t::softmax_backward_scaled(probs_, dprobs, attention_scale(saved_.q));
+  // scores = q @ k^T
+  auto dq = t::bmm(dscores, saved_.k);
+  auto dk = t::bmm_tn(dscores, saved_.q);
+  return {std::move(dq), std::move(dk), std::move(dv)};
+}
+
 // ---- MultiHeadAttention ---------------------------------------------------------
 
 MultiHeadAttention::MultiHeadAttention(std::string name, std::int64_t hidden,
                                        std::int64_t heads, std::uint64_t seed)
-    : hidden_(hidden),
-      heads_(heads),
-      head_dim_(hidden / heads),
+    : heads_(heads),
       qkv_(name + ".qkv", hidden, 3 * hidden, seed),
       proj_(name + ".proj", hidden, hidden, seed + 1) {
   assert(hidden % heads == 0);
 }
 
 t::Tensor MultiHeadAttention::forward(const t::Tensor& x) {
-  assert(x.ndim() == 3 && x.dim(2) == hidden_);
-  const std::int64_t b = x.dim(0), s = x.dim(1);
-  saved_batch_ = b;
-  saved_seq_ = s;
-
-  auto qkv = qkv_.forward(x);  // (b, s, 3h)
-  auto q = t::chunk(qkv, -1, 3, 0);
-  auto k = t::chunk(qkv, -1, 3, 1);
-  auto v = t::chunk(qkv, -1, 3, 2);
-  saved_q_ = split_heads(q, heads_);  // (b*heads, s, d)
-  saved_k_ = split_heads(k, heads_);
-  saved_v_ = split_heads(v, heads_);
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto scores = t::bmm_nt(saved_q_, saved_k_);  // (b*heads, s, s)
-  saved_attn_ = t::softmax_lastdim_scaled(scores, scale);
-  auto ctx = t::bmm(saved_attn_, saved_v_);  // (b*heads, s, d)
-  auto merged = merge_heads(ctx, heads_);    // (b, s, h)
-  return proj_.forward(merged);
+  assert(x.ndim() == 3 && x.dim(2) == qkv_.in_features());
+  auto ctx = core_.forward(split_qkv(qkv_.forward(x), heads_));
+  return proj_.forward(merge_heads(ctx, heads_));
 }
 
 t::Tensor MultiHeadAttention::backward(const t::Tensor& dy) {
-  auto dmerged = proj_.backward(dy);             // (b, s, h)
-  auto dctx = split_heads(dmerged, heads_);      // (b*heads, s, d)
-
-  // ctx = attn @ v
-  auto dattn = t::bmm_nt(dctx, saved_v_);        // (b*heads, s, s)
-  auto dv = t::bmm_tn(saved_attn_, dctx);        // (b*heads, s, d)
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto dscores = t::softmax_backward_scaled(saved_attn_, dattn, scale);
-
-  // scores = q @ k^T
-  auto dq = t::bmm(dscores, saved_k_);           // (b*heads, s, d)
-  auto dk = t::bmm_tn(dscores, saved_q_);        // (b*heads, s, d)
-
-  auto dq_m = merge_heads(dq, heads_);
-  auto dk_m = merge_heads(dk, heads_);
-  auto dv_m = merge_heads(dv, heads_);
-  auto dqkv = t::cat(std::vector<t::Tensor>{dq_m, dk_m, dv_m}, -1);  // (b, s, 3h)
-  assert(dqkv.dim(0) == saved_batch_ && dqkv.dim(1) == saved_seq_);
-  return qkv_.backward(dqkv);
+  auto dctx = split_heads(proj_.backward(dy), heads_);
+  return qkv_.backward(merge_qkv(core_.backward(dctx), heads_));
 }
 
 void MultiHeadAttention::collect_parameters(std::vector<Parameter*>& out) {
@@ -256,32 +261,36 @@ void Mlp::collect_parameters(std::vector<Parameter*>& out) {
   fc2_.collect_parameters(out);
 }
 
-// ---- TransformerBlock ------------------------------------------------------------
+// ---- PreLNBlock ------------------------------------------------------------------
+
+t::Tensor PreLNBlock::forward(const t::Tensor& x) {
+  auto& p = parts_;
+  auto h = t::add(x, p.attn->forward(p.ln1->forward(x)));
+  return t::add(h, p.mlp->forward(p.ln2->forward(h)));
+}
+
+t::Tensor PreLNBlock::backward(const t::Tensor& dy) {
+  auto& p = parts_;
+  // y = h + mlp(ln2(h)); dy flows both through the residual and the branch
+  auto dh = t::add(dy, p.ln2->backward(p.mlp->backward(dy)));
+  return t::add(dh, p.ln1->backward(p.attn->backward(dh)));
+}
+
+void PreLNBlock::collect_parameters(std::vector<Parameter*>& out) {
+  for (Module* m : {parts_.ln1.get(), parts_.attn.get(), parts_.ln2.get(),
+                    parts_.mlp.get()}) {
+    m->collect_parameters(out);
+  }
+}
 
 TransformerBlock::TransformerBlock(std::string name, std::int64_t hidden,
                                    std::int64_t heads, std::int64_t ffn_hidden,
                                    std::uint64_t seed)
-    : ln1_(name + ".ln1", hidden),
-      attn_(name + ".attn", hidden, heads, seed),
-      ln2_(name + ".ln2", hidden),
-      mlp_(name + ".mlp", hidden, ffn_hidden, seed + 100) {}
-
-t::Tensor TransformerBlock::forward(const t::Tensor& x) {
-  auto h = t::add(x, attn_.forward(ln1_.forward(x)));
-  return t::add(h, mlp_.forward(ln2_.forward(h)));
-}
-
-t::Tensor TransformerBlock::backward(const t::Tensor& dy) {
-  // y = h + mlp(ln2(h)); dy flows both through the residual and the branch
-  auto dh = t::add(dy, ln2_.backward(mlp_.backward(dy)));
-  return t::add(dh, ln1_.backward(attn_.backward(dh)));
-}
-
-void TransformerBlock::collect_parameters(std::vector<Parameter*>& out) {
-  ln1_.collect_parameters(out);
-  attn_.collect_parameters(out);
-  ln2_.collect_parameters(out);
-  mlp_.collect_parameters(out);
-}
+    : PreLNBlock({std::make_unique<LayerNorm>(name + ".ln1", hidden),
+                  std::make_unique<MultiHeadAttention>(name + ".attn", hidden,
+                                                       heads, seed),
+                  std::make_unique<LayerNorm>(name + ".ln2", hidden),
+                  std::make_unique<Mlp>(name + ".mlp", hidden, ffn_hidden,
+                                        seed + 100)}) {}
 
 }  // namespace ca::nn

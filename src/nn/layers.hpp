@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 
 #include "nn/module.hpp"
@@ -103,6 +104,41 @@ class Embedding {
   std::vector<std::int64_t> saved_ids_;
 };
 
+/// Head-split fused-projection pieces: q, k and v (or their gradients),
+/// each (batch*heads, seq, head_dim).
+struct Qkv {
+  tensor::Tensor q, k, v;
+};
+
+/// (b, s, h) -> (b*heads, s, h/heads): split the hidden dim into heads and
+/// move the head axis next to batch.
+tensor::Tensor split_heads(const tensor::Tensor& x, std::int64_t heads);
+/// Inverse of split_heads.
+tensor::Tensor merge_heads(const tensor::Tensor& x, std::int64_t heads);
+/// Split a fused (b, s, 3w) "[q|k|v]" projection into head-split q, k, v.
+Qkv split_qkv(const tensor::Tensor& qkv, std::int64_t heads);
+/// Inverse of split_qkv: merge dq, dk, dv back into one (b, s, 3w) "[q|k|v]".
+tensor::Tensor merge_qkv(const Qkv& d, std::int64_t heads);
+
+/// The scaled-dot-product core every attention layout shares:
+/// ctx = softmax(q k^T / sqrt(head_dim)) v over head-split tensors, and its
+/// mirrored backward. q is (B, sq, d); k and v are (B, skv, d), so sequence
+/// parallelism passes its local q against the ring-collected full K/V.
+/// Charges no simulated compute: callers price their own layout.
+class AttentionCore {
+ public:
+  /// Saves q, k, v and the probabilities; returns ctx (B, sq, d).
+  tensor::Tensor forward(Qkv qkv);
+  /// dctx (B, sq, d) -> dq (B, sq, d), dk and dv (B, skv, d).
+  Qkv backward(const tensor::Tensor& dctx);
+  /// The post-softmax probabilities (B, sq, skv) of the last forward.
+  [[nodiscard]] const tensor::Tensor& probs() const { return probs_; }
+
+ private:
+  Qkv saved_;
+  tensor::Tensor probs_;
+};
+
 /// Multi-head self-attention for input (batch, seq, hidden). Fused QKV
 /// projection followed by per-head scaled dot-product attention and an
 /// output projection — one Transformer sublayer of Figure 2.
@@ -116,13 +152,10 @@ class MultiHeadAttention : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
-  std::int64_t hidden_, heads_, head_dim_;
+  std::int64_t heads_;
   Linear qkv_;
   Linear proj_;
-  // saved activations (shapes noted for the backward pass)
-  tensor::Tensor saved_q_, saved_k_, saved_v_;  // (b*heads, s, d)
-  tensor::Tensor saved_attn_;                   // (b*heads, s, s) post-softmax
-  std::int64_t saved_batch_ = 0, saved_seq_ = 0;
+  AttentionCore core_;
 };
 
 /// Feed-forward block: Linear(h -> ratio*h) -> GELU -> Linear(ratio*h -> h).
@@ -141,29 +174,35 @@ class Mlp : public Module {
   Linear fc2_;
 };
 
-/// Pre-LN Transformer block: x + Attn(LN(x)), then x + Mlp(LN(x)).
-class TransformerBlock : public Module {
+/// The pre-LN residual skeleton every layout shares:
+///   h = x + attn(ln1(x));  y = h + mlp(ln2(h))
+/// plus its backward, over four sublayers that carry the layout. Layout
+/// blocks are thin constructors over it; parameters are collected in the
+/// order ln1, attn, ln2, mlp.
+class PreLNBlock : public Module {
  public:
-  TransformerBlock(std::string name, std::int64_t hidden, std::int64_t heads,
-                   std::int64_t ffn_hidden, std::uint64_t seed);
-
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
+ protected:
+  struct Parts {
+    std::unique_ptr<Module> ln1, attn, ln2, mlp;
+  };
+  /// Pass a braced Parts so the sublayers construct left to right.
+  explicit PreLNBlock(Parts parts) : parts_(std::move(parts)) {}
+
+  [[nodiscard]] Parts& parts() { return parts_; }
+
  private:
-  LayerNorm ln1_;
-  MultiHeadAttention attn_;
-  LayerNorm ln2_;
-  Mlp mlp_;
+  Parts parts_;
 };
 
-// ---- helpers shared with the parallel attention implementations ----------
-
-/// (b, s, h) -> (b*heads, s, h/heads): split the hidden dim into heads and
-/// move the head axis next to batch.
-tensor::Tensor split_heads(const tensor::Tensor& x, std::int64_t heads);
-/// Inverse of split_heads.
-tensor::Tensor merge_heads(const tensor::Tensor& x, std::int64_t heads);
+/// Serial pre-LN Transformer block: x + Attn(LN(x)), then x + Mlp(LN(x)).
+class TransformerBlock : public PreLNBlock {
+ public:
+  TransformerBlock(std::string name, std::int64_t hidden, std::int64_t heads,
+                   std::int64_t ffn_hidden, std::uint64_t seed);
+};
 
 }  // namespace ca::nn

@@ -1,7 +1,6 @@
 #include "sp/ring_attention.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "tp/comm_helpers.hpp"
 
@@ -29,7 +28,6 @@ RingAttention::RingAttention(const tp::Env& env, std::string name,
     : env_(env),
       hidden_(hidden),
       heads_(heads),
-      head_dim_(hidden / heads),
       qkv_(name + ".qkv", hidden, 3 * hidden, seed),
       proj_(name + ".proj", hidden, hidden, seed + 1),
       acts_(env.mem()) {
@@ -68,30 +66,20 @@ t::Tensor RingAttention::forward(const t::Tensor& x) {
   assert(x.ndim() == 3 && x.dim(2) == hidden_);
   acts_.hold(x.numel() * kF);
 
-  auto qkv = qkv_.forward(x);  // (b, sc, 3h)
-  auto q = t::chunk(qkv, -1, 3, 0);
-  auto k = t::chunk(qkv, -1, 3, 1);
-  auto v = t::chunk(qkv, -1, 3, 2);
-  saved_q_ = nn::split_heads(q, heads_);  // (B, sc, d)
-  auto k_local = nn::split_heads(k, heads_);
-  auto v_local = nn::split_heads(v, heads_);
-  acts_.hold(3 * saved_q_.numel() * kF);
+  auto qkv = nn::split_qkv(qkv_.forward(x), heads_);  // (B, sc, d) each
+  acts_.hold(3 * qkv.q.numel() * kF);
 
   // Ring Self-Attention: circulate K then V partials around the ring.
-  saved_k_full_ = ring_collect(k_local);  // (B, s, d)
-  saved_v_full_ = ring_collect(v_local);
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto scores = t::bmm_nt(saved_q_, saved_k_full_);  // (B, sc, s)
-  saved_attn_ = t::softmax_lastdim_scaled(scores, scale);
-  acts_.hold(saved_attn_.numel() * kF);
-  auto ctx = t::bmm(saved_attn_, saved_v_full_);  // (B, sc, d)
+  qkv.k = ring_collect(qkv.k);  // (B, s, d)
+  qkv.v = ring_collect(qkv.v);
+  auto ctx = core_.forward(std::move(qkv));  // (B, sc, d)
+  acts_.hold(core_.probs().numel() * kF);
 
   const std::int64_t b = x.dim(0), sc = x.dim(1);
   const std::int64_t s_full = sc * g.size();
   env_.dev().compute_fp32(2.0 * b * sc * hidden_ * 4.0 * hidden_ +
                           4.0 * static_cast<double>(b) * heads_ * sc * s_full *
-                              head_dim_);
+                              ctx.dim(2));
 
   auto y = proj_.forward(nn::merge_heads(ctx, heads_));
   acts_.hold(y.numel() * kF);
@@ -109,21 +97,14 @@ t::Tensor RingAttention::backward(const t::Tensor& dy) {
   auto proj_w_before = proj_.weight().grad.clone();
   auto proj_b_before = proj_.bias()->grad.clone();
 
-  auto dmerged = proj_.backward(dy);
-  auto dctx = nn::split_heads(dmerged, heads_);  // (B, sc, d)
-
-  auto dattn = t::bmm_nt(dctx, saved_v_full_);       // (B, sc, s)
-  auto dv_full = t::bmm_tn(saved_attn_, dctx);       // (B, s, d)
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto dscores = t::softmax_backward_scaled(saved_attn_, dattn, scale);
-  auto dq = t::bmm(dscores, saved_k_full_);          // (B, sc, d)
-  auto dk_full = t::bmm_tn(dscores, saved_q_);       // (B, s, d)
+  // dq: (B, sc, d); dk, dv: (B, s, d) over the full sequence
+  auto d = core_.backward(nn::split_heads(proj_.backward(dy), heads_));
 
   // Route each rank's dK / dV chunk back to its owner (reverse ring).
   t::Tensor dk_local, dv_local;
   for (int j = 0; j < p; ++j) {
-    auto dk_j = t::narrow(dk_full, 1, j * sc, sc);
-    auto dv_j = t::narrow(dv_full, 1, j * sc, sc);
+    auto dk_j = t::narrow(d.k, 1, j * sc, sc);
+    auto dv_j = t::narrow(d.v, 1, j * sc, sc);
     g.reduce(env_.grank, dk_j.data(), j);
     g.reduce(env_.grank, dv_j.data(), j);
     if (j == idx) {
@@ -131,16 +112,13 @@ t::Tensor RingAttention::backward(const t::Tensor& dy) {
       dv_local = dv_j;
     }
   }
-
-  auto dqkv = t::cat(std::vector<t::Tensor>{nn::merge_heads(dq, heads_),
-                                            nn::merge_heads(dk_local, heads_),
-                                            nn::merge_heads(dv_local, heads_)},
-                     -1);
-  auto dx = qkv_.backward(dqkv);
+  d.k = std::move(dk_local);
+  d.v = std::move(dv_local);
+  auto dx = qkv_.backward(nn::merge_qkv(d, heads_));
 
   env_.dev().compute_fp32(4.0 * dx.numel() * 4.0 * hidden_ +
-                          8.0 * static_cast<double>(saved_attn_.numel()) *
-                              head_dim_);
+                          8.0 * static_cast<double>(core_.probs().numel()) *
+                              d.q.dim(2));
 
   // replicated weights: data-parallel-style gradient synchronization
   const t::Dtype wire = env_.ctx->comm_dtype();
@@ -164,42 +142,31 @@ TransformerBlockSP::TransformerBlockSP(const tp::Env& env, std::string name,
                                        std::int64_t hidden, std::int64_t heads,
                                        std::int64_t ffn_hidden,
                                        std::uint64_t seed)
-    : env_(env),
-      ln1_(name + ".ln1", hidden),
-      attn_(env, name + ".attn", hidden, heads, seed),
-      ln2_(name + ".ln2", hidden),
-      mlp_(name + ".mlp", hidden, ffn_hidden, seed + 100) {}
-
-t::Tensor TransformerBlockSP::forward(const t::Tensor& x) {
-  auto h = t::add(x, attn_.forward(ln1_.forward(x)));
-  return t::add(h, mlp_.forward(ln2_.forward(h)));
-}
+    : PreLNBlock({std::make_unique<nn::LayerNorm>(name + ".ln1", hidden),
+                  std::make_unique<RingAttention>(env, name + ".attn", hidden,
+                                                  heads, seed),
+                  std::make_unique<nn::LayerNorm>(name + ".ln2", hidden),
+                  std::make_unique<nn::Mlp>(name + ".mlp", hidden, ffn_hidden,
+                                            seed + 100)}),
+      env_(env) {}
 
 t::Tensor TransformerBlockSP::backward(const t::Tensor& dy) {
   auto& g = env_.ctx->sequence_group(env_.grank);
 
   std::vector<nn::Parameter*> local;  // replicated params needing sync
-  ln1_.collect_parameters(local);
-  ln2_.collect_parameters(local);
-  mlp_.collect_parameters(local);
+  parts().ln1->collect_parameters(local);
+  parts().ln2->collect_parameters(local);
+  parts().mlp->collect_parameters(local);
   std::vector<t::Tensor> before;
   before.reserve(local.size());
   for (nn::Parameter* pp : local) before.push_back(pp->grad.clone());
 
-  auto dh = t::add(dy, ln2_.backward(mlp_.backward(dy)));
-  auto dx = t::add(dh, ln1_.backward(attn_.backward(dh)));
+  auto dx = PreLNBlock::backward(dy);
 
   const t::Dtype wire = env_.ctx->comm_dtype();
   for (std::size_t i = 0; i < local.size(); ++i)
     sync_grad_delta(g, env_.grank, *local[i], before[i], wire);
   return dx;
-}
-
-void TransformerBlockSP::collect_parameters(std::vector<nn::Parameter*>& out) {
-  ln1_.collect_parameters(out);
-  attn_.collect_parameters(out);
-  ln2_.collect_parameters(out);
-  mlp_.collect_parameters(out);
 }
 
 }  // namespace ca::sp

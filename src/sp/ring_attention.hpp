@@ -37,10 +37,10 @@ class RingAttention : public nn::Module {
   tensor::Tensor ring_collect(const tensor::Tensor& local);
 
   tp::Env env_;
-  std::int64_t hidden_, heads_, head_dim_;
+  std::int64_t hidden_, heads_;
   nn::Linear qkv_;   // replicated
   nn::Linear proj_;  // replicated
-  tensor::Tensor saved_q_, saved_k_full_, saved_v_full_, saved_attn_;
+  nn::AttentionCore core_;  // local q against the ring-collected K/V
   tp::ActivationTracker acts_;
   std::int64_t param_bytes_ = 0;
 };
@@ -48,22 +48,18 @@ class RingAttention : public nn::Module {
 /// Pre-LN Transformer block for sequence parallelism: RingAttention plus
 /// replicated LayerNorm/MLP applied to the local sub-sequence. All parameter
 /// gradients are synchronized over the sequence group in backward.
-class TransformerBlockSP : public nn::Module {
+class TransformerBlockSP : public nn::PreLNBlock {
  public:
   TransformerBlockSP(const tp::Env& env, std::string name, std::int64_t hidden,
                      std::int64_t heads, std::int64_t ffn_hidden,
                      std::uint64_t seed);
 
-  tensor::Tensor forward(const tensor::Tensor& x) override;
+  /// The shared pre-LN backward, then a delta all-reduce of the replicated
+  /// LayerNorm/MLP gradients (RingAttention syncs its own).
   tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override;
 
  private:
   tp::Env env_;
-  nn::LayerNorm ln1_;
-  RingAttention attn_;
-  nn::LayerNorm ln2_;
-  nn::Mlp mlp_;
 };
 
 }  // namespace ca::sp

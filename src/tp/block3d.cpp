@@ -6,112 +6,17 @@ namespace ca::tp {
 
 namespace t = ca::tensor;
 
-// ---- LayerNorm3D ------------------------------------------------------------------
-
-t::Tensor LayerNorm3D::forward(const t::Tensor& x) {
-  auto& gj = env_.ctx->cube_j_group(env_.grank);
-  auto& gk = env_.ctx->cube_k_group(env_.grank);
-  assert(x.dim(-1) == local_h_);
-  saved_x_ = x;
-  const std::int64_t toks = x.numel() / local_h_;
-
-  t::Tensor stats(t::Shape{2 * toks}, 0.0f);
-  auto px = x.data();
-  for (std::int64_t tk = 0; tk < toks; ++tk) {
-    double s = 0.0, s2 = 0.0;
-    const float* xr = px.data() + tk * local_h_;
-    for (std::int64_t c = 0; c < local_h_; ++c) {
-      s += xr[c];
-      s2 += static_cast<double>(xr[c]) * xr[c];
-    }
-    stats[tk] = static_cast<float>(s);
-    stats[toks + tk] = static_cast<float>(s2);
-  }
-  // hidden is split over (k, j): reduce across both cube axes
-  all_reduce(gj, env_.grank, stats);
-  all_reduce(gk, env_.grank, stats);
-
-  saved_mean_ = t::Tensor(t::Shape{toks});
-  saved_rstd_ = t::Tensor(t::Shape{toks});
-  t::Tensor y(x.shape());
-  auto py = y.data();
-  const auto h = static_cast<float>(hidden_);
-  for (std::int64_t tk = 0; tk < toks; ++tk) {
-    const float mu = stats[tk] / h;
-    const float var = stats[toks + tk] / h - mu * mu;
-    const float rs = 1.0f / std::sqrt(var + eps_);
-    saved_mean_[tk] = mu;
-    saved_rstd_[tk] = rs;
-    const float* xr = px.data() + tk * local_h_;
-    float* yr = py.data() + tk * local_h_;
-    for (std::int64_t c = 0; c < local_h_; ++c)
-      yr[c] = (xr[c] - mu) * rs * gamma_.value[c] + beta_.value[c];
-  }
-  return y;
-}
-
-t::Tensor LayerNorm3D::backward(const t::Tensor& dy) {
-  auto& gi = env_.ctx->cube_i_group(env_.grank);
-  auto& gj = env_.ctx->cube_j_group(env_.grank);
-  auto& gk = env_.ctx->cube_k_group(env_.grank);
-  const std::int64_t toks = dy.numel() / local_h_;
-
-  t::Tensor sums(t::Shape{2 * toks}, 0.0f);
-  auto px = saved_x_.data();
-  auto pd = dy.data();
-  for (std::int64_t tk = 0; tk < toks; ++tk) {
-    const float mu = saved_mean_[tk], rs = saved_rstd_[tk];
-    const float* xr = px.data() + tk * local_h_;
-    const float* dr = pd.data() + tk * local_h_;
-    double s = 0.0, sx = 0.0;
-    for (std::int64_t c = 0; c < local_h_; ++c) {
-      const float dyhat = dr[c] * gamma_.value[c];
-      const float xhat = (xr[c] - mu) * rs;
-      s += dyhat;
-      sx += static_cast<double>(dyhat) * xhat;
-    }
-    sums[tk] = static_cast<float>(s);
-    sums[toks + tk] = static_cast<float>(sx);
-  }
-  all_reduce(gj, env_.grank, sums);
-  all_reduce(gk, env_.grank, sums);
-
-  t::Tensor dx(dy.shape());
-  t::Tensor dgamma(t::Shape{local_h_}, 0.0f);
-  t::Tensor dbeta(t::Shape{local_h_}, 0.0f);
-  auto pdx = dx.data();
-  const float inv_h = 1.0f / static_cast<float>(hidden_);
-  for (std::int64_t tk = 0; tk < toks; ++tk) {
-    const float mu = saved_mean_[tk], rs = saved_rstd_[tk];
-    const float* xr = px.data() + tk * local_h_;
-    const float* dr = pd.data() + tk * local_h_;
-    float* dxr = pdx.data() + tk * local_h_;
-    for (std::int64_t c = 0; c < local_h_; ++c) {
-      const float xhat = (xr[c] - mu) * rs;
-      const float dyhat = dr[c] * gamma_.value[c];
-      dxr[c] = rs * (dyhat - inv_h * sums[tk] - xhat * inv_h * sums[toks + tk]);
-      dgamma[c] += dr[c] * xhat;
-      dbeta[c] += dr[c];
-    }
-  }
-  // gamma/beta slices are shared across the i axis (row chunks)
-  all_reduce(gi, env_.grank, dgamma);
-  all_reduce(gi, env_.grank, dbeta);
-  t::add_(gamma_.grad, dgamma);
-  t::add_(beta_.grad, dbeta);
-  return dx;
-}
-
 // ---- Attention3D -------------------------------------------------------------------
 
 Attention3D::Attention3D(const Env& env, std::string name, std::int64_t hidden,
                          std::int64_t heads, std::uint64_t seed)
     : env_(env),
       hidden_(hidden),
-      heads_(heads),
       l_(env.ctx->grid_side()),
       local_heads_(heads / l_),
-      head_dim_(hidden / heads),
+      // The W block (chunk j*l+i of the permuted columns) straddles the
+      // q/k/v sections, so its ShardSpec describes the permuted matrix and
+      // checkpoints restore only onto a 3D cube of the same side.
       qkv_(env, name + ".qkv",
            detail::permute_qkv_columns(
                t::randn(t::Shape{hidden, 3 * hidden}, seed, 0.0f,
@@ -126,26 +31,14 @@ t::Tensor Attention3D::forward(const t::Tensor& x) {
   // x: X layout (b/l, s, h/l^2)
   assert(x.ndim() == 3);
   const std::int64_t bl = x.dim(0), s = x.dim(1);
-  saved_batch_ = bl;
-  saved_seq_ = s;
   const std::int64_t ll = static_cast<std::int64_t>(l_) * l_;
 
   auto qkv = qkv_.forward(x.reshape(t::Shape{bl * s, hidden_ / ll}));
   // Y layout: (b/l^2 * s, 3h/l) = [q_j | k_j | v_j]
-  auto qkv3 = qkv.reshape(t::Shape{bl / l_, s, 3 * hidden_ / l_});
-  auto qh = t::chunk(qkv3, -1, 3, 0);
-  auto kh = t::chunk(qkv3, -1, 3, 1);
-  auto vh = t::chunk(qkv3, -1, 3, 2);
-  saved_q_ = nn::split_heads(qh, local_heads_);
-  saved_k_ = nn::split_heads(kh, local_heads_);
-  saved_v_ = nn::split_heads(vh, local_heads_);
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto scores = t::bmm_nt(saved_q_, saved_k_);
-  saved_attn_ = t::softmax_lastdim_scaled(scores, scale);
-  auto ctx = t::bmm(saved_attn_, saved_v_);
+  auto ctx = core_.forward(nn::split_qkv(
+      qkv.reshape(t::Shape{bl / l_, s, 3 * hidden_ / l_}), local_heads_));
   env_.dev().compute_fp32(4.0 * static_cast<double>(bl / l_) * local_heads_ *
-                          s * s * head_dim_);
+                          s * s * ctx.dim(2));
   auto merged = nn::merge_heads(ctx, local_heads_);  // (b/l^2, s, h/l)
 
   // Y -> X so the projection can consume it, then project and return to X
@@ -157,7 +50,7 @@ t::Tensor Attention3D::forward(const t::Tensor& x) {
 }
 
 t::Tensor Attention3D::backward(const t::Tensor& dy) {
-  const std::int64_t bl = saved_batch_, s = saved_seq_;
+  const std::int64_t bl = dy.dim(0), s = dy.dim(1);
   const std::int64_t ll = static_cast<std::int64_t>(l_) * l_;
 
   auto dy_y = convert_3d_x_to_y(
@@ -165,69 +58,60 @@ t::Tensor Attention3D::backward(const t::Tensor& dy) {
   auto dctx_x = proj_.backward(dy_y);
   auto dmerged = convert_3d_x_to_y(env_, dctx_x)
                      .reshape(t::Shape{bl / l_, s, hidden_ / l_});
-  auto dctx = nn::split_heads(dmerged, local_heads_);
-
-  auto dattn = t::bmm_nt(dctx, saved_v_);
-  auto dv = t::bmm_tn(saved_attn_, dctx);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto dscores = t::softmax_backward_scaled(saved_attn_, dattn, scale);
-  auto dq = t::bmm(dscores, saved_k_);
-  auto dk = t::bmm_tn(dscores, saved_q_);
+  auto dqkv = core_.backward(nn::split_heads(dmerged, local_heads_));
   env_.dev().compute_fp32(8.0 * static_cast<double>(bl / l_) * local_heads_ *
-                          s * s * head_dim_);
+                          s * s * dqkv.q.dim(2));
 
-  auto dqkv = t::cat(std::vector<t::Tensor>{nn::merge_heads(dq, local_heads_),
-                                            nn::merge_heads(dk, local_heads_),
-                                            nn::merge_heads(dv, local_heads_)},
-                     -1);  // Y layout (b/l^2, s, 3h/l)
-  auto dx = qkv_.backward(
-      dqkv.reshape(t::Shape{bl / l_ * s, 3 * hidden_ / l_}));
+  // Y layout (b/l^2, s, 3h/l)
+  auto dx = qkv_.backward(nn::merge_qkv(dqkv, local_heads_)
+                              .reshape(t::Shape{bl / l_ * s, 3 * hidden_ / l_}));
   return dx.reshape(t::Shape{bl, s, hidden_ / ll});
 }
 
 // ---- TransformerBlock3D --------------------------------------------------------------
 
+namespace {
+
+/// Mlp3D on the block's X-layout (b/l, s, h/l^2) stream: flatten, run the
+/// MLP (which ends in Y layout), and redistribute its output back to X.
+class MlpX3D final : public nn::Module {
+ public:
+  MlpX3D(const Env& env, std::string name, std::int64_t hidden,
+         std::int64_t ffn_hidden, std::uint64_t seed)
+      : env_(env), mlp_(env, std::move(name), hidden, ffn_hidden, seed) {}
+
+  t::Tensor forward(const t::Tensor& x) override {
+    const std::int64_t bl = x.dim(0), s = x.dim(1), hc = x.dim(2);
+    auto y = mlp_.forward(x.reshape(t::Shape{bl * s, hc}));
+    return convert_3d_y_to_x(env_, y).reshape(t::Shape{bl, s, hc});
+  }
+
+  t::Tensor backward(const t::Tensor& dy) override {
+    const std::int64_t bl = dy.dim(0), s = dy.dim(1), hc = dy.dim(2);
+    auto dy_y = convert_3d_x_to_y(env_, dy.reshape(t::Shape{bl * s, hc}));
+    return mlp_.backward(dy_y).reshape(t::Shape{bl, s, hc});
+  }
+
+  void collect_parameters(std::vector<nn::Parameter*>& out) override {
+    mlp_.collect_parameters(out);
+  }
+
+ private:
+  Env env_;
+  Mlp3D mlp_;
+};
+
+}  // namespace
+
 TransformerBlock3D::TransformerBlock3D(const Env& env, std::string name,
                                        std::int64_t hidden, std::int64_t heads,
                                        std::int64_t ffn_hidden,
                                        std::uint64_t seed)
-    : env_(env),
-      ln1_(env, name + ".ln1", hidden),
-      attn_(env, name + ".attn", hidden, heads, seed),
-      ln2_(env, name + ".ln2", hidden),
-      fc1_(env, name + ".mlp.fc1", hidden, ffn_hidden, seed + 100),
-      fc2_(env, name + ".mlp.fc2", ffn_hidden, hidden, seed + 101) {}
-
-t::Tensor TransformerBlock3D::forward(const t::Tensor& x) {
-  const std::int64_t bl = x.dim(0), s = x.dim(1), hc = x.dim(2);
-  auto h = t::add(x, attn_.forward(ln1_.forward(x)));
-
-  auto n2 = ln2_.forward(h);
-  auto f1 = fc1_.forward(n2.reshape(t::Shape{bl * s, hc}));  // Y layout
-  auto a = act_.forward(f1);
-  auto a_x = convert_3d_y_to_x(env_, a);
-  auto f2 = fc2_.forward(a_x);  // Y layout (rows/l^2, h/l)
-  auto m = convert_3d_y_to_x(env_, f2).reshape(t::Shape{bl, s, hc});
-  return t::add(h, m);
-}
-
-t::Tensor TransformerBlock3D::backward(const t::Tensor& dy) {
-  const std::int64_t bl = dy.dim(0), s = dy.dim(1), hc = dy.dim(2);
-  auto dm_y = convert_3d_x_to_y(env_, dy.reshape(t::Shape{bl * s, hc}));
-  auto da_x = fc2_.backward(dm_y);
-  auto da = convert_3d_x_to_y(env_, da_x);
-  auto dn2 = ln2_.backward(
-      fc1_.backward(act_.backward(da)).reshape(t::Shape{bl, s, hc}));
-  auto dh = t::add(dy, dn2);
-  return t::add(dh, ln1_.backward(attn_.backward(dh)));
-}
-
-void TransformerBlock3D::collect_parameters(std::vector<nn::Parameter*>& out) {
-  ln1_.collect_parameters(out);
-  attn_.collect_parameters(out);
-  ln2_.collect_parameters(out);
-  fc1_.collect_parameters(out);
-  fc2_.collect_parameters(out);
-}
+    : PreLNBlock({ShardedLayerNorm::cube(env, name + ".ln1", hidden),
+                  std::make_unique<Attention3D>(env, name + ".attn", hidden,
+                                                heads, seed),
+                  ShardedLayerNorm::cube(env, name + ".ln2", hidden),
+                  std::make_unique<MlpX3D>(env, name + ".mlp", hidden,
+                                           ffn_hidden, seed + 100)}) {}
 
 }  // namespace ca::tp

@@ -26,36 +26,6 @@ inline tensor::Tensor shard_tokens_3d(const tensor::Tensor& full, int l, int i,
   return tensor::chunk(batch_block, 2, l * l, k * l + j);
 }
 
-/// LayerNorm on X-layout blocks: hidden is split l^2 ways over (k, j), so
-/// the per-token statistics reduce over both the j and k cube groups;
-/// gamma/beta hold the local hidden slice and their grads reduce over the
-/// i group (the ranks sharing a hidden slice across row chunks).
-class LayerNorm3D : public nn::Module {
- public:
-  LayerNorm3D(const Env& env, std::string name, std::int64_t hidden,
-              float eps = 1e-5f)
-      : env_(env),
-        hidden_(hidden),
-        local_h_(hidden / (env.ctx->grid_side() * env.ctx->grid_side())),
-        eps_(eps),
-        gamma_(name + ".gamma", tensor::ones(tensor::Shape{local_h_})),
-        beta_(name + ".beta", tensor::zeros(tensor::Shape{local_h_})) {}
-
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override {
-    out.push_back(&gamma_);
-    out.push_back(&beta_);
-  }
-
- private:
-  Env env_;
-  std::int64_t hidden_, local_h_;
-  float eps_;
-  nn::Parameter gamma_, beta_;
-  tensor::Tensor saved_x_, saved_mean_, saved_rstd_;
-};
-
 /// Multi-head attention on 3D blocks: SUMMA-free 3D QKV projection with
 /// per-chunk-permuted columns, local attention over the Y-layout batch
 /// slice, Y->X redistribution, 3D output projection, and a final Y->X
@@ -74,34 +44,21 @@ class Attention3D : public nn::Module {
 
  private:
   Env env_;
-  std::int64_t hidden_, heads_;
+  std::int64_t hidden_;
   int l_;
-  std::int64_t local_heads_, head_dim_;
+  std::int64_t local_heads_;
   Linear3D qkv_;
   Linear3D proj_;
-  tensor::Tensor saved_q_, saved_k_, saved_v_, saved_attn_;
-  std::int64_t saved_batch_ = 0, saved_seq_ = 0;
+  nn::AttentionCore core_;
 };
 
-/// Pre-LN Transformer block with X-layout residual stream.
-class TransformerBlock3D : public nn::Module {
+/// Pre-LN Transformer block with X-layout residual stream: LayerNorms are
+/// ShardedLayerNorm::cube, the MLP is Mlp3D plus a final Y->X conversion.
+class TransformerBlock3D : public nn::PreLNBlock {
  public:
   TransformerBlock3D(const Env& env, std::string name, std::int64_t hidden,
                      std::int64_t heads, std::int64_t ffn_hidden,
                      std::uint64_t seed);
-
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override;
-
- private:
-  Env env_;
-  LayerNorm3D ln1_;
-  Attention3D attn_;
-  LayerNorm3D ln2_;
-  Linear3D fc1_;
-  nn::Gelu act_;
-  Linear3D fc2_;
 };
 
 }  // namespace ca::tp

@@ -172,7 +172,6 @@ Attention1D::Attention1D(const Env& env, std::string name, std::int64_t hidden,
                          std::int64_t heads, std::uint64_t seed)
     : env_(env),
       hidden_(hidden),
-      heads_(heads),
       local_heads_(0),
       head_dim_(hidden / heads),
       local_hidden_(0),
@@ -226,34 +225,23 @@ t::Tensor Attention1D::forward(const t::Tensor& x) {
   auto& g = env_.ctx->tensor_group(env_.grank);
   assert(x.ndim() == 3 && x.dim(2) == hidden_);
   const std::int64_t b = x.dim(0), s = x.dim(1);
-  saved_batch_ = b;
-  saved_seq_ = s;
   saved_x_ = x;
   acts_.hold(x.numel() * kF);
 
   auto qkv = t::matmul(x, qkv_weight_.value);  // (b, s, 3*h/p)
   t::add_bias_(qkv, qkv_bias_.value);
-  auto q = t::chunk(qkv, -1, 3, 0);
-  auto k = t::chunk(qkv, -1, 3, 1);
-  auto v = t::chunk(qkv, -1, 3, 2);
-  saved_q_ = nn::split_heads(q, local_heads_);  // (b*lh, s, d)
-  saved_k_ = nn::split_heads(k, local_heads_);
-  saved_v_ = nn::split_heads(v, local_heads_);
-  acts_.hold(3 * saved_q_.numel() * kF);
-
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto scores = t::bmm_nt(saved_q_, saved_k_);
-  saved_attn_ = t::softmax_lastdim_scaled(scores, scale);
-  acts_.hold(saved_attn_.numel() * kF);
-  saved_ctx_ = t::bmm(saved_attn_, saved_v_);        // (b*lh, s, d)
-  auto merged = nn::merge_heads(saved_ctx_, local_heads_);  // (b, s, h/p)
+  auto heads = nn::split_qkv(qkv, local_heads_);  // (b*lh, s, d) each
+  acts_.hold(3 * heads.q.numel() * kF);
+  auto ctx = core_.forward(std::move(heads));  // (b*lh, s, d)
+  acts_.hold(core_.probs().numel() * kF);
+  saved_merged_ = nn::merge_heads(ctx, local_heads_);  // (b, s, h/p)
 
   const double flops = 2.0 * static_cast<double>(b) * s * hidden_ *
                            (3.0 * local_hidden_ + local_hidden_) +
                        4.0 * static_cast<double>(b) * local_heads_ * s * s * head_dim_;
   env_.dev().compute_fp32(flops);
 
-  auto y = t::matmul(merged, proj_weight_.value);  // (b, s, h) partial
+  auto y = t::matmul(saved_merged_, proj_weight_.value);  // (b, s, h) partial
   all_reduce(g, env_.grank, y, env_.ctx->comm_dtype());
   t::add_bias_(y, proj_bias_.value);
   acts_.hold(y.numel() * kF);
@@ -262,33 +250,22 @@ t::Tensor Attention1D::forward(const t::Tensor& x) {
 
 t::Tensor Attention1D::backward(const t::Tensor& dy) {
   auto& g = env_.ctx->tensor_group(env_.grank);
+  const std::int64_t b = saved_x_.dim(0), s = saved_x_.dim(1);
   // proj (row-parallel): dmerged = dy proj_w^T ; dproj_w = merged^T dy
-  auto merged = nn::merge_heads(saved_ctx_, local_heads_);
-  t::add_(proj_weight_.grad, t::matmul_tn(merged, dy));
+  t::add_(proj_weight_.grad, t::matmul_tn(saved_merged_, dy));
   t::add_(proj_bias_.grad, t::sum_to_lastdim(dy));
   auto dmerged = t::matmul_nt(dy, proj_weight_.value);  // (b, s, h/p)
-  auto dctx = nn::split_heads(dmerged, local_heads_);
-
-  auto dattn = t::bmm_nt(dctx, saved_v_);
-  auto dv = t::bmm_tn(saved_attn_, dctx);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  auto dscores = t::softmax_backward_scaled(saved_attn_, dattn, scale);
-  auto dq = t::bmm(dscores, saved_k_);
-  auto dk = t::bmm_tn(dscores, saved_q_);
-
-  auto dqkv = t::cat(
-      std::vector<t::Tensor>{nn::merge_heads(dq, local_heads_),
-                             nn::merge_heads(dk, local_heads_),
-                             nn::merge_heads(dv, local_heads_)},
-      -1);  // (b, s, 3h/p)
+  // (b, s, 3h/p)
+  auto dqkv = nn::merge_qkv(
+      core_.backward(nn::split_heads(dmerged, local_heads_)), local_heads_);
 
   t::add_(qkv_weight_.grad, t::matmul_tn(saved_x_, dqkv));
   t::add_(qkv_bias_.grad, t::sum_to_lastdim(dqkv));
   auto dx = t::matmul_nt(dqkv, qkv_weight_.value);  // partial over q/k/v cols
   const double flops = 4.0 * static_cast<double>(saved_x_.numel()) *
                            (4.0 * local_hidden_) +
-                       8.0 * static_cast<double>(saved_batch_) * local_heads_ *
-                           saved_seq_ * saved_seq_ * head_dim_;
+                       8.0 * static_cast<double>(b) * local_heads_ * s * s *
+                           head_dim_;
   env_.dev().compute_fp32(flops);
   all_reduce(g, env_.grank, dx, env_.ctx->comm_dtype());  // 1D backward all-reduce
   acts_.release_all();
@@ -308,26 +285,11 @@ TransformerBlock1D::TransformerBlock1D(const Env& env, std::string name,
                                        std::int64_t hidden, std::int64_t heads,
                                        std::int64_t ffn_hidden,
                                        std::uint64_t seed)
-    : ln1_(name + ".ln1", hidden),
-      attn_(env, name + ".attn", hidden, heads, seed),
-      ln2_(name + ".ln2", hidden),
-      mlp_(env, name + ".mlp", hidden, ffn_hidden, seed + 100) {}
-
-t::Tensor TransformerBlock1D::forward(const t::Tensor& x) {
-  auto h = t::add(x, attn_.forward(ln1_.forward(x)));
-  return t::add(h, mlp_.forward(ln2_.forward(h)));
-}
-
-t::Tensor TransformerBlock1D::backward(const t::Tensor& dy) {
-  auto dh = t::add(dy, ln2_.backward(mlp_.backward(dy)));
-  return t::add(dh, ln1_.backward(attn_.backward(dh)));
-}
-
-void TransformerBlock1D::collect_parameters(std::vector<nn::Parameter*>& out) {
-  ln1_.collect_parameters(out);
-  attn_.collect_parameters(out);
-  ln2_.collect_parameters(out);
-  mlp_.collect_parameters(out);
-}
+    : PreLNBlock({std::make_unique<nn::LayerNorm>(name + ".ln1", hidden),
+                  std::make_unique<Attention1D>(env, name + ".attn", hidden,
+                                                heads, seed),
+                  std::make_unique<nn::LayerNorm>(name + ".ln2", hidden),
+                  std::make_unique<Mlp1D>(env, name + ".mlp", hidden,
+                                          ffn_hidden, seed + 100)}) {}
 
 }  // namespace ca::tp

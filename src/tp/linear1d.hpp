@@ -100,13 +100,13 @@ class Attention1D : public nn::Module {
 
  private:
   Env env_;
-  std::int64_t hidden_, heads_, local_heads_, head_dim_, local_hidden_;
+  std::int64_t hidden_, local_heads_, head_dim_, local_hidden_;
   nn::Parameter qkv_weight_;   // (h, 3*h/p) — [q | k | v] column slices
   nn::Parameter qkv_bias_;     // (3*h/p)
   nn::Parameter proj_weight_;  // (h/p, h)
   nn::Parameter proj_bias_;    // (h)
-  tensor::Tensor saved_x_, saved_q_, saved_k_, saved_v_, saved_attn_, saved_ctx_;
-  std::int64_t saved_batch_ = 0, saved_seq_ = 0;
+  nn::AttentionCore core_;
+  tensor::Tensor saved_x_, saved_merged_;  // merged: (b, s, h/p) context
   ActivationTracker acts_;
   std::int64_t param_bytes_ = 0;
 };
@@ -114,21 +114,11 @@ class Attention1D : public nn::Module {
 /// Pre-LN Transformer block with 1D-parallel attention and MLP; LayerNorms
 /// are replicated (their inputs are replicated, so their gradients agree on
 /// every rank without synchronization).
-class TransformerBlock1D : public nn::Module {
+class TransformerBlock1D : public nn::PreLNBlock {
  public:
   TransformerBlock1D(const Env& env, std::string name, std::int64_t hidden,
                      std::int64_t heads, std::int64_t ffn_hidden,
                      std::uint64_t seed);
-
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override;
-
- private:
-  nn::LayerNorm ln1_;
-  Attention1D attn_;
-  nn::LayerNorm ln2_;
-  Mlp1D mlp_;
 };
 
 }  // namespace ca::tp

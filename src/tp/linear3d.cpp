@@ -168,14 +168,6 @@ t::Tensor convert_3d_x_to_y(const Env& env, const t::Tensor& dx) {
   return t::chunk(rows_sub, 1, l, j);
 }
 
-t::Tensor Linear3D::convert_y_to_x_layout(const t::Tensor& y) {
-  return convert_3d_y_to_x(env_, y);
-}
-
-t::Tensor Linear3D::convert_x_to_y_layout(const t::Tensor& dx) {
-  return convert_3d_x_to_y(env_, dx);
-}
-
 void Linear3D::collect_parameters(std::vector<nn::Parameter*>& out) {
   out.push_back(&weight_);
   if (with_bias_) out.push_back(&bias_);
@@ -185,18 +177,19 @@ void Linear3D::collect_parameters(std::vector<nn::Parameter*>& out) {
 
 Mlp3D::Mlp3D(const Env& env, std::string name, std::int64_t hidden,
              std::int64_t ffn_hidden, std::uint64_t seed)
-    : fc1_(env, name + ".fc1", hidden, ffn_hidden, seed),
+    : env_(env),
+      fc1_(env, name + ".fc1", hidden, ffn_hidden, seed),
       fc2_(env, name + ".fc2", ffn_hidden, hidden, seed + 1) {}
 
 t::Tensor Mlp3D::forward(const t::Tensor& x) {
   auto h = act_.forward(fc1_.forward(x));
-  auto h_x_layout = fc1_.convert_y_to_x_layout(h);
+  auto h_x_layout = convert_3d_y_to_x(env_, h);
   return fc2_.forward(h_x_layout);
 }
 
 t::Tensor Mlp3D::backward(const t::Tensor& dy) {
   auto dh_x_layout = fc2_.backward(dy);
-  auto dh = fc1_.convert_x_to_y_layout(dh_x_layout);
+  auto dh = convert_3d_x_to_y(env_, dh_x_layout);
   return fc1_.backward(act_.backward(dh));
 }
 

@@ -31,8 +31,8 @@ tensor::Tensor convert_3d_x_to_y(const Env& env, const tensor::Tensor& dx);
 /// 2(l-1)/l * (S_X + S_W + S_Y) total volume — the best scaling of all modes.
 ///
 /// Note the output block layout differs from the input layout; chain two
-/// Linear3D layers through `convert_y_to_x_layout`, which redistributes via
-/// the cube groups (Colossal-AI alternates layouts the same way).
+/// Linear3D layers through `convert_3d_y_to_x`, which redistributes via the
+/// cube groups (Colossal-AI alternates layouts the same way).
 class Linear3D : public nn::Module {
  public:
   Linear3D(const Env& env, std::string name, std::int64_t in, std::int64_t out,
@@ -55,13 +55,6 @@ class Linear3D : public nn::Module {
   /// Slice the Y-layout block of a full (rows, out) matrix for device (i,j,k).
   static tensor::Tensor shard_output(const tensor::Tensor& full, int l, int i,
                                      int j, int k);
-
-  /// Redistribute a Y-layout activation into X-layout so the next Linear3D
-  /// can consume it (all-gather over k, re-chunk over j via all-to-all-style
-  /// exchange implemented with gather + local slice).
-  tensor::Tensor convert_y_to_x_layout(const tensor::Tensor& y);
-  /// Inverse redistribution for the gradient in backward.
-  tensor::Tensor convert_x_to_y_layout(const tensor::Tensor& dx);
 
  private:
   Env env_;
@@ -87,6 +80,7 @@ class Mlp3D : public nn::Module {
   void collect_parameters(std::vector<nn::Parameter*>& out) override;
 
  private:
+  Env env_;
   Linear3D fc1_;
   nn::Gelu act_;
   Linear3D fc2_;

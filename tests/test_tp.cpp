@@ -369,10 +369,9 @@ TEST(Tp3d, LayoutConversionRoundTrip) {
   std::vector<t::Tensor> as_x(p), back(p);
   w.cluster.run([&](int g) {
     const int i = w.ctx.cube_i(g), j = w.ctx.cube_j(g), k = w.ctx.cube_k(g);
-    tp::Linear3D lin(w.env(g), "l", n, n, 112);
     auto y_blk = tp::Linear3D::shard_output(full, l, i, j, k);
-    as_x[g] = lin.convert_y_to_x_layout(y_blk);
-    back[g] = lin.convert_x_to_y_layout(as_x[g]);
+    as_x[g] = tp::convert_3d_y_to_x(w.env(g), y_blk);
+    back[g] = tp::convert_3d_x_to_y(w.env(g), as_x[g]);
   });
   for (int g = 0; g < p; ++g) {
     const int i = g / (l * l), j = (g / l) % l, k = g % l;
@@ -521,10 +520,10 @@ std::int64_t measured_two_layer_peak(core::TpMode mode, int p, int depth,
         tp::Linear3D l1(env, "a", h, h, 7);
         tp::Linear3D l2(env, "b", h, h, 8);
         auto y1 = l1.forward(tp::Linear3D::shard_input(x, l, i, j, k));
-        auto y2 = l2.forward(l1.convert_y_to_x_layout(y1));
+        auto y2 = l2.forward(tp::convert_3d_y_to_x(env, y1));
         (void)y2;
         auto d2 = l2.backward(tp::Linear3D::shard_output(dy, l, i, j, k));
-        l1.backward(l1.convert_x_to_y_layout(d2));
+        l1.backward(tp::convert_3d_x_to_y(env, d2));
         break;
       }
       default:

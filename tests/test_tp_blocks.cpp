@@ -58,12 +58,12 @@ TEST(GridLayerNorm, MatchesSerialLayerNorm) {
   std::vector<t::Tensor> y(p), dx(p), dg(p);
   w.cluster.run([&](int g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    tp::GridLayerNorm ln(w.env(g), "ln", h);
-    ln.parameters()[0]->value = t::chunk(gamma, 0, q, c);
-    ln.parameters()[1]->value = t::chunk(beta, 0, q, c);
-    y[g] = ln.forward(tp::shard_tokens(x, q, 1, 0, r, c));
-    dx[g] = ln.backward(tp::shard_tokens(dy, q, 1, 0, r, c));
-    dg[g] = ln.parameters()[0]->grad.clone();
+    auto ln = tp::ShardedLayerNorm::grid(w.env(g), "ln", h);
+    ln->parameters()[0]->value = t::chunk(gamma, 0, q, c);
+    ln->parameters()[1]->value = t::chunk(beta, 0, q, c);
+    y[g] = ln->forward(tp::shard_tokens(x, q, 1, 0, r, c));
+    dx[g] = ln->backward(tp::shard_tokens(dy, q, 1, 0, r, c));
+    dg[g] = ln->parameters()[0]->grad.clone();
   });
   for (int g = 0; g < p; ++g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
@@ -299,11 +299,11 @@ TEST(GridBlock3D, LayerNormMatchesSerial) {
   std::vector<t::Tensor> y(p), dx(p), dg(p);
   w.cluster.run([&](int g) {
     const int i = w.ctx.cube_i(g), j = w.ctx.cube_j(g), k = w.ctx.cube_k(g);
-    tp::LayerNorm3D ln(w.env(g), "ln", h);
-    ln.parameters()[0]->value = t::chunk(gamma, 0, l * l, k * l + j);
-    y[g] = ln.forward(tp::shard_tokens_3d(x, l, i, j, k));
-    dx[g] = ln.backward(tp::shard_tokens_3d(dy, l, i, j, k));
-    dg[g] = ln.parameters()[0]->grad.clone();
+    auto ln = tp::ShardedLayerNorm::cube(w.env(g), "ln", h);
+    ln->parameters()[0]->value = t::chunk(gamma, 0, l * l, k * l + j);
+    y[g] = ln->forward(tp::shard_tokens_3d(x, l, i, j, k));
+    dx[g] = ln->backward(tp::shard_tokens_3d(dy, l, i, j, k));
+    dg[g] = ln->parameters()[0]->grad.clone();
   });
   for (int g = 0; g < p; ++g) {
     const int i = g / (l * l), j = (g / l) % l, k = g % l;

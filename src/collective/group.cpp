@@ -38,11 +38,6 @@ void copy_elems_scaled(const float* src, float* dst, std::int64_t n,
   for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] * scale;
 }
 
-void scale_inplace(std::span<float> data, float scale) {
-  if (scale == 1.0f) return;
-  for (auto& v : data) v *= scale;
-}
-
 /// The op's modeled payload under its byte convention — what the selector,
 /// the cost model, and the emitted comm span all agree on (and what
 /// build_schedule stores in CommSchedule::bytes). `elem_bytes` is the wire
@@ -428,227 +423,144 @@ double Group::run_collective(int grank, Op op, const float* in,
   return settle(idx, tok.t_start, pr, cluster_.device(grank), fi);
 }
 
-// ---- blocking collectives ---------------------------------------------------
+// ---- blocking and non-blocking collectives ---------------------------------
 
-void Group::all_reduce(int grank, std::span<float> data, float scale,
-                       tensor::Dtype wire) {
+void Group::run_local(const float* in, float* out, std::int64_t n, float scale,
+                      tensor::Dtype wire) {
+  // A one-member "collective" is its own input, scaled. A size-1 wire still
+  // yields wire-representable values, so behavior is uniform across group
+  // sizes.
+  const float* src = in;
+  if (scale != 1.0f) {
+    copy_elems_scaled(in, out, n, scale);
+    src = out;
+  }
+  tensor::wire_round_trip(wire, src, out, n);
+}
+
+void Group::run_blocking(int grank, Op op, const float* in, std::int64_t n_in,
+                         float* out, std::int64_t n_out, int root, float scale,
+                         tensor::Dtype wire) {
   if (size() == 1) {
-    scale_inplace(data, scale);
-    // A size-1 "wire" still yields wire-representable values, so behavior is
-    // uniform across group sizes.
-    tensor::wire_round_trip(wire, data.data(), data.data(),
-                            static_cast<std::int64_t>(data.size()));
+    assert(n_in == n_out);
+    run_local(in, out, n_in, scale, wire);
     return;
   }
   flush(grank);
+  sim::Device& dev = cluster_.device(grank);
+  dev.set_clock(run_collective(grank, op, in, n_in, out, n_out, root, scale,
+                               dev.clock(), wire));
+}
+
+CollectiveHandle Group::issue(int grank, Op op, const float* in,
+                              std::int64_t n_in, float* out, std::int64_t n_out,
+                              int root, float scale, tensor::Dtype wire) {
+  auto st = std::make_shared<detail::AsyncOpState>();
+  const double now = cluster_.device(grank).clock();
+  if (size() == 1) {
+    assert(n_in == n_out);
+    run_local(in, out, n_in, scale, wire);
+    st->done = true;
+    st->t_end = now;
+  } else {
+    members_[static_cast<std::size_t>(index_of(grank))].pending.push_back(
+        PendingOp{op, in, n_in, out, n_out, root, scale, wire, now, st});
+  }
+  return {this, grank, std::move(st)};
+}
+
+void Group::all_reduce(int grank, std::span<float> data, float scale,
+                       tensor::Dtype wire) {
   const auto n = static_cast<std::int64_t>(data.size());
-  const double t_end =
-      run_collective(grank, Op::kAllReduce, data.data(), n, data.data(), n,
-                     /*root=*/0, scale, cluster_.device(grank).clock(), wire);
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kAllReduce, data.data(), n, data.data(), n,
+               /*root=*/0, scale, wire);
 }
 
 void Group::reduce(int grank, std::span<float> data, int root) {
-  if (size() == 1) return;
-  flush(grank);
   const auto n = static_cast<std::int64_t>(data.size());
-  const double t_end =
-      run_collective(grank, Op::kReduce, data.data(), n, data.data(), n, root,
-                     1.0f, cluster_.device(grank).clock());
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kReduce, data.data(), n, data.data(), n, root, 1.0f,
+               tensor::Dtype::kF32);
 }
 
 void Group::all_gather(int grank, std::span<const float> in,
                        std::span<float> out, tensor::Dtype wire) {
-  if (size() == 1) {
-    assert(in.size() == out.size());
-    tensor::wire_round_trip(wire, in.data(), out.data(),
-                            static_cast<std::int64_t>(in.size()));
-    return;
-  }
-  flush(grank);
-  const double t_end = run_collective(
-      grank, Op::kAllGather, in.data(), static_cast<std::int64_t>(in.size()),
-      out.data(), static_cast<std::int64_t>(out.size()), /*root=*/0, 1.0f,
-      cluster_.device(grank).clock(), wire);
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kAllGather, in.data(),
+               static_cast<std::int64_t>(in.size()), out.data(),
+               static_cast<std::int64_t>(out.size()), /*root=*/0, 1.0f, wire);
 }
 
 void Group::reduce_scatter(int grank, std::span<const float> in,
                            std::span<float> out, float scale,
                            tensor::Dtype wire) {
-  if (size() == 1) {
-    assert(in.size() == out.size());
-    std::copy(in.begin(), in.end(), out.begin());
-    scale_inplace(out, scale);
-    tensor::wire_round_trip(wire, out.data(), out.data(),
-                            static_cast<std::int64_t>(out.size()));
-    return;
-  }
-  flush(grank);
-  const double t_end = run_collective(
-      grank, Op::kReduceScatter, in.data(),
-      static_cast<std::int64_t>(in.size()), out.data(),
-      static_cast<std::int64_t>(out.size()), /*root=*/0, scale,
-      cluster_.device(grank).clock(), wire);
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kReduceScatter, in.data(),
+               static_cast<std::int64_t>(in.size()), out.data(),
+               static_cast<std::int64_t>(out.size()), /*root=*/0, scale, wire);
 }
 
 void Group::broadcast(int grank, std::span<float> data, int root,
                       tensor::Dtype wire) {
-  if (size() == 1) {
-    tensor::wire_round_trip(wire, data.data(), data.data(),
-                            static_cast<std::int64_t>(data.size()));
-    return;
-  }
-  flush(grank);
   const auto n = static_cast<std::int64_t>(data.size());
-  const double t_end =
-      run_collective(grank, Op::kBroadcast, data.data(), n, data.data(), n,
-                     root, 1.0f, cluster_.device(grank).clock(), wire);
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kBroadcast, data.data(), n, data.data(), n, root,
+               1.0f, wire);
 }
 
 void Group::all_to_all(int grank, std::span<const float> in,
                        std::span<float> out) {
-  if (size() == 1) {
-    assert(in.size() == out.size());
-    std::copy(in.begin(), in.end(), out.begin());
-    return;
-  }
-  flush(grank);
-  assert(in.size() == out.size());
   assert(in.size() % static_cast<std::size_t>(size()) == 0);
-  const double t_end = run_collective(
-      grank, Op::kAllToAll, in.data(), static_cast<std::int64_t>(in.size()),
-      out.data(), static_cast<std::int64_t>(out.size()), /*root=*/0, 1.0f,
-      cluster_.device(grank).clock());
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kAllToAll, in.data(),
+               static_cast<std::int64_t>(in.size()), out.data(),
+               static_cast<std::int64_t>(out.size()), /*root=*/0, 1.0f,
+               tensor::Dtype::kF32);
 }
 
 void Group::gather(int grank, std::span<const float> in, std::span<float> out,
                    int root) {
-  if (size() == 1) {
-    std::copy(in.begin(), in.end(), out.begin());
-    return;
-  }
-  flush(grank);
-  const int idx = index_of(grank);
-  assert(idx != root ||
+  assert(index_of(grank) != root ||
          out.size() == in.size() * static_cast<std::size_t>(size()));
-  (void)idx;
-  const double t_end = run_collective(
-      grank, Op::kGather, in.data(), static_cast<std::int64_t>(in.size()),
-      out.data(), static_cast<std::int64_t>(out.size()), root, 1.0f,
-      cluster_.device(grank).clock());
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kGather, in.data(),
+               static_cast<std::int64_t>(in.size()), out.data(),
+               static_cast<std::int64_t>(out.size()), root, 1.0f,
+               tensor::Dtype::kF32);
 }
 
 void Group::scatter(int grank, std::span<const float> in, std::span<float> out,
                     int root) {
-  if (size() == 1) {
-    std::copy(in.begin(), in.end(), out.begin());
-    return;
-  }
-  flush(grank);
   // only root's input matters; everyone publishes so sizes are visible
-  const double t_end = run_collective(
-      grank, Op::kScatter, in.data(), static_cast<std::int64_t>(in.size()),
-      out.data(), static_cast<std::int64_t>(out.size()), root, 1.0f,
-      cluster_.device(grank).clock());
-  cluster_.device(grank).set_clock(t_end);
+  run_blocking(grank, Op::kScatter, in.data(),
+               static_cast<std::int64_t>(in.size()), out.data(),
+               static_cast<std::int64_t>(out.size()), root, 1.0f,
+               tensor::Dtype::kF32);
 }
-
-// ---- non-blocking collectives -----------------------------------------------
 
 CollectiveHandle Group::all_reduce_async(int grank, std::span<float> data,
                                          float scale, tensor::Dtype wire) {
-  auto st = std::make_shared<detail::AsyncOpState>();
-  if (size() == 1) {
-    scale_inplace(data, scale);
-    tensor::wire_round_trip(wire, data.data(), data.data(),
-                            static_cast<std::int64_t>(data.size()));
-    st->done = true;
-    st->t_end = cluster_.device(grank).clock();
-    return {this, grank, std::move(st)};
-  }
-  auto& me = members_[static_cast<std::size_t>(index_of(grank))];
-  me.pending.push_back(PendingOp{
-      Op::kAllReduce, data.data(), nullptr, nullptr,
-      static_cast<std::int64_t>(data.size()), 0, scale, wire,
-      cluster_.device(grank).clock(), st});
-  return {this, grank, std::move(st)};
+  const auto n = static_cast<std::int64_t>(data.size());
+  return issue(grank, Op::kAllReduce, data.data(), n, data.data(), n,
+               /*root=*/0, scale, wire);
 }
 
 CollectiveHandle Group::reduce_scatter_async(int grank,
                                              std::span<const float> in,
                                              std::span<float> out, float scale,
                                              tensor::Dtype wire) {
-  auto st = std::make_shared<detail::AsyncOpState>();
-  if (size() == 1) {
-    assert(in.size() == out.size());
-    std::copy(in.begin(), in.end(), out.begin());
-    scale_inplace(out, scale);
-    tensor::wire_round_trip(wire, out.data(), out.data(),
-                            static_cast<std::int64_t>(out.size()));
-    st->done = true;
-    st->t_end = cluster_.device(grank).clock();
-    return {this, grank, std::move(st)};
-  }
-  auto& me = members_[static_cast<std::size_t>(index_of(grank))];
-  me.pending.push_back(PendingOp{
-      Op::kReduceScatter, nullptr, in.data(), out.data(),
-      static_cast<std::int64_t>(in.size()),
-      static_cast<std::int64_t>(out.size()), scale, wire,
-      cluster_.device(grank).clock(), st});
-  return {this, grank, std::move(st)};
+  return issue(grank, Op::kReduceScatter, in.data(),
+               static_cast<std::int64_t>(in.size()), out.data(),
+               static_cast<std::int64_t>(out.size()), /*root=*/0, scale, wire);
 }
 
 CollectiveHandle Group::all_gather_async(int grank, std::span<const float> in,
                                          std::span<float> out,
                                          tensor::Dtype wire) {
-  auto st = std::make_shared<detail::AsyncOpState>();
-  if (size() == 1) {
-    assert(in.size() == out.size());
-    tensor::wire_round_trip(wire, in.data(), out.data(),
-                            static_cast<std::int64_t>(in.size()));
-    st->done = true;
-    st->t_end = cluster_.device(grank).clock();
-    return {this, grank, std::move(st)};
-  }
-  auto& me = members_[static_cast<std::size_t>(index_of(grank))];
-  me.pending.push_back(PendingOp{
-      Op::kAllGather, nullptr, in.data(), out.data(),
-      static_cast<std::int64_t>(in.size()),
-      static_cast<std::int64_t>(out.size()), 1.0f, wire,
-      cluster_.device(grank).clock(), st});
-  return {this, grank, std::move(st)};
+  return issue(grank, Op::kAllGather, in.data(),
+               static_cast<std::int64_t>(in.size()), out.data(),
+               static_cast<std::int64_t>(out.size()), /*root=*/0, 1.0f, wire);
 }
 
 void Group::run_pending(int grank, PendingOp& op) {
-  double t_end = 0.0;
   // Deferred ops replay through the same schedule engine as blocking calls,
   // so async results stay bit-identical; only the published clock differs.
-  switch (op.kind) {
-    case Op::kAllReduce:
-      t_end = run_collective(grank, Op::kAllReduce, op.data, op.n, op.data,
-                             op.n, /*root=*/0, op.scale, op.issue_clock,
-                             op.wire);
-      break;
-    case Op::kReduceScatter:
-      t_end = run_collective(grank, Op::kReduceScatter, op.in, op.n, op.out,
-                             op.n_out, /*root=*/0, op.scale, op.issue_clock,
-                             op.wire);
-      break;
-    case Op::kAllGather:
-      t_end = run_collective(grank, Op::kAllGather, op.in, op.n, op.out,
-                             op.n_out, /*root=*/0, 1.0f, op.issue_clock,
-                             op.wire);
-      break;
-    default:
-      assert(false && "unsupported deferred op");
-  }
-  op.st->t_end = t_end;
+  op.st->t_end = run_collective(grank, op.op, op.in, op.n_in, op.out, op.n_out,
+                                op.root, op.scale, op.issue_clock, op.wire);
   op.st->done = true;
 }
 

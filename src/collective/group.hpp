@@ -242,14 +242,15 @@ class Group {
     double t_start;
   };
 
-  /// A deferred async op, executed in issue order by drains/flushes.
+  /// A deferred async op, executed in issue order by drains/flushes: the
+  /// arguments of its run_collective call, minus the clock it publishes.
   struct PendingOp {
-    Op kind;
-    float* data = nullptr;      // all_reduce: in-place buffer
-    const float* in = nullptr;  // reduce_scatter / all_gather: input
-    float* out = nullptr;       //                              output
-    std::int64_t n = 0;         // all_reduce: elems; others: in-elems
-    std::int64_t n_out = 0;     // reduce_scatter / all_gather: out-elems
+    Op op;
+    const float* in = nullptr;  // published input (in == out: in place)
+    std::int64_t n_in = 0;
+    float* out = nullptr;
+    std::int64_t n_out = 0;
+    int root = 0;
     float scale = 1.0f;
     tensor::Dtype wire = tensor::Dtype::kF32;
     double issue_clock = 0.0;  // member's clock when the op was issued
@@ -298,6 +299,22 @@ class Group {
                         float* out, std::int64_t n_out, int root, float scale,
                         double pub_clock,
                         tensor::Dtype wire = tensor::Dtype::kF32);
+
+  /// The one-member shortcut every op takes: out[0, n) = scale * in[0, n),
+  /// rounded through `wire`. No rendezvous; no clock or bytes charged.
+  static void run_local(const float* in, float* out, std::int64_t n,
+                        float scale, tensor::Dtype wire);
+  /// Every blocking collective: the one-member shortcut, or flush my pending
+  /// async ops, run the op at my current clock and advance my clock to its
+  /// completion.
+  void run_blocking(int grank, Op op, const float* in, std::int64_t n_in,
+                    float* out, std::int64_t n_out, int root, float scale,
+                    tensor::Dtype wire);
+  /// Every async collective: the one-member shortcut (a handle that is
+  /// already done), or queue the op with my current clock as its issue time.
+  CollectiveHandle issue(int grank, Op op, const float* in, std::int64_t n_in,
+                         float* out, std::int64_t n_out, int root, float scale,
+                         tensor::Dtype wire);
 
   /// Execute one schedule action on behalf of member `idx`.
   void run_action(int idx, int slot, const CommAction& a, float* out,

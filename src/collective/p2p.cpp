@@ -159,10 +159,6 @@ RecvHandle P2pChannel::irecv(std::span<float> data) {
           cluster_.device(dst_).clock()};
 }
 
-RecvHandle P2pChannel::irecv_bytes(std::int64_t bytes) {
-  return {this, nullptr, 0, bytes, cluster_.device(dst_).clock()};
-}
-
 void P2pChannel::send_async(std::span<const float> data, tensor::Dtype wire) {
   const auto count = static_cast<std::int64_t>(data.size());
   do_send(data.data(), count, count * tensor::dtype_bytes(wire),

@@ -78,7 +78,6 @@ class P2pChannel {
   /// The payload lands in `data` when the handle is waited; transfer time is
   /// charged from the post, not the wait (overlap with compute is free).
   [[nodiscard]] RecvHandle irecv(std::span<float> data);
-  [[nodiscard]] RecvHandle irecv_bytes(std::int64_t bytes);
 
   /// Wire-dtype twins: the payload crosses the interconnect in `wire`
   /// elements (count * dtype_bytes(wire) modeled bytes, rounded once on the

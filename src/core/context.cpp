@@ -73,8 +73,6 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
   comm_dtype_ = *tensor::parse_dtype(knobs.text(Knob::kCommDtype));
 
   data_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  data_node_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  data_leader_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
   tensor_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
   row_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
   col_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
@@ -99,32 +97,7 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
       std::vector<int> ranks;
       ranks.reserve(static_cast<std::size_t>(dp));
       for (int d = 0; d < dp; ++d) ranks.push_back(phys((d * pp + p) * tp + t));
-      auto& g = backend_.create_group(std::move(ranks), "data");
-      assign(data_groups_, g);
-
-      // When the data group spans real nodes, expose its two-level
-      // decomposition as explicit subgroups so gradient sync can be composed
-      // manually (intra-node + leaders). Derived from the group's own plan,
-      // so the subgroup split always matches what kHierarchical would use.
-      const auto& plan = g.plan();
-      if (plan.viable() && plan.by_node) {
-        for (const auto& block : plan.blocks) {
-          std::vector<int> node_ranks;
-          node_ranks.reserve(block.size());
-          for (int m : block) {
-            node_ranks.push_back(g.ranks()[static_cast<std::size_t>(m)]);
-          }
-          assign(data_node_groups_,
-                 backend_.create_group(std::move(node_ranks), "data_node"));
-        }
-        std::vector<int> leader_ranks;
-        leader_ranks.reserve(plan.leaders.size());
-        for (int m : plan.leaders) {
-          leader_ranks.push_back(g.ranks()[static_cast<std::size_t>(m)]);
-        }
-        assign(data_leader_groups_,
-               backend_.create_group(std::move(leader_ranks), "data_leader"));
-      }
+      assign(data_groups_, backend_.create_group(std::move(ranks), "data"));
     }
   }
 
@@ -269,18 +242,6 @@ collective::Group& require_group(const std::vector<collective::Group*>& v,
 
 collective::Group& ParallelContext::data_group(int grank) {
   return require_group(data_groups_, grank, "data");
-}
-collective::Group& ParallelContext::data_node_group(int grank) {
-  return require_group(data_node_groups_, grank, "data-node");
-}
-collective::Group& ParallelContext::data_leader_group(int grank) {
-  return require_group(data_leader_groups_, grank, "data-leader");
-}
-bool ParallelContext::has_data_node_group(int grank) const {
-  return data_node_groups_.at(static_cast<std::size_t>(grank)) != nullptr;
-}
-bool ParallelContext::is_data_leader(int grank) const {
-  return data_leader_groups_.at(static_cast<std::size_t>(grank)) != nullptr;
 }
 
 collective::Group& ParallelContext::tensor_group(int grank) {

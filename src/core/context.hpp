@@ -90,21 +90,6 @@ class ParallelContext {
   /// Alias of tensor_group when sequence parallelism is configured.
   [[nodiscard]] collective::Group& sequence_group(int grank);
 
-  // Two-level decomposition of a node-spanning data group, for gradient
-  // sync composed as intra-node reduce-scatter + inter-node exchange over
-  // node leaders + intra-node all-gather (the manual counterpart of the
-  // hierarchical all-reduce algorithm). Built only when the data group's
-  // two-level plan follows real topology nodes.
-
-  /// Members of my data group on my node. Throws when no two-level
-  /// decomposition exists (single-node data group, or dp == 1).
-  [[nodiscard]] collective::Group& data_node_group(int grank);
-  /// One member per node of my data group (the node leaders). Available only
-  /// for ranks with is_data_leader(); others throw.
-  [[nodiscard]] collective::Group& data_leader_group(int grank);
-  [[nodiscard]] bool has_data_node_group(int grank) const;
-  [[nodiscard]] bool is_data_leader(int grank) const;
-
   // 2D / 2.5D: the SUMMA grid inside one (depth layer of a) tensor group.
   [[nodiscard]] collective::Group& row_group(int grank);
   [[nodiscard]] collective::Group& col_group(int grank);
@@ -146,8 +131,6 @@ class ParallelContext {
 
   // one entry per physical cluster rank (nullptr on non-members)
   std::vector<collective::Group*> data_groups_;
-  std::vector<collective::Group*> data_node_groups_;
-  std::vector<collective::Group*> data_leader_groups_;
   std::vector<collective::Group*> tensor_groups_;
   std::vector<collective::Group*> row_groups_;
   std::vector<collective::Group*> col_groups_;

@@ -23,17 +23,6 @@ inline std::int64_t read_i64(std::istream& is) {
   return v;
 }
 
-inline void write_f64(std::ostream& os, double v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-inline double read_f64(std::istream& is) {
-  double v = 0.0;
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!is) throw std::runtime_error("checkpoint: truncated stream (f64)");
-  return v;
-}
-
 inline void write_f32s(std::ostream& os, const float* p, std::int64_t n) {
   os.write(reinterpret_cast<const char*>(p),
            static_cast<std::streamsize>(n) *
@@ -52,10 +41,26 @@ inline void write_str(std::ostream& os, const std::string& s) {
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
+/// Bytes left to read in `is`, or -1 when the stream cannot seek. Readers
+/// check a length field against it, so a damaged length fails as a short
+/// read before that many bytes are allocated.
+inline std::int64_t remaining_bytes(std::istream& is) {
+  const auto here = is.tellg();
+  if (here < 0) return -1;
+  is.seekg(0, std::ios::end);
+  const auto left = static_cast<std::int64_t>(is.tellg() - here);
+  is.seekg(here);
+  return left;
+}
+
 inline std::string read_str(std::istream& is) {
   const std::int64_t n = read_i64(is);
   if (n < 0 || n > (std::int64_t{1} << 32)) {
     throw std::runtime_error("checkpoint: corrupt string length");
+  }
+  const std::int64_t left = remaining_bytes(is);
+  if (left >= 0 && n > left) {
+    throw std::runtime_error("checkpoint: truncated stream (str)");
   }
   std::string s(static_cast<std::size_t>(n), '\0');
   is.read(s.data(), static_cast<std::streamsize>(n));

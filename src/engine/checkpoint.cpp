@@ -23,16 +23,7 @@ class NullBuf : public std::streambuf {
   std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
 };
 
-// ---- v2 section framing -----------------------------------------------------
-
-void write_section(std::ostream& os, const std::string& name,
-                   const std::string& payload) {
-  core::write_str(os, name);
-  core::write_i64(os, static_cast<std::int64_t>(payload.size()));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  core::write_i64(os, static_cast<std::int64_t>(
-                          core::crc32(payload.data(), payload.size())));
-}
+// ---- the section sequence ----------------------------------------------------
 
 /// Read one framed section and verify its CRC. Every structural failure —
 /// wrong name, negative/truncated length, short payload, CRC mismatch — is
@@ -48,15 +39,18 @@ std::string read_section(std::istream& is, const std::string& expect,
     }
     const std::int64_t len = core::read_i64(is);
     if (len < 0) throw std::runtime_error("negative section length");
+    const auto truncated = [len](std::int64_t got) {
+      return std::runtime_error("truncated payload (" + std::to_string(got) +
+                                " of " + std::to_string(len) + " bytes)");
+    };
+    const std::int64_t left = core::remaining_bytes(is);
+    if (left >= 0 && len > left) throw truncated(left);
     std::string payload(static_cast<std::size_t>(len), '\0');
     is.read(payload.data(), len);
-    if (!is || is.gcount() != len) {
-      throw std::runtime_error("truncated payload (" +
-                               std::to_string(is.gcount()) + " of " +
-                               std::to_string(len) + " bytes)");
-    }
-    const auto stored =
-        static_cast<std::uint32_t>(core::read_i64(is) & 0xffffffffll);
+    if (!is || is.gcount() != len) throw truncated(is.gcount());
+    // The writer zero-extends the 32-bit CRC, so damage to the high bytes
+    // is a mismatch too.
+    const std::int64_t stored = core::read_i64(is);
     const std::uint32_t actual = core::crc32(payload.data(), payload.size());
     if (stored != actual) {
       throw std::runtime_error("crc mismatch (stored " +
@@ -71,23 +65,117 @@ std::string read_section(std::istream& is, const std::string& expect,
   }
 }
 
-/// "CACKPT01" => 1, "CACKPT02" => 2; throws on anything else.
-int read_magic(std::istream& is, const std::string& path) {
-  char magic[sizeof(kCheckpointMagic)] = {};
-  is.read(magic, sizeof(magic));
-  if (is && std::memcmp(magic, kCheckpointMagicV2, sizeof(magic)) == 0) {
-    return 2;
+/// Checks the magic, then hands out a checkpoint's sections in order:
+/// "meta", "params", "optim". A CACKPT01 file holds the same section bodies
+/// unframed, back to back, so its next section is simply the rest of the
+/// stream.
+class SectionReader {
+ public:
+  SectionReader(std::istream& is, const std::string& path)
+      : is_(is), path_(path) {
+    char magic[sizeof(kCheckpointMagic)] = {};
+    is.read(magic, sizeof(magic));
+    if (is && std::memcmp(magic, kCheckpointMagic, sizeof(magic)) == 0) {
+      version_ = 1;
+    } else if (!is ||
+               std::memcmp(magic, kCheckpointMagicV2, sizeof(magic)) != 0) {
+      throw CheckpointCorruptError(path, "magic", 0, "bad or truncated magic");
+    }
   }
-  if (is && std::memcmp(magic, kCheckpointMagic, sizeof(magic)) == 0) {
-    return 1;
+
+  std::istream& next(const std::string& name) {
+    if (version_ == 1) return is_;
+    section_ = std::istringstream(read_section(is_, name, path_));
+    return section_;
   }
-  throw CheckpointCorruptError(path, "magic", 0, "bad or truncated magic");
+
+ private:
+  std::istream& is_;
+  const std::string& path_;
+  int version_ = 2;
+  std::istringstream section_;
+};
+
+/// Emit the section sequence every checkpoint shares — magic, meta (the
+/// resume step), params, optim — with the two bodies written by the caller.
+template <class Params, class Optim>
+void write_checkpoint(std::ostream& os, std::int64_t step, Params params,
+                      Optim optim) {
+  // [name][i64 length][payload][i64 crc32]
+  const auto section = [&os](const std::string& name, auto body) {
+    std::ostringstream buf;
+    body(buf);
+    const std::string payload = buf.str();
+    core::write_str(os, name);
+    core::write_i64(os, static_cast<std::int64_t>(payload.size()));
+    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    core::write_i64(os, static_cast<std::int64_t>(
+                            core::crc32(payload.data(), payload.size())));
+  };
+  os.write(kCheckpointMagicV2, sizeof(kCheckpointMagicV2));
+  section("meta", [step](std::ostream& s) { core::write_i64(s, step); });
+  section("params", params);
+  section("optim", optim);
 }
 
-// ---- parameter re-layout ----------------------------------------------------
+/// Read the section sequence write_checkpoint emits; returns the step.
+template <class Params, class Optim>
+std::int64_t read_checkpoint(std::istream& is, const std::string& path,
+                             Params params, Optim optim) {
+  SectionReader sections(is, path);
+  const std::int64_t step = core::read_i64(sections.next("meta"));
+  params(sections.next("params"));
+  optim(sections.next("optim"));
+  return step;
+}
+
+std::ifstream open_checkpoint(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("checkpoint: cannot read " + path);
+  return is;
+}
+
+// ---- tensor re-layout ---------------------------------------------------------
 
 bool needs_gather(const nn::Parameter& p) {
   return p.shard.has_value() && p.shard->partitioned();
+}
+
+/// Write `x` — parameter `p`'s value or any same-shaped per-element state of
+/// it (Adam moments, SGD velocity) — in full form: gathered across the
+/// tensor group through p's ShardSpec when p is TP-sharded, raw otherwise.
+void write_tensor(std::ostream& os, const tp::Env& env, const nn::Parameter& p,
+                  const tensor::Tensor& x) {
+  const auto put = [&os](const tensor::Tensor& t) {
+    core::write_i64(os, t.numel());
+    core::write_f32s(os, t.data().data(), t.numel());
+  };
+  if (needs_gather(p)) {
+    put(tp::gather_full(env.ctx->tensor_group(env.grank), env.grank, *p.shard,
+                        x));
+  } else {
+    put(x);
+  }
+}
+
+/// Read one write_tensor entry into `x`, this rank's local form of `p`: a
+/// full-form entry is re-sliced onto p's (possibly different) shard layout.
+void read_tensor(std::istream& is, const nn::Parameter& p, tensor::Tensor& x) {
+  const std::int64_t n = core::read_i64(is);
+  if (n == x.numel() && !needs_gather(p)) {
+    core::read_f32s(is, x.data().data(), n);
+  } else if (p.shard.has_value() && n == p.shard->full_numel()) {
+    std::vector<float> full(static_cast<std::size_t>(n));
+    core::read_f32s(is, full.data(), n);
+    tp::slice_from_full(*p.shard, full, x.data());
+  } else {
+    throw std::runtime_error(
+        "checkpoint: tensor of '" + p.name + "' has " + std::to_string(n) +
+        " elements; model expects " + std::to_string(x.numel()) +
+        (p.shard.has_value()
+             ? " local / " + std::to_string(p.shard->full_numel()) + " full"
+             : ""));
+  }
 }
 
 void write_params(std::ostream& os, const tp::Env& env, nn::Module& model) {
@@ -95,15 +183,7 @@ void write_params(std::ostream& os, const tp::Env& env, nn::Module& model) {
   core::write_i64(os, static_cast<std::int64_t>(params.size()));
   for (const nn::Parameter* p : params) {
     core::write_str(os, p->name);
-    if (needs_gather(*p)) {
-      auto full = tp::gather_full(env.ctx->tensor_group(env.grank), env.grank,
-                                  *p->shard, p->value);
-      core::write_i64(os, full.numel());
-      core::write_f32s(os, full.data().data(), full.numel());
-    } else {
-      core::write_i64(os, p->numel());
-      core::write_f32s(os, p->value.data().data(), p->numel());
-    }
+    write_tensor(os, env, *p, p->value);
   }
 }
 
@@ -114,63 +194,27 @@ void read_params(std::istream& is, nn::Module& model) {
   }
   for (nn::Parameter* p : params) {
     const std::string name = core::read_str(is);
-    const std::int64_t n = core::read_i64(is);
     if (name != p->name) {
       throw std::runtime_error("checkpoint: parameter mismatch: file has '" +
                                name + "', model has '" + p->name + "'");
     }
-    if (n == p->numel() && !needs_gather(*p)) {
-      core::read_f32s(is, p->value.data().data(), n);
-    } else if (p->shard.has_value() && n == p->shard->full_numel()) {
-      // Full-form entry restored onto a (possibly different) shard layout.
-      std::vector<float> full(static_cast<std::size_t>(n));
-      core::read_f32s(is, full.data(), n);
-      tp::slice_from_full(*p->shard, full, p->value.data());
-    } else {
-      throw std::runtime_error(
-          "checkpoint: parameter '" + name + "' has " + std::to_string(n) +
-          " elements; model expects " + std::to_string(p->numel()) +
-          (p->shard.has_value()
-               ? " local / " + std::to_string(p->shard->full_numel()) + " full"
-               : ""));
-    }
+    read_tensor(is, *p, p->value);
   }
 }
 
-/// Spec-aware optimizer-state hooks: sharded parameters' per-element state
-/// (Adam moments, SGD velocity) goes through the same gather/slice as the
-/// parameter itself, so moments survive a tensor-grid change.
-optim::Optimizer::TensorWriter state_writer(const tp::Env& env,
-                                            optim::Optimizer& opt) {
-  return [&env, &opt](std::ostream& os, std::size_t idx,
-                      const tensor::Tensor& x) {
-    const nn::Parameter& p = *opt.params().at(idx);
-    if (needs_gather(p)) {
-      auto full = tp::gather_full(env.ctx->tensor_group(env.grank), env.grank,
-                                  *p.shard, x);
-      core::write_i64(os, full.numel());
-      core::write_f32s(os, full.data().data(), full.numel());
-    } else {
-      core::write_i64(os, x.numel());
-      core::write_f32s(os, x.data().data(), x.numel());
-    }
-  };
-}
-
-optim::Optimizer::TensorReader state_reader(optim::Optimizer& opt) {
-  return [&opt](std::istream& is, std::size_t idx, tensor::Tensor& x) {
-    const nn::Parameter& p = *opt.params().at(idx);
-    const std::int64_t n = core::read_i64(is);
-    if (n == x.numel() && !needs_gather(p)) {
-      core::read_f32s(is, x.data().data(), n);
-    } else if (p.shard.has_value() && n == p.shard->full_numel()) {
-      std::vector<float> full(static_cast<std::size_t>(n));
-      core::read_f32s(is, full.data(), n);
-      tp::slice_from_full(*p.shard, full, x.data());
-    } else {
-      throw std::runtime_error("optimizer state: tensor size mismatch");
-    }
-  };
+/// The DP/TP reader behind both load forms. Optimizer state goes through the
+/// same tensor reader as the parameters, so moments survive a tensor-grid
+/// change.
+std::int64_t read_dp_checkpoint(std::istream& is, const std::string& path,
+                                nn::Module& model, optim::Optimizer& opt) {
+  return read_checkpoint(
+      is, path, [&](std::istream& s) { read_params(s, model); },
+      [&](std::istream& s) {
+        opt.load_state(s, [&](std::istream& i, std::size_t idx,
+                              tensor::Tensor& x) {
+          read_tensor(i, *opt.params().at(idx), x);
+        });
+      });
 }
 
 // ---- file plumbing ----------------------------------------------------------
@@ -237,42 +281,20 @@ void spmd_save(const tp::Env& env, const std::string& path, std::int64_t step,
 void serialize_checkpoint(const tp::Env& env, nn::Module& model,
                           optim::Optimizer& opt, std::int64_t step,
                           std::ostream& os) {
-  os.write(kCheckpointMagicV2, sizeof(kCheckpointMagicV2));
-  {
-    std::ostringstream meta;
-    core::write_i64(meta, step);
-    write_section(os, "meta", meta.str());
-  }
-  {
-    std::ostringstream ps;
-    write_params(ps, env, model);
-    write_section(os, "params", ps.str());
-  }
-  {
-    std::ostringstream opts;
-    opt.save_state(opts, state_writer(env, opt));
-    write_section(os, "optim", opts.str());
-  }
+  write_checkpoint(
+      os, step, [&](std::ostream& s) { write_params(s, env, model); },
+      [&](std::ostream& s) {
+        opt.save_state(s, [&](std::ostream& o, std::size_t idx,
+                              const tensor::Tensor& x) {
+          write_tensor(o, env, *opt.params().at(idx), x);
+        });
+      });
 }
 
 std::int64_t deserialize_checkpoint(const tp::Env& env, nn::Module& model,
                                     optim::Optimizer& opt, std::istream& is) {
   (void)env;  // pure local reads: shard specs live on the parameters
-  const std::string path = "<memory>";
-  const int version = read_magic(is, path);
-  if (version == 1) {
-    const std::int64_t step = core::read_i64(is);
-    read_params(is, model);
-    opt.load_state(is, state_reader(opt));
-    return step;
-  }
-  std::istringstream meta(read_section(is, "meta", path));
-  const std::int64_t step = core::read_i64(meta);
-  std::istringstream ps(read_section(is, "params", path));
-  read_params(ps, model);
-  std::istringstream opts(read_section(is, "optim", path));
-  opt.load_state(opts, state_reader(opt));
-  return step;
+  return read_dp_checkpoint(is, "<memory>", model, opt);
 }
 
 void save_checkpoint(const tp::Env& env, nn::Module& model,
@@ -289,22 +311,8 @@ void save_checkpoint(const tp::Env& env, nn::Module& model,
 std::int64_t load_checkpoint(const tp::Env& env, nn::Module& model,
                              optim::Optimizer& opt, const std::string& path) {
   (void)env;  // pure local reads: every rank loads the same file
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("checkpoint: cannot read " + path);
-  const int version = read_magic(is, path);
-  if (version == 1) {
-    const std::int64_t step = core::read_i64(is);
-    read_params(is, model);
-    opt.load_state(is, state_reader(opt));
-    return step;
-  }
-  std::istringstream meta(read_section(is, "meta", path));
-  const std::int64_t step = core::read_i64(meta);
-  std::istringstream ps(read_section(is, "params", path));
-  read_params(ps, model);
-  std::istringstream opts(read_section(is, "optim", path));
-  opt.load_state(opts, state_reader(opt));
-  return step;
+  auto is = open_checkpoint(path);
+  return read_dp_checkpoint(is, path, model, opt);
 }
 
 // ---- ZeRO variant -----------------------------------------------------------
@@ -314,22 +322,9 @@ void save_checkpoint(const tp::Env& env, nn::Module& model,
                      const std::string& path) {
   (void)model;  // parameter values ARE the gathered master weights
   spmd_save(env, path, step, [&](std::ostream& os) {
-    os.write(kCheckpointMagicV2, sizeof(kCheckpointMagicV2));
-    {
-      std::ostringstream meta;
-      core::write_i64(meta, step);
-      write_section(os, "meta", meta.str());
-    }
-    {
-      std::ostringstream ps;
-      core::write_i64(ps, 0);  // empty params section
-      write_section(os, "params", ps.str());
-    }
-    {
-      std::ostringstream opts;
-      opt.save_state(opts);  // SPMD: every rank joins the gathers
-      write_section(os, "optim", opts.str());
-    }
+    write_checkpoint(
+        os, step, [](std::ostream& s) { core::write_i64(s, 0); },  // no params
+        [&](std::ostream& s) { opt.save_state(s); });  // SPMD gathers
   });
 }
 
@@ -338,38 +333,23 @@ std::int64_t load_checkpoint(const tp::Env& env, nn::Module& model,
                              const std::string& path) {
   (void)env;
   (void)model;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("checkpoint: cannot read " + path);
-  const int version = read_magic(is, path);
-  auto check_empty_params = [&](std::istream& s) {
-    if (core::read_i64(s) != 0) {
-      throw std::runtime_error(
-          "checkpoint: expected a ZeRO checkpoint (empty params section) in " +
-          path);
-    }
-  };
-  if (version == 1) {
-    const std::int64_t step = core::read_i64(is);
-    check_empty_params(is);
-    opt.load_state(is);  // SPMD: stages 1-2 re-gather parameter values
-    return step;
-  }
-  std::istringstream meta(read_section(is, "meta", path));
-  const std::int64_t step = core::read_i64(meta);
-  std::istringstream ps(read_section(is, "params", path));
-  check_empty_params(ps);
-  std::istringstream opts(read_section(is, "optim", path));
-  opt.load_state(opts);
-  return step;
+  auto is = open_checkpoint(path);
+  return read_checkpoint(
+      is, path,
+      [&](std::istream& s) {
+        if (core::read_i64(s) != 0) {
+          throw std::runtime_error(
+              "checkpoint: expected a ZeRO checkpoint (empty params section) "
+              "in " + path);
+        }
+      },
+      // SPMD: stages 1-2 re-gather parameter values
+      [&](std::istream& s) { opt.load_state(s); });
 }
 
 std::int64_t checkpoint_step(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("checkpoint: cannot read " + path);
-  const int version = read_magic(is, path);
-  if (version == 1) return core::read_i64(is);
-  std::istringstream meta(read_section(is, "meta", path));
-  return core::read_i64(meta);
+  auto is = open_checkpoint(path);
+  return core::read_i64(SectionReader(is, path).next("meta"));
 }
 
 }  // namespace ca::engine

@@ -132,8 +132,6 @@ class ElasticCoordinator {
     double resume_clock = 0.0;  ///< aligned clock survivors restarted at
   };
 
-  /// Living members of the current epoch (mu_ NOT held — reads FaultState).
-  [[nodiscard]] std::vector<int> survivors_now();
   /// Leader-only: re-plan, rearm, rebuild, publish. Called with mu_ held;
   /// drops the lock for every FaultState / Backend call (lock order: never
   /// hold mu_ while taking a FaultState or Group mutex — the FaultState

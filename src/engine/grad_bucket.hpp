@@ -51,8 +51,6 @@ class GradBucketer {
   /// order), and scatter the averaged gradients back into the parameters.
   void finish();
 
-  [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
-
  private:
   struct Bucket {
     std::vector<nn::Parameter*> params;

@@ -9,26 +9,6 @@ namespace ca::models {
 
 namespace t = ca::tensor;
 
-namespace {
-
-/// Adapter inserted between chained 3D layers: Y-layout -> X-layout in
-/// forward, the inverse redistribution for the gradient in backward.
-class Convert3D : public nn::Module {
- public:
-  explicit Convert3D(const tp::Env& env) : env_(env) {}
-  t::Tensor forward(const t::Tensor& x) override {
-    return tp::convert_3d_y_to_x(env_, x);
-  }
-  t::Tensor backward(const t::Tensor& dy) override {
-    return tp::convert_3d_x_to_y(env_, dy);
-  }
-
- private:
-  tp::Env env_;
-};
-
-}  // namespace
-
 Classifier::Classifier(Config cfg) : cfg_(cfg) {
   net_.add(std::make_unique<nn::Linear>("embed", cfg.features, cfg.hidden,
                                         cfg.seed));
@@ -58,12 +38,12 @@ Classifier::Classifier(const tp::Env& env, Config cfg)
     net_.add(std::make_unique<tp::Linear3D>(env, "embed", cfg.features,
                                             cfg.hidden, cfg.seed));
     net_.add(std::make_unique<nn::Gelu>());
-    net_.add(std::make_unique<Convert3D>(env));
+    net_.add(std::make_unique<tp::Convert3D>(env));
     for (std::int64_t b = 0; b < cfg.blocks; ++b) {
       net_.add(std::make_unique<tp::Mlp3D>(env, "block" + std::to_string(b),
                                            cfg.hidden, 2 * cfg.hidden,
                                            cfg.seed + 10 * (b + 1)));
-      net_.add(std::make_unique<Convert3D>(env));
+      net_.add(std::make_unique<tp::Convert3D>(env));
     }
     net_.add(std::make_unique<tp::Linear3D>(env, "head", cfg.hidden,
                                             cfg.classes, cfg.seed + 999));

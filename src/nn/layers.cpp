@@ -243,23 +243,31 @@ void MultiHeadAttention::collect_parameters(std::vector<Parameter*>& out) {
 
 // ---- Mlp -----------------------------------------------------------------------
 
+t::Tensor MlpBody::forward(const t::Tensor& x) {
+  auto& p = parts_;
+  auto h = act_.forward(p.fc1->forward(x));
+  if (p.convert) h = p.convert->forward(h);
+  return p.fc2->forward(h);
+}
+
+t::Tensor MlpBody::backward(const t::Tensor& dy) {
+  auto& p = parts_;
+  auto dh = p.fc2->backward(dy);
+  if (p.convert) dh = p.convert->backward(dh);
+  return p.fc1->backward(act_.backward(dh));
+}
+
+void MlpBody::collect_parameters(std::vector<Parameter*>& out) {
+  parts_.fc1->collect_parameters(out);
+  parts_.fc2->collect_parameters(out);
+}
+
 Mlp::Mlp(std::string name, std::int64_t hidden, std::int64_t ffn_hidden,
          std::uint64_t seed)
-    : fc1_(name + ".fc1", hidden, ffn_hidden, seed),
-      fc2_(name + ".fc2", ffn_hidden, hidden, seed + 1) {}
-
-t::Tensor Mlp::forward(const t::Tensor& x) {
-  return fc2_.forward(act_.forward(fc1_.forward(x)));
-}
-
-t::Tensor Mlp::backward(const t::Tensor& dy) {
-  return fc1_.backward(act_.backward(fc2_.backward(dy)));
-}
-
-void Mlp::collect_parameters(std::vector<Parameter*>& out) {
-  fc1_.collect_parameters(out);
-  fc2_.collect_parameters(out);
-}
+    : MlpBody({std::make_unique<Linear>(name + ".fc1", hidden, ffn_hidden,
+                                        seed),
+               std::make_unique<Linear>(name + ".fc2", ffn_hidden, hidden,
+                                        seed + 1)}) {}
 
 // ---- PreLNBlock ------------------------------------------------------------------
 

@@ -158,20 +158,34 @@ class MultiHeadAttention : public Module {
   AttentionCore core_;
 };
 
-/// Feed-forward block: Linear(h -> ratio*h) -> GELU -> Linear(ratio*h -> h).
-class Mlp : public Module {
+/// The feed-forward skeleton every layout shares: fc1 -> GELU -> fc2, with
+/// an optional layout conversion between GELU and fc2, plus its backward.
+/// Layout MLPs are thin constructors over it; parameters are collected in
+/// the order fc1, fc2.
+class MlpBody : public Module {
  public:
-  Mlp(std::string name, std::int64_t hidden, std::int64_t ffn_hidden,
-      std::uint64_t seed);
-
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
+ protected:
+  struct Parts {
+    std::unique_ptr<Module> fc1, fc2;
+    std::unique_ptr<Module> convert = nullptr;  ///< parameter-free, optional
+  };
+  /// Pass a braced Parts so the layers construct left to right.
+  explicit MlpBody(Parts parts) : parts_(std::move(parts)) {}
+
  private:
-  Linear fc1_;
+  Parts parts_;
   Gelu act_;
-  Linear fc2_;
+};
+
+/// Feed-forward block: Linear(h -> ratio*h) -> GELU -> Linear(ratio*h -> h).
+class Mlp : public MlpBody {
+ public:
+  Mlp(std::string name, std::int64_t hidden, std::int64_t ffn_hidden,
+      std::uint64_t seed);
 };
 
 /// The pre-LN residual skeleton every layout shares:

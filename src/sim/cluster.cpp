@@ -121,11 +121,6 @@ FaultInjector& Cluster::install_faults(FaultPlan plan) {
   return *injector_;
 }
 
-void Cluster::clear_faults() {
-  for (auto& d : devices_) d->set_fault(nullptr);
-  injector_.reset();
-}
-
 double Cluster::max_clock() const {
   double m = 0.0;
   for (const auto& d : devices_) m = std::max(m, d->clock());

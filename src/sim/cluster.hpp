@@ -68,7 +68,6 @@ class Cluster {
   void set_workers(int w) { workers_ = w; }
   /// Per-fiber stack bytes; 0 = scheduler default. From CA_SIM_STACK_KB.
   [[nodiscard]] std::size_t stack_bytes() const { return stack_bytes_; }
-  void set_stack_bytes(std::size_t b) { stack_bytes_ = b; }
 
   /// Max of all device clocks — wall-clock time of the SPMD program.
   [[nodiscard]] double max_clock() const;
@@ -85,9 +84,6 @@ class Cluster {
   /// pointer, and arms the watchdog budget. Call outside the SPMD region.
   /// Replaces any previous plan.
   FaultInjector& install_faults(FaultPlan plan);
-  /// Detach the injector; every guard reverts to its single disabled-path
-  /// branch.
-  void clear_faults();
   /// The injector, or nullptr while fault injection is off.
   [[nodiscard]] const FaultInjector* fault_injector() const {
     return injector_.get();

@@ -14,10 +14,6 @@ struct GpuModel {
   std::int64_t memory_bytes = 0;
   double flops_fp16 = 0.0;  ///< achieved half-precision FLOP/s
   double flops_fp32 = 0.0;  ///< achieved single-precision FLOP/s
-
-  [[nodiscard]] double memory_gib() const {
-    return static_cast<double>(memory_bytes) / (1024.0 * 1024.0 * 1024.0);
-  }
 };
 
 inline constexpr std::int64_t kGiB = std::int64_t{1} << 30;

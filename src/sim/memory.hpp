@@ -81,9 +81,6 @@ class MemoryTracker {
   }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  void set_capacity(std::int64_t capacity) { capacity_ = capacity; }
-  /// Reset the high-water mark to the current level.
-  void reset_peak() { peak_ = current_; }
   /// Forget everything (new experiment).
   void reset() { current_ = 0; peak_ = 0; }
 

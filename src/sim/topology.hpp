@@ -53,11 +53,9 @@ class Topology {
 
   /// Host <-> device (PCIe staging) bandwidth used by the offloading engine.
   [[nodiscard]] double host_link_bandwidth() const { return host_bw_; }
-  void set_host_link_bandwidth(double bytes_per_s) { host_bw_ = bytes_per_s; }
 
   /// NVMe tier streaming bandwidth (the deepest offload target).
   [[nodiscard]] double nvme_bandwidth() const { return nvme_bw_; }
-  void set_nvme_bandwidth(double bytes_per_s) { nvme_bw_ = bytes_per_s; }
 
   // ---- Table 2 presets ------------------------------------------------------
 

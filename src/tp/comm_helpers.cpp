@@ -55,11 +55,6 @@ t::Tensor my_chunk_lastdim(collective::Group& g, int grank,
   return t::chunk(full, -1, g.size(), g.index_of(grank));
 }
 
-t::Tensor my_chunk_dim0(collective::Group& g, int grank,
-                        const t::Tensor& full) {
-  return t::chunk(full, 0, g.size(), g.index_of(grank));
-}
-
 t::Tensor reduce_scatter_lastdim(collective::Group& g, int grank,
                                  const t::Tensor& full, t::Dtype wire) {
   const int p = g.size();

@@ -28,10 +28,6 @@ tensor::Tensor all_gather_dim0(collective::Group& g, int grank,
 tensor::Tensor my_chunk_lastdim(collective::Group& g, int grank,
                                 const tensor::Tensor& full);
 
-/// Keep only this rank's chunk of `full` along dimension 0.
-tensor::Tensor my_chunk_dim0(collective::Group& g, int grank,
-                             const tensor::Tensor& full);
-
 /// Sum `full` (same shape on every member) across the group and return this
 /// rank's chunk along the last dimension; implemented with reduce-scatter
 /// after a chunk-major reorder.

@@ -150,21 +150,11 @@ void Linear1DRow::collect_parameters(std::vector<nn::Parameter*>& out) {
 
 Mlp1D::Mlp1D(const Env& env, std::string name, std::int64_t hidden,
              std::int64_t ffn_hidden, std::uint64_t seed)
-    : fc1_(env, name + ".fc1", hidden, ffn_hidden, seed, /*gather_output=*/false),
-      fc2_(env, name + ".fc2", ffn_hidden, hidden, seed + 1) {}
-
-t::Tensor Mlp1D::forward(const t::Tensor& x) {
-  return fc2_.forward(act_.forward(fc1_.forward(x)));
-}
-
-t::Tensor Mlp1D::backward(const t::Tensor& dy) {
-  return fc1_.backward(act_.backward(fc2_.backward(dy)));
-}
-
-void Mlp1D::collect_parameters(std::vector<nn::Parameter*>& out) {
-  fc1_.collect_parameters(out);
-  fc2_.collect_parameters(out);
-}
+    : MlpBody({std::make_unique<Linear1DCol>(env, name + ".fc1", hidden,
+                                             ffn_hidden, seed,
+                                             /*gather_output=*/false),
+               std::make_unique<Linear1DRow>(env, name + ".fc2", ffn_hidden,
+                                             hidden, seed + 1)}) {}
 
 // ---- Attention1D -----------------------------------------------------------------
 

@@ -69,19 +69,10 @@ class Linear1DRow : public nn::Module {
 /// the local block, row-parallel ffn->h with output all-reduce. Input and
 /// output are replicated across the tensor group; exactly one all-reduce in
 /// forward and one in backward.
-class Mlp1D : public nn::Module {
+class Mlp1D : public nn::MlpBody {
  public:
   Mlp1D(const Env& env, std::string name, std::int64_t hidden,
         std::int64_t ffn_hidden, std::uint64_t seed);
-
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override;
-
- private:
-  Linear1DCol fc1_;
-  nn::Gelu act_;
-  Linear1DRow fc2_;
 };
 
 /// Megatron self-attention: QKV projection column-split by attention heads

@@ -175,20 +175,9 @@ void Linear2p5D::collect_parameters(std::vector<nn::Parameter*>& out) {
 
 Mlp2p5D::Mlp2p5D(const Env& env, std::string name, std::int64_t hidden,
                  std::int64_t ffn_hidden, std::uint64_t seed)
-    : fc1_(env, name + ".fc1", hidden, ffn_hidden, seed),
-      fc2_(env, name + ".fc2", ffn_hidden, hidden, seed + 1) {}
-
-t::Tensor Mlp2p5D::forward(const t::Tensor& x) {
-  return fc2_.forward(act_.forward(fc1_.forward(x)));
-}
-
-t::Tensor Mlp2p5D::backward(const t::Tensor& dy) {
-  return fc1_.backward(act_.backward(fc2_.backward(dy)));
-}
-
-void Mlp2p5D::collect_parameters(std::vector<nn::Parameter*>& out) {
-  fc1_.collect_parameters(out);
-  fc2_.collect_parameters(out);
-}
+    : MlpBody({std::make_unique<Linear2p5D>(env, name + ".fc1", hidden,
+                                            ffn_hidden, seed),
+               std::make_unique<Linear2p5D>(env, name + ".fc2", ffn_hidden,
+                                            hidden, seed + 1)}) {}
 
 }  // namespace ca::tp

@@ -77,19 +77,10 @@ class Linear2p5D : public nn::Module {
 
 /// 2.5D-parallel MLP: Linear2p5D -> GELU -> Linear2p5D. GELU is local
 /// because activations are fully partitioned.
-class Mlp2p5D : public nn::Module {
+class Mlp2p5D : public nn::MlpBody {
  public:
   Mlp2p5D(const Env& env, std::string name, std::int64_t hidden,
           std::int64_t ffn_hidden, std::uint64_t seed);
-
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override;
-
- private:
-  Linear2p5D fc1_;
-  nn::Gelu act_;
-  Linear2p5D fc2_;
 };
 
 }  // namespace ca::tp

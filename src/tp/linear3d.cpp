@@ -177,25 +177,10 @@ void Linear3D::collect_parameters(std::vector<nn::Parameter*>& out) {
 
 Mlp3D::Mlp3D(const Env& env, std::string name, std::int64_t hidden,
              std::int64_t ffn_hidden, std::uint64_t seed)
-    : env_(env),
-      fc1_(env, name + ".fc1", hidden, ffn_hidden, seed),
-      fc2_(env, name + ".fc2", ffn_hidden, hidden, seed + 1) {}
-
-t::Tensor Mlp3D::forward(const t::Tensor& x) {
-  auto h = act_.forward(fc1_.forward(x));
-  auto h_x_layout = convert_3d_y_to_x(env_, h);
-  return fc2_.forward(h_x_layout);
-}
-
-t::Tensor Mlp3D::backward(const t::Tensor& dy) {
-  auto dh_x_layout = fc2_.backward(dy);
-  auto dh = convert_3d_x_to_y(env_, dh_x_layout);
-  return fc1_.backward(act_.backward(dh));
-}
-
-void Mlp3D::collect_parameters(std::vector<nn::Parameter*>& out) {
-  fc1_.collect_parameters(out);
-  fc2_.collect_parameters(out);
-}
+    : MlpBody({std::make_unique<Linear3D>(env, name + ".fc1", hidden,
+                                          ffn_hidden, seed),
+               std::make_unique<Linear3D>(env, name + ".fc2", ffn_hidden,
+                                          hidden, seed + 1),
+               std::make_unique<Convert3D>(env)}) {}
 
 }  // namespace ca::tp

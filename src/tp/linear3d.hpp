@@ -14,6 +14,22 @@ tensor::Tensor convert_3d_y_to_x(const Env& env, const tensor::Tensor& y);
 /// Inverse redistribution (the gradient path of convert_3d_y_to_x).
 tensor::Tensor convert_3d_x_to_y(const Env& env, const tensor::Tensor& dx);
 
+/// The Y->X conversion as a layer, placed between chained 3D layers:
+/// convert_3d_y_to_x forward, convert_3d_x_to_y for the gradient.
+class Convert3D : public nn::Module {
+ public:
+  explicit Convert3D(const Env& env) : env_(env) {}
+  tensor::Tensor forward(const tensor::Tensor& y) override {
+    return convert_3d_y_to_x(env_, y);
+  }
+  tensor::Tensor backward(const tensor::Tensor& dx) override {
+    return convert_3d_x_to_y(env_, dx);
+  }
+
+ private:
+  Env env_;
+};
+
 /// 3D tensor-parallel linear layer (Bian et al., "Maximizing Parallelism in
 /// Distributed Training for Huge Neural Networks"), based on Agarwal's 3D
 /// matrix multiplication. Devices form an l*l*l cube with coordinates
@@ -69,21 +85,12 @@ class Linear3D : public nn::Module {
   std::int64_t param_bytes_ = 0;
 };
 
-/// 3D-parallel MLP; inserts the Y->X layout conversion between the layers.
-class Mlp3D : public nn::Module {
+/// 3D-parallel MLP; a Convert3D between GELU and fc2 turns fc1's Y-layout
+/// output into the X layout fc2 consumes.
+class Mlp3D : public nn::MlpBody {
  public:
   Mlp3D(const Env& env, std::string name, std::int64_t hidden,
         std::int64_t ffn_hidden, std::uint64_t seed);
-
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override;
-
- private:
-  Env env_;
-  Linear3D fc1_;
-  nn::Gelu act_;
-  Linear3D fc2_;
 };
 
 }  // namespace ca::tp

@@ -809,8 +809,10 @@ TEST(AlgoTrace, CommSpanAlphaIsHopsTimesLatency) {
   }
 }
 
-// ---- context subgroups ------------------------------------------------------
+// ---- context data-group plan ---------------------------------------------------
 
+// The data group's own two-level plan is what kHierarchical runs over: on a
+// node-spanning data group it splits by node with one leader per node.
 TEST(ContextHier, DataNodeAndLeaderSubgroupsOnMultiNodeDp) {
   sim::Cluster cluster(sim::Topology::system_iii(2));  // 8 ranks, 2 nodes
   col::Backend backend(cluster);
@@ -819,13 +821,22 @@ TEST(ContextHier, DataNodeAndLeaderSubgroupsOnMultiNodeDp) {
   core::ParallelContext ctx(backend, cfg);
 
   for (int r = 0; r < 8; ++r) {
-    ASSERT_TRUE(ctx.has_data_node_group(r));
-    EXPECT_EQ(ctx.data_node_group(r).size(), 4);
-    EXPECT_EQ(ctx.is_data_leader(r), r == 0 || r == 4);
+    const auto& plan = ctx.data_group(r).plan();
+    ASSERT_TRUE(plan.viable());
+    EXPECT_TRUE(plan.by_node);
+    ASSERT_EQ(plan.blocks.size(), 2u);
+    EXPECT_EQ(plan.blocks[0], (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(plan.blocks[1], (std::vector<int>{4, 5, 6, 7}));
+    EXPECT_EQ(plan.leaders, (std::vector<int>{0, 4}));
+    // Each block is the group's members on one node.
+    for (int b = 0; b < 2; ++b) {
+      for (int m : plan.blocks[static_cast<std::size_t>(b)]) {
+        EXPECT_EQ(cluster.topology().node_of(
+                      ctx.data_group(r).ranks()[static_cast<std::size_t>(m)]),
+                  b);
+      }
+    }
   }
-  EXPECT_EQ(ctx.data_node_group(0).ranks(), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(ctx.data_node_group(5).ranks(), (std::vector<int>{4, 5, 6, 7}));
-  EXPECT_EQ(ctx.data_leader_group(0).ranks(), (std::vector<int>{0, 4}));
 }
 
 TEST(ContextHier, NoSubgroupsWhenDataGroupFitsOneNode) {
@@ -835,45 +846,7 @@ TEST(ContextHier, NoSubgroupsWhenDataGroupFitsOneNode) {
   cfg.data_parallel_size = 8;
   core::ParallelContext ctx(backend, cfg);
   for (int r = 0; r < 8; ++r) {
-    EXPECT_FALSE(ctx.has_data_node_group(r));
-    EXPECT_FALSE(ctx.is_data_leader(r));
-  }
-}
-
-TEST(ContextHier, ManualTwoLevelAllReduceMatchesGlobal) {
-  // Compose gradient sync from the explicit subgroups — intra-node reduce to
-  // the leader, leader all-reduce, intra-node broadcast — and check it agrees
-  // with the one-shot all_reduce (tolerance-based: the manual composition
-  // reassociates the sum across levels).
-  constexpr int kWorld = 8;
-  const std::int64_t n = 256;
-  sim::Cluster cluster(sim::Topology::system_iii(2));
-  col::Backend backend(cluster);
-  core::Config cfg;
-  cfg.data_parallel_size = kWorld;
-  core::ParallelContext ctx(backend, cfg);
-
-  std::vector<std::vector<float>> manual, oneshot;
-  for (int r = 0; r < kWorld; ++r) {
-    manual.push_back(payload(r, n));
-    oneshot.push_back(payload(r, n));
-  }
-  cluster.run([&](int rank) {
-    const auto u = static_cast<std::size_t>(rank);
-    auto& node = ctx.data_node_group(rank);
-    node.reduce(rank, manual[u], /*root=*/0);
-    if (ctx.is_data_leader(rank)) {
-      ctx.data_leader_group(rank).all_reduce(rank, manual[u]);
-    }
-    node.broadcast(rank, manual[u], /*root=*/0);
-    ctx.data_group(rank).all_reduce(rank, oneshot[u]);
-  });
-  for (int r = 0; r < kWorld; ++r) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(manual[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
-                  oneshot[static_cast<std::size_t>(r)][static_cast<std::size_t>(i)],
-                  1e-4f);
-    }
+    EXPECT_FALSE(ctx.data_group(r).plan().viable());
   }
 }
 

@@ -1249,3 +1249,90 @@ TEST(FaultMatrix, CheckpointV1StillReadable) {
     EXPECT_EQ(a.str(), b.str());  // moments restored bit-identically
   });
 }
+
+TEST(CheckpointSweep, FlipAndTruncateAtEverySectionBoundary) {
+  // Damage a CACKPT02 stream within +-9 bytes of every framing boundary (the
+  // magic, and each section's name, length, payload and CRC fields): flip a
+  // byte three ways, or cut the stream there. Both the stream and the file
+  // entry point must reject every case with a structured error.
+  const std::string path = ::testing::TempDir() + "ca_ckpt_sweep.bin";
+  const std::string damaged = ::testing::TempDir() + "ca_ckpt_sweep_bad.bin";
+  write_small_checkpoint(path, 3);
+  std::string bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    bytes = ss.str();
+  }
+  const auto n = static_cast<std::int64_t>(bytes.size());
+
+  std::vector<std::int64_t> boundaries{0, 8};
+  std::int64_t at = 8;
+  for (const std::string name : {"meta", "params", "optim"}) {
+    // [i64 name length][name][i64 payload length][payload][i64 crc]
+    std::istringstream is(bytes.substr(static_cast<std::size_t>(at)));
+    ASSERT_EQ(core::read_str(is), name);
+    const std::int64_t len_at = at + 8 + static_cast<std::int64_t>(name.size());
+    const std::int64_t payload_at = len_at + 8;
+    const std::int64_t crc_at = payload_at + core::read_i64(is);
+    at = crc_at + 8;
+    boundaries.insert(boundaries.end(), {len_at, payload_at, crc_at, at});
+  }
+  ASSERT_EQ(at, n);  // the three sections are the whole stream
+
+  sim::Cluster cluster(sim::Topology::uniform(1, 100e9));
+  col::Backend backend(cluster);
+  core::Config cfg;
+  core::ParallelContext ctx(backend, cfg);
+  int cases = 0;
+  cluster.run([&](int g) {
+    tp::Env env{&ctx, g};
+    nn::Linear net("m", 6, 3, 122);
+    optim::Adam opt(net.parameters(), optim::Adam::Hyper{0.01f});
+    const auto rejects = [](const std::string& what, auto load) {
+      try {
+        load();
+        ADD_FAILURE() << what << ": damaged checkpoint loaded";
+      } catch (const engine::CheckpointCorruptError&) {
+      } catch (const std::invalid_argument&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << what << ": unstructured error: " << e.what();
+      }
+    };
+    const auto expect_rejected = [&](const std::string& what,
+                                     const std::string& b) {
+      rejects(what + " (stream)", [&] {
+        std::istringstream is(b);
+        engine::deserialize_checkpoint(env, net, opt, is);
+      });
+      {
+        std::ofstream f(damaged, std::ios::binary | std::ios::trunc);
+        f.write(b.data(), static_cast<std::streamsize>(b.size()));
+      }
+      rejects(what + " (file)",
+              [&] { engine::load_checkpoint(env, net, opt, damaged); });
+      ++cases;
+    };
+    {
+      std::istringstream is(bytes);
+      ASSERT_EQ(engine::deserialize_checkpoint(env, net, opt, is), 3);
+    }
+    for (const std::int64_t b : boundaries) {
+      for (std::int64_t k = -9; k <= 9; ++k) {
+        const std::int64_t pos = b + k;
+        if (pos < 0 || pos >= n) continue;
+        const auto u = static_cast<std::size_t>(pos);
+        for (const int mask : {0x01, 0x80, 0xff}) {
+          std::string flipped = bytes;
+          flipped[u] = static_cast<char>(flipped[u] ^ mask);
+          expect_rejected("flip " + std::to_string(mask) + " at " +
+                              std::to_string(pos),
+                          flipped);
+        }
+        expect_rejected("cut at " + std::to_string(pos), bytes.substr(0, u));
+      }
+    }
+  });
+  EXPECT_GT(cases, 400);
+}

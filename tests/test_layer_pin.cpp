@@ -2,11 +2,14 @@
 // TransformerClassifier trained for three SGD steps serially ("none"), under
 // 1D (p=2), 2.5D (d=2, p=8) and 3D (p=8) tensor parallelism, and
 // VitClassifier under sequence parallelism (p=2), each on the fp32 and the
-// bf16 wire. Every observable is pinned as a literal: per-step losses (every
-// rank must agree bit for bit), an FNV-1a hash of every gradient bit of every
-// rank and step, per-rank simulated clocks, bytes sent, MemoryTracker peaks
-// and the parameter names in collect_parameters order. Both the
-// thread-per-rank oracle and the fiber backend must reproduce them.
+// bf16 wire. The same harness pins every other model shell (ModelPin): the
+// MLP Classifier under none, 1D, 2.5D and 3D, VitClassifier under none and
+// 1D, and GptModel under none and 1D. Every observable is pinned as a
+// literal: per-step losses (every rank must agree bit for bit), an FNV-1a
+// hash of every gradient bit of every rank and step, per-rank simulated
+// clocks, bytes sent, MemoryTracker peaks and the parameter names in
+// collect_parameters order. Both the thread-per-rank oracle and the fiber
+// backend must reproduce them.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,9 @@
 
 #include "collective/backend.hpp"
 #include "core/context.hpp"
+#include "data/synthetic.hpp"
+#include "models/classifier.hpp"
+#include "models/gpt.hpp"
 #include "models/transformer_classifier.hpp"
 #include "models/vit.hpp"
 #include "sim/cluster.hpp"
@@ -37,6 +43,10 @@ constexpr float kLr = 0.05f;
 constexpr std::int64_t kBatch = 8;
 
 enum class Layout { kNone, k1d, k2p5d, k3d, kSequence };
+
+/// The model trained: the Transformer classifier (ViT under sequence
+/// parallelism, as LayerPin pins it), or one of the other model shells.
+enum class Model { kTransformer, kClassifier, kVit, kGpt };
 
 struct PinRun {
   std::vector<float> losses;
@@ -86,7 +96,8 @@ core::Config config_of(Layout layout) {
   return cfg;
 }
 
-PinRun run(Layout layout, t::Dtype wire, sim::SimBackend backend) {
+PinRun run(Model model, Layout layout, t::Dtype wire,
+           sim::SimBackend backend) {
   const core::Config cfg = config_of(layout);
   const int p = cfg.world_size();
   sim::Cluster cluster(sim::Topology::uniform(p, 100e9));
@@ -105,13 +116,12 @@ PinRun run(Layout layout, t::Dtype wire, sim::SimBackend backend) {
   cluster.run([&](int g) {
     const tp::Env env{&ctx, g};
     const auto gi = static_cast<std::size_t>(g);
-    auto train = [&](auto& m, std::int64_t patches, std::int64_t patch_dim) {
+    // step(m, s) runs train_batch on step s's batch and returns the loss
+    auto train = [&](auto& m, auto&& step) {
       for (nn::Parameter* prm : m.parameters()) names[gi] += prm->name + ",";
       for (int s = 0; s < kSteps; ++s) {
-        const auto x = t::randn(t::Shape{kBatch, patches, patch_dim},
-                                300 + static_cast<std::uint64_t>(s));
         for (nn::Parameter* prm : m.parameters()) prm->grad.fill(0.0f);
-        losses[gi].push_back(m.train_batch(x, labels));
+        losses[gi].push_back(step(m, s));
         for (nn::Parameter* prm : m.parameters()) {
           for (float v : prm->grad.data()) {
             grad_bits[gi].push_back(std::bit_cast<std::uint32_t>(v));
@@ -120,7 +130,41 @@ PinRun run(Layout layout, t::Dtype wire, sim::SimBackend backend) {
         }
       }
     };
-    if (layout == Layout::kSequence) {
+    auto on_randn = [&](t::Shape shape) {
+      return [&labels, shape](auto& m, int s) {
+        return m.train_batch(
+            t::randn(shape, 300 + static_cast<std::uint64_t>(s)), labels);
+      };
+    };
+    if (model == Model::kClassifier) {
+      models::Classifier::Config mc;
+      mc.features = 8;
+      mc.hidden = 16;
+      mc.classes = 8;
+      mc.blocks = 2;
+      mc.seed = 23;
+      models::Classifier m(env, mc);
+      train(m, on_randn(t::Shape{kBatch, mc.features}));
+    } else if (model == Model::kGpt) {
+      models::GptModel::Config mc;
+      mc.vocab = 32;
+      mc.seq = 4;
+      mc.hidden = 16;
+      mc.heads = 2;
+      mc.ffn = 32;
+      mc.layers = 2;
+      mc.seed = 31;
+      const ca::data::SyntheticTokens stream(mc.vocab, 37);
+      models::GptModel m(env,
+                         layout == Layout::k1d
+                             ? models::GptModel::Mode::kTensor1D
+                             : models::GptModel::Mode::kSerial,
+                         mc);
+      train(m, [&](auto& gm, int s) {
+        return gm.train_batch(
+            stream.tokens(s * kBatch * mc.seq, kBatch * mc.seq), kBatch);
+      });
+    } else if (model == Model::kVit || layout == Layout::kSequence) {
       models::VitClassifier::Config mc;
       mc.patches = 4;
       mc.patch_dim = 8;
@@ -130,8 +174,13 @@ PinRun run(Layout layout, t::Dtype wire, sim::SimBackend backend) {
       mc.layers = 2;
       mc.classes = 8;
       mc.seed = 29;
-      models::VitClassifier m(env, models::VitClassifier::Mode::kSequence, mc);
-      train(m, mc.patches, mc.patch_dim);
+      const auto mode = layout == Layout::kSequence
+                            ? models::VitClassifier::Mode::kSequence
+                        : layout == Layout::k1d
+                            ? models::VitClassifier::Mode::kTensor1D
+                            : models::VitClassifier::Mode::kSerial;
+      models::VitClassifier m(env, mode, mc);
+      train(m, on_randn(t::Shape{kBatch, mc.patches, mc.patch_dim}));
     } else {
       models::TransformerClassifier::Config mc;
       mc.patches = 3;
@@ -143,7 +192,7 @@ PinRun run(Layout layout, t::Dtype wire, sim::SimBackend backend) {
       mc.classes = 8;
       mc.seed = 19;
       models::TransformerClassifier m(env, mc);
-      train(m, mc.patches, mc.patch_dim);
+      train(m, on_randn(t::Shape{kBatch, mc.patches, mc.patch_dim}));
     }
   });
 
@@ -192,11 +241,12 @@ std::string literal(const PinRun& r) {
   return s + "}, \"" + r.names + "\"}";
 }
 
-void check(Layout layout, t::Dtype wire, const PinRun& want) {
+void check(Layout layout, t::Dtype wire, const PinRun& want,
+           Model model = Model::kTransformer) {
   for (const sim::SimBackend be :
        {sim::SimBackend::kThreads, sim::SimBackend::kTasks}) {
     SCOPED_TRACE(be == sim::SimBackend::kThreads ? "threads" : "tasks");
-    const PinRun got = run(layout, wire, be);
+    const PinRun got = run(model, layout, wire, be);
     SCOPED_TRACE("got " + literal(got));
     ASSERT_EQ(got.losses.size(), want.losses.size());
     for (std::size_t s = 0; s < want.losses.size(); ++s) {
@@ -282,6 +332,69 @@ const PinRun kSequenceBf16 =
             0x59a9a05b0d46e055ull, 2, 0x1.23340854b48f2p-10, 53088, 29184,
             kVitNames);
 
+
+// The other model shells, recorded from their per-class constructors.
+const std::string kMlpClassifierNames =
+    "embed.weight,embed.bias,block0.fc1.weight,block0.fc1.bias,"
+    "block0.fc2.weight,block0.fc2.bias,block1.fc1.weight,block1.fc1.bias,"
+    "block1.fc2.weight,block1.fc2.bias,head.weight,head.bias,";
+const std::string kGptNames = "tok_emb.table,pos_emb.table," +
+                              block_names("block0") + block_names("block1") +
+                              "final_ln.gamma,final_ln.beta,lm_head.weight,"
+                              "lm_head.bias,";
+const PinRun kClassifierNoneFp32 =
+    uniform({0x1.1ece5ep+1f, 0x1.37ea5p+1f, 0x1.fa8c0ep+0f},
+            0x2f11d0d1225d432cull, 1, 0x0p+0, 0, 0, kMlpClassifierNames);
+const PinRun kClassifierNoneBf16 = kClassifierNoneFp32;
+const PinRun kClassifierOneDFp32 =
+    uniform({0x1.1ece6p+1f, 0x1.37ea5p+1f, 0x1.fa8c0ep+0f},
+            0xbfdb91ae74f3f8feull, 2, 0x1.f7d64799b7925p-14, 6144, 12800,
+            kMlpClassifierNames);
+const PinRun kClassifierOneDBf16 =
+    uniform({0x1.1ec8b8p+1f, 0x1.37bf96p+1f, 0x1.fa8a6ap+0f},
+            0x39761df81b5fe0f7ull, 2, 0x1.f7944f1a13267p-14, 3072, 12800,
+            kMlpClassifierNames);
+const PinRun kClassifierTwoPointFiveDFp32 =
+    uniform({0x1.1ece6p+1f, 0x1.37ea5p+1f, 0x1.fa8c0ep+0f},
+            0x9fd5745949cc5910ull, 8, 0x1.dbf5951ec2b96p-10, 37536, 4800,
+            kMlpClassifierNames);
+const PinRun kClassifierTwoPointFiveDBf16 =
+    uniform({0x1.1e7544p+1f, 0x1.37d5acp+1f, 0x1.fa7df8p+0f},
+            0x90816e65557798a0ull, 8, 0x1.dbe5ed6678756p-10, 23280, 4800,
+            kMlpClassifierNames);
+const PinRun kClassifierThreeDFp32 =
+    uniform({0x1.1ece6p+1f, 0x1.37ea5p+1f, 0x1.fa8c0ep+0f},
+            0xebbe394d3cee7e71ull, 8, 0x1.562963de7e019p-10, 22848, 3872,
+            kMlpClassifierNames);
+const PinRun kClassifierThreeDBf16 =
+    uniform({0x1.1edb52p+1f, 0x1.37e57cp+1f, 0x1.facadep+0f},
+            0x56e300430f1f0c23ull, 8, 0x1.5621774529024p-10, 11760, 3872,
+            kMlpClassifierNames);
+const PinRun kVitNoneFp32 =
+    uniform({0x1.113292p+1f, 0x1.33a5b2p+1f, 0x1.2455c8p+1f},
+            0x1f04bd174848046bull, 1, 0x0p+0, 0, 0, kVitNames);
+const PinRun kVitNoneBf16 = kVitNoneFp32;
+const PinRun kVitOneDFp32 =
+    uniform({0x1.113292p+1f, 0x1.33a5bp+1f, 0x1.2455c8p+1f},
+            0xaf8d15ce8af9f2c5ull, 2, 0x1.f85e82599e4dbp-13, 49152, 49280,
+            kVitNames);
+const PinRun kVitOneDBf16 =
+    uniform({0x1.11319ep+1f, 0x1.339a7ap+1f, 0x1.245f9cp+1f},
+            0x7f7a348dadb8dbbull, 2, 0x1.f7da915a5575cp-13, 24576, 49280,
+            kVitNames);
+const PinRun kGptNoneFp32 =
+    uniform({0x1.dc8dc2p+1f, 0x1.e56e1ap+1f, 0x1.bd7878p+1f},
+            0x1ffa73aefb126734ull, 1, 0x0p+0, 0, 0, kGptNames);
+const PinRun kGptNoneBf16 = kGptNoneFp32;
+const PinRun kGptOneDFp32 =
+    uniform({0x1.dc8dcp+1f, 0x1.e56e18p+1f, 0x1.bd7878p+1f},
+            0x1670468ac4571ae0ull, 2, 0x1.6a6e287c0d1f3p-12, 62304, 57600,
+            kGptNames);
+const PinRun kGptOneDBf16 =
+    uniform({0x1.dc9078p+1f, 0x1.e51dbcp+1f, 0x1.bd8d1ap+1f},
+            0xe6177ebca4d4e1f4ull, 2, 0x1.6a23f0ec74259p-12, 34656, 57600,
+            kGptNames);
+
 }  // namespace
 
 TEST(LayerPin, NoneFp32) { check(Layout::kNone, t::Dtype::kF32, kNoneFp32); }
@@ -301,4 +414,56 @@ TEST(LayerPin, SequenceFp32) {
 }
 TEST(LayerPin, SequenceBf16) {
   check(Layout::kSequence, t::Dtype::kBF16, kSequenceBf16);
+}
+TEST(ModelPin, ClassifierNoneFp32) {
+  check(Layout::kNone, t::Dtype::kF32, kClassifierNoneFp32, Model::kClassifier);
+}
+TEST(ModelPin, ClassifierNoneBf16) {
+  check(Layout::kNone, t::Dtype::kBF16,
+        kClassifierNoneBf16, Model::kClassifier);
+}
+TEST(ModelPin, ClassifierOneDFp32) {
+  check(Layout::k1d, t::Dtype::kF32, kClassifierOneDFp32, Model::kClassifier);
+}
+TEST(ModelPin, ClassifierOneDBf16) {
+  check(Layout::k1d, t::Dtype::kBF16, kClassifierOneDBf16, Model::kClassifier);
+}
+TEST(ModelPin, ClassifierTwoPointFiveDFp32) {
+  check(Layout::k2p5d, t::Dtype::kF32,
+        kClassifierTwoPointFiveDFp32, Model::kClassifier);
+}
+TEST(ModelPin, ClassifierTwoPointFiveDBf16) {
+  check(Layout::k2p5d, t::Dtype::kBF16,
+        kClassifierTwoPointFiveDBf16, Model::kClassifier);
+}
+TEST(ModelPin, ClassifierThreeDFp32) {
+  check(Layout::k3d, t::Dtype::kF32, kClassifierThreeDFp32, Model::kClassifier);
+}
+TEST(ModelPin, ClassifierThreeDBf16) {
+  check(Layout::k3d, t::Dtype::kBF16,
+        kClassifierThreeDBf16, Model::kClassifier);
+}
+TEST(ModelPin, VitNoneFp32) {
+  check(Layout::kNone, t::Dtype::kF32, kVitNoneFp32, Model::kVit);
+}
+TEST(ModelPin, VitNoneBf16) {
+  check(Layout::kNone, t::Dtype::kBF16, kVitNoneBf16, Model::kVit);
+}
+TEST(ModelPin, VitOneDFp32) {
+  check(Layout::k1d, t::Dtype::kF32, kVitOneDFp32, Model::kVit);
+}
+TEST(ModelPin, VitOneDBf16) {
+  check(Layout::k1d, t::Dtype::kBF16, kVitOneDBf16, Model::kVit);
+}
+TEST(ModelPin, GptNoneFp32) {
+  check(Layout::kNone, t::Dtype::kF32, kGptNoneFp32, Model::kGpt);
+}
+TEST(ModelPin, GptNoneBf16) {
+  check(Layout::kNone, t::Dtype::kBF16, kGptNoneBf16, Model::kGpt);
+}
+TEST(ModelPin, GptOneDFp32) {
+  check(Layout::k1d, t::Dtype::kF32, kGptOneDFp32, Model::kGpt);
+}
+TEST(ModelPin, GptOneDBf16) {
+  check(Layout::k1d, t::Dtype::kBF16, kGptOneDBf16, Model::kGpt);
 }

@@ -229,7 +229,7 @@ bool halfwire_section() {
                    bench::tp_config(core::TpMode::k1d, 2));
     w.ctx.set_comm_dtype(tensor::Dtype::kBF16);
     w.cluster.run([&](int g) {
-      models::GptModel m(w.env(g), models::GptModel::Mode::kTensor1D, gcfg);
+      models::GptModel m(w.env(g), gcfg);
       for (int s = 0; s < gpt_steps; ++s) {
         auto toks = stream.tokens(s * gbatch * gcfg.seq, gbatch * gcfg.seq);
         for (nn::Parameter* p : m.parameters()) p->grad.fill(0.0f);

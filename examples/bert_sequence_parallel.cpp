@@ -42,7 +42,7 @@ int main() {
   std::vector<float> sp_loss(4);
   cluster.run([&](int rank) {
     tp::Env env{&ctx, rank};
-    models::VitClassifier model(env, models::VitClassifier::Mode::kSequence, mc);
+    models::VitClassifier model(env, mc);
     sp_loss[static_cast<std::size_t>(rank)] = model.train_batch(x, labels);
   });
 

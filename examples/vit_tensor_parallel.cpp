@@ -69,7 +69,7 @@ int main() {
   std::vector<float> tp_last(4);
   cluster4.run([&](int rank) {
     tp::Env env{&ctx, rank};
-    models::VitClassifier model(env, models::VitClassifier::Mode::kTensor1D, vc);
+    models::VitClassifier model(env, vc);
     float loss = 0.0f;
     for (int s = 0; s < steps; ++s) {
       auto x = make_patches(ds, s * batch, batch, vc.patches, vc.patch_dim);

@@ -116,33 +116,14 @@ void Engine::step() {
     sync_s = env_.dev().clock() - t_sync0;
   }
 
-  // Injection after sync (buckets all-reduce flat copies during backward, so
-  // a pre-sync poke would not reach p->grad); only this rank's local buffer
-  // goes bad, exactly like a corrupted kernel output.
-  if (fi != nullptr && fi->corrupt_grads(env_.grank, step)) {
-    for (nn::Parameter* p : optimizer_->params()) poison(p->grad.data());
-  }
-  if (options_.nan_guard || fi != nullptr) {
-    bool bad = false;
-    for (nn::Parameter* p : optimizer_->params()) {
-      if (has_nonfinite(p->grad.data())) {
-        bad = true;
-        break;
-      }
-    }
-    // World-wide consensus so every rank skips or none does; the skipped
-    // step leaves parameters untouched (replicas stay bit-identical).
-    if (any_rank_nonfinite(env_.ctx->world_group(), env_.grank, bad)) {
-      ++skipped_steps_;
-      if (mx != nullptr) mx->counter("engine.nan_skips").inc();
-      if (tb != nullptr) {
-        const double t = env_.dev().clock();
-        tb->add(obs::TraceEvent{"engine.nan_skip", obs::Category::kFault, t, t,
-                                t, 0, 0.0, 0.0, {}, {}});
-      }
-      record_step();  // a skipped step still counts (and still has timings)
-      return;
-    }
+  // The guard runs after the sync: buckets all-reduce flat copies during
+  // backward, so an injected corruption must land on p->grad afterwards.
+  if (skip_nonfinite_step(env_, optimizer_->params(), step,
+                          options_.nan_guard, skipped_steps_,
+                          "engine.nan_skip")) {
+    if (mx != nullptr) mx->counter("engine.nan_skips").inc();
+    record_step();  // a skipped step still counts (and still has timings)
+    return;
   }
 
   {

@@ -5,6 +5,10 @@
 #include <span>
 
 #include "collective/group.hpp"
+#include "nn/module.hpp"
+#include "obs/trace.hpp"
+#include "sim/fault.hpp"
+#include "tp/env.hpp"
 
 namespace ca::engine {
 
@@ -34,6 +38,42 @@ inline void poison(std::span<float> x) {
   if (x.empty()) return;
   x[x.size() / 2] = std::numeric_limits<float>::quiet_NaN();
   x[0] = std::numeric_limits<float>::infinity();
+}
+
+/// The guarded-step check every engine runs on its gradients before the
+/// update: poison them when the fault injector corrupts this rank's `step`,
+/// then (when `nan_guard` is on or faults are installed) scan for NaN/Inf
+/// and agree over the world group. Returns true when every rank must skip
+/// the update; the skip is counted in `skipped` and recorded as a fault
+/// event named `event` on the rank's trace. Must be called by every rank.
+[[nodiscard]] inline bool skip_nonfinite_step(
+    const tp::Env& env, std::span<nn::Parameter* const> params,
+    std::int64_t step, bool nan_guard, std::int64_t& skipped,
+    const char* event) {
+  const sim::FaultInjector* fi = env.dev().fault();
+  if (fi != nullptr && fi->corrupt_grads(env.grank, step)) {
+    for (nn::Parameter* p : params) poison(p->grad.data());
+  }
+  if (!nan_guard && fi == nullptr) return false;
+  bool bad = false;
+  for (nn::Parameter* p : params) {
+    if (has_nonfinite(p->grad.data())) {
+      bad = true;
+      break;
+    }
+  }
+  // World-wide consensus so every rank skips or none does; the skipped step
+  // leaves parameters untouched (replicas stay bit-identical).
+  if (!any_rank_nonfinite(env.ctx->world_group(), env.grank, bad)) {
+    return false;
+  }
+  ++skipped;
+  if (obs::TraceBuffer* tb = env.dev().trace()) {
+    const double t = env.dev().clock();
+    tb->add(obs::TraceEvent{event, obs::Category::kFault, t, t, t, 0, 0.0, 0.0,
+                            {}, {}});
+  }
+  return true;
 }
 
 }  // namespace ca::engine

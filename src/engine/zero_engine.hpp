@@ -59,27 +59,10 @@ class ZeroEngine {
     const sim::FaultInjector* fi = env_.dev().fault();
     const std::int64_t step = step_count_++;
     if (fi != nullptr) fi->on_step(env_.grank, step, env_.dev().clock());
-    if (fi != nullptr && fi->corrupt_grads(env_.grank, step)) {
-      for (nn::Parameter* p : model_.parameters()) poison(p->grad.data());
-    }
-    if (nan_guard_ || fi != nullptr) {
-      bool bad = false;
-      for (nn::Parameter* p : model_.parameters()) {
-        if (has_nonfinite(p->grad.data())) {
-          bad = true;
-          break;
-        }
-      }
-      if (any_rank_nonfinite(env_.ctx->world_group(), env_.grank, bad)) {
-        ++skipped_steps_;
-        if (obs::TraceBuffer* tb = env_.dev().trace()) {
-          const double t = env_.dev().clock();
-          tb->add(obs::TraceEvent{"zero.nan_skip", obs::Category::kFault, t,
-                                  t, t, 0, 0.0, 0.0, {}, {}});
-        }
-        opt_.release_params();
-        return;
-      }
+    if (skip_nonfinite_step(env_, model_.parameters(), step, nan_guard_,
+                            skipped_steps_, "zero.nan_skip")) {
+      opt_.release_params();
+      return;
     }
     opt_.step();
     opt_.release_params();

@@ -9,27 +9,17 @@ namespace ca::models {
 
 namespace t = ca::tensor;
 
-GptModel::GptModel(Config cfg) : cfg_(cfg) {
-  tok_emb_ = std::make_unique<nn::Embedding>("tok_emb", cfg.vocab, cfg.hidden,
-                                             cfg.seed);
-  pos_emb_ = std::make_unique<nn::Embedding>("pos_emb", cfg.seq, cfg.hidden,
-                                             cfg.seed + 1);
-  for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    blocks_.push_back(std::make_unique<nn::TransformerBlock>(
-        "block" + std::to_string(l), cfg.hidden, cfg.heads, cfg.ffn,
-        cfg.seed + 1000 * (l + 1)));
-  }
-  final_ln_ = std::make_unique<nn::LayerNorm>("final_ln", cfg.hidden);
-  head_ = std::make_unique<nn::Linear>("lm_head", cfg.hidden, cfg.vocab,
-                                       cfg.seed + 999);
-}
+GptModel::GptModel(Config cfg) : GptModel(nullptr, cfg) {}
 
-GptModel::GptModel(const tp::Env& env, Mode mode, Config cfg)
-    : cfg_(cfg), mode_(mode), env_(env) {
-  if (mode == Mode::kTensor1D) {
+GptModel::GptModel(const tp::Env& env, Config cfg) : GptModel(&env, cfg) {}
+
+GptModel::GptModel(const tp::Env* env, Config cfg) : cfg_(cfg) {
+  if (layout_for("GptModel", env, {Layout::kNone, Layout::k1d}) ==
+      Layout::k1d) {
+    env_ = *env;
     // Megatron: vocabulary-parallel token embedding
     vp_emb_ = std::make_unique<tp::VocabParallelEmbedding>(
-        env, "tok_emb", cfg.vocab, cfg.hidden, cfg.seed);
+        *env, "tok_emb", cfg.vocab, cfg.hidden, cfg.seed);
   } else {
     tok_emb_ = std::make_unique<nn::Embedding>("tok_emb", cfg.vocab,
                                                cfg.hidden, cfg.seed);
@@ -37,22 +27,15 @@ GptModel::GptModel(const tp::Env& env, Mode mode, Config cfg)
   pos_emb_ = std::make_unique<nn::Embedding>("pos_emb", cfg.seq, cfg.hidden,
                                              cfg.seed + 1);
   for (std::int64_t l = 0; l < cfg.layers; ++l) {
-    const std::string name = "block" + std::to_string(l);
-    const std::uint64_t seed = cfg.seed + 1000 * (l + 1);
-    if (mode == Mode::kTensor1D) {
-      blocks_.push_back(std::make_unique<tp::TransformerBlock1D>(
-          env, name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-    } else {
-      blocks_.push_back(std::make_unique<nn::TransformerBlock>(
-          name, cfg.hidden, cfg.heads, cfg.ffn, seed));
-    }
+    trunk_.add(make_block(env, "block" + std::to_string(l), cfg.hidden,
+                          cfg.heads, cfg.ffn, cfg.seed + 1000 * (l + 1)));
   }
-  final_ln_ = std::make_unique<nn::LayerNorm>("final_ln", cfg.hidden);
-  if (mode == Mode::kTensor1D) {
+  trunk_.add(std::make_unique<nn::LayerNorm>("final_ln", cfg.hidden));
+  if (env_) {
     // Megatron: column-parallel LM head; logits stay vocabulary-sharded
-    vp_head_ = std::make_unique<tp::Linear1DCol>(
-        env, "lm_head", cfg.hidden, cfg.vocab, cfg.seed + 999,
-        /*gather_output=*/false);
+    head_ = std::make_unique<tp::Linear1DCol>(*env, "lm_head", cfg.hidden,
+                                              cfg.vocab, cfg.seed + 999,
+                                              /*gather_output=*/false);
   } else {
     head_ = std::make_unique<nn::Linear>("lm_head", cfg.hidden, cfg.vocab,
                                          cfg.seed + 999);
@@ -61,7 +44,7 @@ GptModel::GptModel(const tp::Env& env, Mode mode, Config cfg)
 
 GptModel::~GptModel() = default;
 
-t::Tensor GptModel::forward_hidden(std::span<const std::int64_t> ids,
+t::Tensor GptModel::forward_logits(std::span<const std::int64_t> ids,
                                    std::int64_t batch) {
   const auto seq = static_cast<std::int64_t>(ids.size()) / batch;
   assert(seq == cfg_.seq);
@@ -71,21 +54,19 @@ t::Tensor GptModel::forward_hidden(std::span<const std::int64_t> ids,
 
   auto h = tok_emb_ ? tok_emb_->forward(ids) : vp_emb_->forward(ids);
   t::add_(h, pos_emb_->forward(positions));
-  auto h3 = h.reshape(t::Shape{batch, seq, cfg_.hidden});
-  for (auto& blk : blocks_) h3 = blk->forward(h3);
-  return final_ln_->forward(h3);
+  auto hidden = trunk_.forward(h.reshape(t::Shape{batch, seq, cfg_.hidden}));
+  return head_->forward(hidden.reshape(t::Shape{batch * seq, cfg_.hidden}));
 }
 
-namespace {
-
-/// Mean next-token CE over the kept rows (the last position of every
-/// sequence has no target and is excluded); writes dL/dlogits (zero on
-/// dropped rows) into `dl` when non-null.
-float next_token_loss(const t::Tensor& logits,
-                      std::span<const std::int64_t> tokens, std::int64_t batch,
-                      std::int64_t seq, std::int64_t vocab, t::Tensor* dl) {
+/// The last position of every sequence has no next token, so its row is
+/// dropped from the loss (and gets a zero gradient).
+float GptModel::next_token_loss(const t::Tensor& logits,
+                                std::span<const std::int64_t> tokens,
+                                std::int64_t batch, t::Tensor* dl) {
+  const std::int64_t seq = cfg_.seq;
   const std::int64_t rows = batch * seq;
   const std::int64_t kept = rows - batch;
+  const std::int64_t vocab = logits.dim(1);  // V, or V/p under 1D
   t::Tensor kept_logits(t::Shape{kept, vocab});
   std::vector<std::int64_t> kept_targets;
   kept_targets.reserve(static_cast<std::size_t>(kept));
@@ -100,7 +81,10 @@ float next_token_loss(const t::Tensor& logits,
     ++k;
   }
   t::Tensor dkept;
-  const float loss = t::cross_entropy(kept_logits, kept_targets, dkept);
+  const float loss =
+      env_ ? tp::VocabParallelCrossEntropy(*env_).forward_backward(
+                 kept_logits, kept_targets, dkept)
+           : t::cross_entropy(kept_logits, kept_targets, dkept);
   if (dl != nullptr) {
     *dl = t::Tensor(logits.shape(), 0.0f);
     auto pd = dl->data();
@@ -116,69 +100,14 @@ float next_token_loss(const t::Tensor& logits,
   return loss;
 }
 
-/// Vocabulary-parallel twin: `local_logits` is (rows, V/p); the loss is
-/// computed by the sharded-softmax cross-entropy and the full logits never
-/// materialize.
-float next_token_loss_vp(const tp::Env& env, const t::Tensor& local_logits,
-                         std::span<const std::int64_t> tokens,
-                         std::int64_t batch, std::int64_t seq, t::Tensor* dl) {
-  const std::int64_t rows = batch * seq;
-  const std::int64_t kept = rows - batch;
-  const std::int64_t vshard = local_logits.dim(1);
-  t::Tensor kept_logits(t::Shape{kept, vshard});
-  std::vector<std::int64_t> kept_targets;
-  kept_targets.reserve(static_cast<std::size_t>(kept));
-  auto pl = local_logits.data();
-  auto pk = kept_logits.data();
-  std::int64_t k = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    if ((r % seq) == seq - 1) continue;
-    std::copy(pl.data() + r * vshard, pl.data() + (r + 1) * vshard,
-              pk.data() + k * vshard);
-    kept_targets.push_back(tokens[static_cast<std::size_t>(r + 1)]);
-    ++k;
-  }
-  tp::VocabParallelCrossEntropy ce(env);
-  t::Tensor dkept;
-  const float loss = ce.forward_backward(kept_logits, kept_targets, dkept);
-  if (dl != nullptr) {
-    *dl = t::Tensor(local_logits.shape(), 0.0f);
-    auto pd = dl->data();
-    auto ps = dkept.data();
-    k = 0;
-    for (std::int64_t r = 0; r < rows; ++r) {
-      if ((r % seq) == seq - 1) continue;
-      std::copy(ps.data() + k * vshard, ps.data() + (k + 1) * vshard,
-                pd.data() + r * vshard);
-      ++k;
-    }
-  }
-  return loss;
-}
-
-}  // namespace
-
 float GptModel::train_batch(std::span<const std::int64_t> tokens,
                             std::int64_t batch) {
   const auto seq = cfg_.seq;
-  auto hidden = forward_hidden(tokens, batch);
-  auto h2d = hidden.reshape(t::Shape{batch * seq, cfg_.hidden});
-
-  t::Tensor dl, dh2d;
-  float loss = 0.0f;
-  if (mode_ == Mode::kTensor1D) {
-    auto logits = vp_head_->forward(h2d);  // (b*s, V/p)
-    loss = next_token_loss_vp(*env_, logits, tokens, batch, seq, &dl);
-    dh2d = vp_head_->backward(dl);
-  } else {
-    auto logits = head_->forward(h2d);  // (b*s, V)
-    loss = next_token_loss(logits, tokens, batch, seq, cfg_.vocab, &dl);
-    dh2d = head_->backward(dl);
-  }
-
-  auto g = final_ln_->backward(dh2d.reshape(t::Shape{batch, seq, cfg_.hidden}));
-  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it)
-    g = (*it)->backward(g);
+  t::Tensor dl;
+  const float loss =
+      next_token_loss(forward_logits(tokens, batch), tokens, batch, &dl);
+  auto g = trunk_.backward(
+      head_->backward(dl).reshape(t::Shape{batch, seq, cfg_.hidden}));
   auto flat = g.reshape(t::Shape{batch * seq, cfg_.hidden});
   if (tok_emb_) {
     tok_emb_->backward(flat);
@@ -191,36 +120,19 @@ float GptModel::train_batch(std::span<const std::int64_t> tokens,
 
 float GptModel::eval_loss(std::span<const std::int64_t> tokens,
                           std::int64_t batch) {
-  auto hidden = forward_hidden(tokens, batch);
-  auto h2d = hidden.reshape(t::Shape{batch * cfg_.seq, cfg_.hidden});
-  if (mode_ == Mode::kTensor1D) {
-    auto logits = vp_head_->forward(h2d);
-    const float loss =
-        next_token_loss_vp(*env_, logits, tokens, batch, cfg_.seq, nullptr);
-    // backward must still pair with the forward to release held activations;
-    // drive it with a zero gradient
-    vp_head_->backward(t::Tensor(logits.shape(), 0.0f));
-    return loss;
-  }
-  auto logits = head_->forward(h2d);
-  return next_token_loss(logits, tokens, batch, cfg_.seq, cfg_.vocab, nullptr);
+  auto logits = forward_logits(tokens, batch);
+  const float loss = next_token_loss(logits, tokens, batch, nullptr);
+  // the 1D head holds activations until its backward; release them with a
+  // zero gradient
+  if (env_) head_->backward(t::Tensor(logits.shape(), 0.0f));
+  return loss;
 }
 
 std::vector<nn::Parameter*> GptModel::parameters() {
-  std::vector<nn::Parameter*> out;
-  if (tok_emb_) {
-    out.push_back(&tok_emb_->table());
-  } else {
-    out.push_back(&vp_emb_->table());
-  }
-  out.push_back(&pos_emb_->table());
-  for (auto& b : blocks_) b->collect_parameters(out);
-  final_ln_->collect_parameters(out);
-  if (head_) {
-    head_->collect_parameters(out);
-  } else {
-    vp_head_->collect_parameters(out);
-  }
+  std::vector<nn::Parameter*> out{
+      tok_emb_ ? &tok_emb_->table() : &vp_emb_->table(), &pos_emb_->table()};
+  trunk_.collect_parameters(out);
+  head_->collect_parameters(out);
   return out;
 }
 

@@ -3,12 +3,10 @@
 #include <memory>
 #include <optional>
 
-#include "nn/layers.hpp"
-#include "tp/env.hpp"
+#include "models/shell.hpp"
 
 namespace ca::tp {
 class VocabParallelEmbedding;
-class Linear1DCol;
 }  // namespace ca::tp
 
 namespace ca::models {
@@ -19,14 +17,13 @@ namespace ca::models {
 /// the attention substrate stays shared with ViT/BERT), a final LayerNorm,
 /// and an untied LM head.
 ///
-/// The 1D mode is the full Megatron recipe: vocabulary-parallel token
-/// embedding, tensor-parallel blocks, a column-parallel LM head whose logits
-/// stay sharded over the vocabulary, and the vocabulary-parallel
-/// cross-entropy — the full (rows, vocab) logits tensor never materializes.
+/// Builds the none and 1D layouts. 1D is the full Megatron recipe:
+/// vocabulary-parallel token embedding, tensor-parallel blocks, a
+/// column-parallel LM head whose logits stay sharded over the vocabulary,
+/// and the vocabulary-parallel cross-entropy — the full (rows, vocab) logits
+/// tensor never materializes.
 class GptModel {
  public:
-  enum class Mode { kSerial, kTensor1D };
-
   struct Config {
     std::int64_t vocab = 256;
     std::int64_t seq = 32;
@@ -37,8 +34,9 @@ class GptModel {
     std::uint64_t seed = 1;
   };
 
-  explicit GptModel(Config cfg);
-  GptModel(const tp::Env& env, Mode mode, Config cfg);
+  explicit GptModel(Config cfg);  // serial
+  /// This rank's model, on the layout of env's context.
+  GptModel(const tp::Env& env, Config cfg);
   ~GptModel();
 
   /// Next-token language modeling on a (batch * seq) flat token stream:
@@ -53,22 +51,24 @@ class GptModel {
   [[nodiscard]] std::int64_t num_params();
 
  private:
-  tensor::Tensor forward_hidden(std::span<const std::int64_t> ids,
+  GptModel(const tp::Env* env, Config cfg);
+  /// (batch * seq, V) logits, or this rank's (batch * seq, V/p) vocabulary
+  /// shard under 1D.
+  tensor::Tensor forward_logits(std::span<const std::int64_t> ids,
                                 std::int64_t batch);
-  /// (rows, V) or (rows, V/p) logits of the current forward.
-  tensor::Tensor local_logits(const tensor::Tensor& hidden,
-                              std::int64_t batch);
+  /// Mean next-token cross-entropy of the current logits; writes
+  /// dL/dlogits into `dl` when non-null.
+  float next_token_loss(const tensor::Tensor& logits,
+                        std::span<const std::int64_t> tokens,
+                        std::int64_t batch, tensor::Tensor* dl);
 
   Config cfg_;
-  Mode mode_ = Mode::kSerial;
-  std::optional<tp::Env> env_;
-  std::unique_ptr<nn::Embedding> tok_emb_;  // serial
+  std::optional<tp::Env> env_;  ///< set under 1D (vocabulary parallel)
+  std::unique_ptr<nn::Embedding> tok_emb_;               // none
   std::unique_ptr<tp::VocabParallelEmbedding> vp_emb_;  // 1D
   std::unique_ptr<nn::Embedding> pos_emb_;
-  std::vector<std::unique_ptr<nn::Module>> blocks_;
-  std::unique_ptr<nn::LayerNorm> final_ln_;
-  std::unique_ptr<nn::Linear> head_;  // serial
-  std::unique_ptr<tp::Linear1DCol> vp_head_;  // 1D: logits vocab-sharded
+  nn::Sequential trunk_;  ///< the blocks, then the final LayerNorm
+  std::unique_ptr<nn::Module> head_;
 };
 
 }  // namespace ca::models

@@ -1,23 +1,16 @@
 #pragma once
 
-#include <memory>
-#include <optional>
-
-#include "nn/layers.hpp"
-#include "tp/env.hpp"
+#include "models/shell.hpp"
 
 namespace ca::models {
 
 /// ViT-style classifier with REAL Transformer blocks under every tensor-
-/// parallel mode (serial / 1D / 2D / 2.5D / 3D): patch embedding, a block
+/// parallel layout (none / 1D / 2D / 2.5D / 3D): patch embedding, a block
 /// stack, mean pooling over the sequence, and a classification head. The
 /// strongest form of the Figure 7 experiment: identical seeds + identical
-/// data => every mode reproduces the serial training trajectory.
-///
-/// The per-rank API takes the FULL batch; each mode shards it into its
-/// layout internally and the logits are gathered back, so the loss is
-/// computed identically everywhere.
-class TransformerClassifier {
+/// data => every layout reproduces the serial training trajectory. Input is
+/// (batch, patches, patch_dim).
+class TransformerClassifier : public ClassifierShell {
  public:
   struct Config {
     std::int64_t patches = 4;    ///< sequence length
@@ -30,23 +23,12 @@ class TransformerClassifier {
     std::uint64_t seed = 1;
   };
 
-  explicit TransformerClassifier(Config cfg);                 // serial
-  TransformerClassifier(const tp::Env& env, Config cfg);      // mode from ctx
-  ~TransformerClassifier();
-
-  /// Full-batch logits, replicated on every rank.
-  tensor::Tensor logits(const tensor::Tensor& x_full);
-  /// Forward + backward; returns mean cross-entropy. Gradients accumulate.
-  float train_batch(const tensor::Tensor& x_full,
-                    std::span<const std::int64_t> labels);
-  float eval_accuracy(const tensor::Tensor& x_full,
-                      std::span<const std::int64_t> labels);
-
-  [[nodiscard]] std::vector<nn::Parameter*> parameters();
+  explicit TransformerClassifier(Config cfg);  // serial
+  /// This rank's model, on the layout of env's context.
+  TransformerClassifier(const tp::Env& env, Config cfg);
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  TransformerClassifier(const tp::Env* env, Config cfg);
 };
 
 }  // namespace ca::models

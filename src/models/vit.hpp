@@ -1,23 +1,17 @@
 #pragma once
 
-#include <memory>
-#include <optional>
-
-#include "nn/layers.hpp"
-#include "tp/env.hpp"
+#include "models/shell.hpp"
 
 namespace ca::models {
 
 /// Vision-Transformer-style classifier over pre-patchified inputs
 /// (batch, patches, patch_dim): linear patch embedding, a stack of
-/// Transformer blocks, mean pooling, and a classification head. Buildable
-/// serially, with Megatron 1D tensor parallelism, or with sequence
-/// parallelism (Ring Self-Attention) — the three functional modes the
-/// examples and convergence tests exercise end to end.
-class VitClassifier {
+/// Transformer blocks, a final LayerNorm, mean pooling, and a classification
+/// head. Builds the none, 1D (Megatron) and sequence (Ring Self-Attention)
+/// layouts — the three functional layouts the examples and convergence
+/// tests exercise end to end.
+class VitClassifier : public ClassifierShell {
  public:
-  enum class Mode { kSerial, kTensor1D, kSequence };
-
   struct Config {
     std::int64_t patches = 16;  ///< sequence length (must divide by SP size)
     std::int64_t patch_dim = 48;
@@ -30,31 +24,11 @@ class VitClassifier {
   };
 
   explicit VitClassifier(Config cfg);  // serial
-  VitClassifier(const tp::Env& env, Mode mode, Config cfg);
-  ~VitClassifier();
-
-  /// Full-batch forward; x is (batch, patches, patch_dim); logits are
-  /// replicated on every rank.
-  tensor::Tensor logits(const tensor::Tensor& x);
-  /// Forward + backward; returns the mean cross-entropy loss.
-  float train_batch(const tensor::Tensor& x,
-                    std::span<const std::int64_t> labels);
-  float eval_accuracy(const tensor::Tensor& x,
-                      std::span<const std::int64_t> labels);
-
-  [[nodiscard]] std::vector<nn::Parameter*> parameters();
+  /// This rank's model, on the layout of env's context.
+  VitClassifier(const tp::Env& env, Config cfg);
 
  private:
-  Config cfg_;
-  Mode mode_ = Mode::kSerial;
-  std::optional<tp::Env> env_;
-  std::unique_ptr<nn::Linear> embed_;
-  std::vector<std::unique_ptr<nn::Module>> blocks_;
-  std::unique_ptr<nn::LayerNorm> final_ln_;
-  std::unique_ptr<nn::Linear> head_;
-  // saved for backward
-  tensor::Tensor saved_tokens_;  // post-final-LN tokens (local)
-  std::int64_t saved_batch_ = 0;
+  VitClassifier(const tp::Env* env, Config cfg);
 };
 
 }  // namespace ca::models

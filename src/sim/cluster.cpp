@@ -10,7 +10,7 @@ namespace ca::sim {
 
 Cluster::Cluster(Topology topo, core::Knobs knobs)
     : topo_(std::move(topo)),
-      host_mem_("host", 512 * kGiB),
+      host_mem_("host", 512 * kGiB, -1, /*shared=*/true),
       knobs_(std::move(knobs)) {
   devices_.reserve(static_cast<std::size_t>(topo_.num_devices()));
   for (int r = 0; r < topo_.num_devices(); ++r) {

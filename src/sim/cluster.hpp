@@ -126,7 +126,7 @@ class Cluster {
   int workers_ = 0;
   std::size_t stack_bytes_ = 0;
   MemoryTracker host_mem_;
-  MemoryTracker nvme_mem_{"nvme", 0};  // capacity 0 => unlimited
+  MemoryTracker nvme_mem_{"nvme", 0, -1, /*shared=*/true};  // unlimited
   std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   int hist_buckets_ = obs::kDefaultHistBuckets;

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -51,26 +53,36 @@ class OomError : public std::runtime_error {
 class MemoryTracker {
  public:
   /// `capacity <= 0` means unlimited (no OOM enforcement). `rank` labels
-  /// per-device pools in OomError; leave -1 for shared pools.
+  /// per-device pools in OomError; leave -1 for shared pools. A pool every
+  /// rank thread allocates from (host, NVMe) passes `shared`, which
+  /// serializes its accounting; a per-device pool has one writer and takes
+  /// no lock.
   explicit MemoryTracker(std::string name = "mem", std::int64_t capacity = 0,
-                         int rank = -1)
-      : name_(std::move(name)), capacity_(capacity), rank_(rank) {}
+                         int rank = -1, bool shared = false)
+      : name_(std::move(name)),
+        capacity_(capacity),
+        rank_(rank),
+        lock_(shared ? std::make_unique<std::mutex>() : nullptr) {}
 
   /// Record an allocation; throws OomError if it would exceed capacity.
   void alloc(std::int64_t bytes) {
-    if (capacity_ > 0 && current_ + bytes > capacity_) {
-      throw OomError(name_, rank_, bytes, current_, capacity_);
-    }
-    current_ += bytes;
-    peak_ = std::max(peak_, current_);
-    if (sample_hook_) sample_hook_(current_);
+    locked([&] {
+      if (capacity_ > 0 && current_ + bytes > capacity_) {
+        throw OomError(name_, rank_, bytes, current_, capacity_);
+      }
+      current_ += bytes;
+      peak_ = std::max(peak_, current_);
+      if (sample_hook_) sample_hook_(current_);
+    });
   }
 
   /// Record a free. Freeing more than is in use clamps at zero (mirrors the
   /// tolerance of real allocators for double-accounting at shutdown).
   void free(std::int64_t bytes) {
-    current_ = std::max<std::int64_t>(0, current_ - bytes);
-    if (sample_hook_) sample_hook_(current_);
+    locked([&] {
+      current_ = std::max<std::int64_t>(0, current_ - bytes);
+      if (sample_hook_) sample_hook_(current_);
+    });
   }
 
   [[nodiscard]] std::int64_t current() const { return current_; }
@@ -82,7 +94,12 @@ class MemoryTracker {
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Forget everything (new experiment).
-  void reset() { current_ = 0; peak_ = 0; }
+  void reset() {
+    locked([&] {
+      current_ = 0;
+      peak_ = 0;
+    });
+  }
 
   /// Optional sampler fired with the new `current()` after every alloc/free —
   /// the tracer uses it to build per-pool memory timelines. Disabled (the
@@ -92,9 +109,18 @@ class MemoryTracker {
   void set_sample_hook(SampleHook hook) { sample_hook_ = std::move(hook); }
 
  private:
+  /// Run `f` under the shared pool's lock; an unshared pool runs it bare.
+  template <class F>
+  void locked(F f) {
+    if (!lock_) return f();
+    const std::lock_guard guard(*lock_);
+    f();
+  }
+
   std::string name_;
   std::int64_t capacity_;
   int rank_ = -1;
+  std::unique_ptr<std::mutex> lock_;
   std::int64_t current_ = 0;
   std::int64_t peak_ = 0;
   SampleHook sample_hook_;

@@ -70,39 +70,6 @@ t::Tensor Attention3D::backward(const t::Tensor& dy) {
 
 // ---- TransformerBlock3D --------------------------------------------------------------
 
-namespace {
-
-/// Mlp3D on the block's X-layout (b/l, s, h/l^2) stream: flatten, run the
-/// MLP (which ends in Y layout), and redistribute its output back to X.
-class MlpX3D final : public nn::Module {
- public:
-  MlpX3D(const Env& env, std::string name, std::int64_t hidden,
-         std::int64_t ffn_hidden, std::uint64_t seed)
-      : env_(env), mlp_(env, std::move(name), hidden, ffn_hidden, seed) {}
-
-  t::Tensor forward(const t::Tensor& x) override {
-    const std::int64_t bl = x.dim(0), s = x.dim(1), hc = x.dim(2);
-    auto y = mlp_.forward(x.reshape(t::Shape{bl * s, hc}));
-    return convert_3d_y_to_x(env_, y).reshape(t::Shape{bl, s, hc});
-  }
-
-  t::Tensor backward(const t::Tensor& dy) override {
-    const std::int64_t bl = dy.dim(0), s = dy.dim(1), hc = dy.dim(2);
-    auto dy_y = convert_3d_x_to_y(env_, dy.reshape(t::Shape{bl * s, hc}));
-    return mlp_.backward(dy_y).reshape(t::Shape{bl, s, hc});
-  }
-
-  void collect_parameters(std::vector<nn::Parameter*>& out) override {
-    mlp_.collect_parameters(out);
-  }
-
- private:
-  Env env_;
-  Mlp3D mlp_;
-};
-
-}  // namespace
-
 TransformerBlock3D::TransformerBlock3D(const Env& env, std::string name,
                                        std::int64_t hidden, std::int64_t heads,
                                        std::int64_t ffn_hidden,
@@ -111,7 +78,8 @@ TransformerBlock3D::TransformerBlock3D(const Env& env, std::string name,
                   std::make_unique<Attention3D>(env, name + ".attn", hidden,
                                                 heads, seed),
                   ShardedLayerNorm::cube(env, name + ".ln2", hidden),
-                  std::make_unique<MlpX3D>(env, name + ".mlp", hidden,
-                                           ffn_hidden, seed + 100)}) {}
+                  std::make_unique<Tokens3D>(
+                      env, std::make_unique<Mlp3D>(env, name + ".mlp", hidden,
+                                                   ffn_hidden, seed + 100))}) {}
 
 }  // namespace ca::tp

@@ -5,6 +5,7 @@
 // with the row dimension chunked along BATCH (so every device sees full
 // sequences):
 //   X layout on (i,j,k): (batch/l, seq, hidden/l^2)     rows chunk i
+//                        (Linear3D::shard_input cuts it from the full tensor)
 //   Y layout on (i,j,k): (batch/l^2, seq, hidden/l)     rows chunk i*l+k
 // The block's external interface is X layout on both sides; internal
 // sublayers alternate X->Y through the 3D linears and redistribute back with
@@ -18,13 +19,6 @@
 #include "tp/linear3d.hpp"
 
 namespace ca::tp {
-
-/// Slice the X-layout block of a (batch, seq, hidden) activation.
-inline tensor::Tensor shard_tokens_3d(const tensor::Tensor& full, int l, int i,
-                                      int j, int k) {
-  auto batch_block = tensor::chunk(full, 0, l, i);
-  return tensor::chunk(batch_block, 2, l * l, k * l + j);
-}
 
 /// Multi-head attention on 3D blocks: SUMMA-free 3D QKV projection with
 /// per-chunk-permuted columns, local attention over the Y-layout batch

@@ -9,6 +9,7 @@
 // BATCH dimension over the grid rows (and depth layers) and the HIDDEN
 // dimension over the grid columns:
 //     x block on (dd, r, c): (batch/(d*q), seq, hidden/q)
+// (Linear2p5D::shard_activation cuts it from the full tensor.)
 // Every device therefore sees full sequences for its batch slice and full
 // head_dim for its heads slice, so scaled-dot-product attention is local;
 // the linear projections run SUMMA over the same blocks; LayerNorm assembles
@@ -22,21 +23,6 @@
 #include "tp/sharded_layernorm.hpp"
 
 namespace ca::tp {
-
-/// Slice the (dd, r, c) block of a full (batch, seq, hidden) activation.
-inline tensor::Tensor shard_tokens(const tensor::Tensor& full, int q, int depth,
-                                   int dd, int r, int c) {
-  auto batch_block = tensor::chunk(full, 0, depth * q, dd * q + r);
-  return tensor::chunk(batch_block, 2, q, c);
-}
-
-/// The same slice for env's rank on env's grid.
-inline tensor::Tensor shard_tokens(const tensor::Tensor& full, const Env& env) {
-  const core::ParallelContext& ctx = *env.ctx;
-  return shard_tokens(full, ctx.grid_side(), ctx.depth(),
-                      ctx.depth_coord(env.grank), ctx.row_coord(env.grank),
-                      ctx.col_coord(env.grank));
-}
 
 namespace detail {
 /// Rearrange a fused (h, 3h) QKV weight so column chunk c of the new layout

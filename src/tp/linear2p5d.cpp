@@ -52,9 +52,9 @@ Linear2p5D::~Linear2p5D() { env_.mem().free(param_bytes_); }
 
 t::Tensor Linear2p5D::shard_activation(const t::Tensor& full, int q, int depth,
                                        int dd, int r, int c) {
-  assert(full.ndim() == 2);
-  auto slab = t::chunk(full, 0, depth, dd);
-  return t::chunk(t::chunk(slab, 0, q, r), 1, q, c);
+  assert(full.ndim() >= 2);
+  auto rows = t::chunk(full, 0, depth * q, dd * q + r);
+  return t::chunk(rows, -1, q, c);
 }
 
 t::Tensor Linear2p5D::shard_activation(const t::Tensor& full, const Env& env) {

@@ -50,7 +50,9 @@ class Linear2p5D : public nn::Module {
   [[nodiscard]] nn::Parameter& weight() { return weight_; }
   [[nodiscard]] nn::Parameter* bias() { return with_bias_ ? &bias_ : nullptr; }
 
-  /// Slice the (dd, r, c) activation block out of a full 2-d matrix.
+  /// Slice the (dd, r, c) activation block out of a full activation: the
+  /// first dim (batch rows) in d*k slabs, the last (features) in k chunks.
+  /// A (batch, seq, hidden) token tensor keeps full sequences.
   static tensor::Tensor shard_activation(const tensor::Tensor& full, int q,
                                          int depth, int dd, int r, int c);
   /// The same slice for env's rank on env's grid.

@@ -51,8 +51,8 @@ Linear3D::~Linear3D() { env_.mem().free(param_bytes_); }
 
 t::Tensor Linear3D::shard_input(const t::Tensor& full, int l, int i, int j,
                                 int k) {
-  assert(full.ndim() == 2);
-  return t::chunk(t::chunk(full, 0, l, i), 1, l * l, k * l + j);
+  assert(full.ndim() >= 2);
+  return t::chunk(t::chunk(full, 0, l, i), -1, l * l, k * l + j);
 }
 
 t::Tensor Linear3D::shard_output(const t::Tensor& full, int l, int i, int j,
@@ -166,6 +166,20 @@ t::Tensor convert_3d_x_to_y(const Env& env, const t::Tensor& dx) {
   // cols chunk j.
   auto rows_sub = t::chunk(full_cols, 0, l, k);
   return t::chunk(rows_sub, 1, l, j);
+}
+
+t::Tensor Tokens3D::forward(const t::Tensor& x) {
+  const std::int64_t b = x.dim(0), s = x.dim(1);
+  auto y = layer_->forward(x.reshape(t::Shape{b * s, x.dim(2)}));
+  auto h = convert_3d_y_to_x(env_, y);
+  return h.reshape(t::Shape{b, s, h.dim(1)});
+}
+
+t::Tensor Tokens3D::backward(const t::Tensor& dy) {
+  const std::int64_t b = dy.dim(0), s = dy.dim(1);
+  auto dx = layer_->backward(
+      convert_3d_x_to_y(env_, dy.reshape(t::Shape{b * s, dy.dim(2)})));
+  return dx.reshape(t::Shape{b, s, dx.dim(1)});
 }
 
 void Linear3D::collect_parameters(std::vector<nn::Parameter*>& out) {

@@ -65,7 +65,9 @@ class Linear3D : public nn::Module {
 
   [[nodiscard]] nn::Parameter& weight() { return weight_; }
 
-  /// Slice the X-layout block of a full (rows, in) matrix for device (i,j,k).
+  /// Slice the X-layout block of a full (rows, in) matrix for device (i,j,k):
+  /// the first dim in l chunks, the last in l^2. A (batch, seq, hidden)
+  /// token tensor keeps full sequences (the block3d.hpp X layout).
   static tensor::Tensor shard_input(const tensor::Tensor& full, int l, int i,
                                     int j, int k);
   /// Slice the Y-layout block of a full (rows, out) matrix for device (i,j,k).
@@ -83,6 +85,25 @@ class Linear3D : public nn::Module {
   tensor::Tensor saved_b_;  // gathered W(k,j): (in/l, out/l)
   ActivationTracker acts_;
   std::int64_t param_bytes_ = 0;
+};
+
+/// Runs an X-in, Y-out 3D layer (Linear3D, Mlp3D) on every token of an
+/// X-layout (batch/l, seq, features/l^2) tensor and returns X layout: the
+/// tokens flatten into the layer's rows, and its Y-layout output converts
+/// back to X (convert_3d_y_to_x; the gradient takes the inverse path).
+class Tokens3D : public nn::Module {
+ public:
+  Tokens3D(const Env& env, std::unique_ptr<nn::Module> layer)
+      : env_(env), layer_(std::move(layer)) {}
+  tensor::Tensor forward(const tensor::Tensor& x) override;
+  tensor::Tensor backward(const tensor::Tensor& dy) override;
+  void collect_parameters(std::vector<nn::Parameter*>& out) override {
+    layer_->collect_parameters(out);
+  }
+
+ private:
+  Env env_;
+  std::unique_ptr<nn::Module> layer_;
 };
 
 /// 3D-parallel MLP; a Convert3D between GELU and fc2 turns fc1's Y-layout

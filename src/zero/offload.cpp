@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "zero/hybrid_adam.hpp"
+
 namespace ca::zero {
 
 SimOffloadTrainer::SimOffloadTrainer(const tp::Env& env,
@@ -133,8 +135,8 @@ void SimOffloadTrainer::train_step() {
   const double cpu_elems =
       (1.0 - gpu_frac_) * static_cast<double>(state_elems_shard_) / 3.0;
   const double t_adam0 = env_.dev().clock();
-  env_.dev().advance_clock(gpu_elems / kGpuAdamElemsPerSec +
-                           cpu_elems / kCpuAdamElemsPerSec);
+  env_.dev().advance_clock(gpu_elems / HybridAdam::kGpuElemsPerSec +
+                           cpu_elems / HybridAdam::kCpuElemsPerSec);
   const double t_adam1 = env_.dev().clock();
   // updated fp16 shards of host-updated params stream back to the device
   const std::int64_t wb_bytes = static_cast<std::int64_t>(

@@ -87,13 +87,10 @@ struct OffloadWorkload {
 /// placement policy — regenerates Figure 14. Per rank, per layer: fetch the
 /// layer's parameter chunks (PCIe if host-resident), all-gather the shards
 /// over the data-parallel group, compute, reduce-scatter gradients, offload
-/// them per policy, then run the hybrid CPU/GPU Adam.
+/// them per policy, then run the hybrid CPU/GPU Adam (at HybridAdam's
+/// element update rates).
 class SimOffloadTrainer {
  public:
-  /// Achieved element update rates for the two Adam implementations.
-  static constexpr double kCpuAdamElemsPerSec = 2.0e9;
-  static constexpr double kGpuAdamElemsPerSec = 8.0e10;
-
   SimOffloadTrainer(const tp::Env& env, OffloadWorkload workload,
                     const OffloadPolicy& policy,
                     std::int64_t chunk_bytes = 64 << 20);

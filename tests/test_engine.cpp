@@ -168,8 +168,7 @@ TEST(Vit, TensorParallelLogitsMatchSerial) {
   World w(tp_cfg(core::TpMode::k1d, 2));
   std::vector<t::Tensor> lg(2);
   w.cluster.run([&](int g) {
-    models::VitClassifier model(w.env(g), models::VitClassifier::Mode::kTensor1D,
-                                vc);
+    models::VitClassifier model(w.env(g), vc);
     lg[static_cast<std::size_t>(g)] = model.logits(x);
   });
   EXPECT_TRUE(t::allclose(lg[0], ref, 1e-3f));
@@ -191,8 +190,7 @@ TEST(Vit, SequenceParallelTrainStepMatchesSerial) {
   std::vector<float> loss(4);
   std::vector<t::Tensor> head_grad(4);
   w.cluster.run([&](int g) {
-    models::VitClassifier model(w.env(g), models::VitClassifier::Mode::kSequence,
-                                vc);
+    models::VitClassifier model(w.env(g), vc);
     loss[static_cast<std::size_t>(g)] = model.train_batch(x, labels);
     auto params = model.parameters();
     head_grad[static_cast<std::size_t>(g)] = params.back()->grad.clone();

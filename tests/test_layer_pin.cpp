@@ -155,11 +155,7 @@ PinRun run(Model model, Layout layout, t::Dtype wire,
       mc.layers = 2;
       mc.seed = 31;
       const ca::data::SyntheticTokens stream(mc.vocab, 37);
-      models::GptModel m(env,
-                         layout == Layout::k1d
-                             ? models::GptModel::Mode::kTensor1D
-                             : models::GptModel::Mode::kSerial,
-                         mc);
+      models::GptModel m(env, mc);
       train(m, [&](auto& gm, int s) {
         return gm.train_batch(
             stream.tokens(s * kBatch * mc.seq, kBatch * mc.seq), kBatch);
@@ -174,12 +170,7 @@ PinRun run(Model model, Layout layout, t::Dtype wire,
       mc.layers = 2;
       mc.classes = 8;
       mc.seed = 29;
-      const auto mode = layout == Layout::kSequence
-                            ? models::VitClassifier::Mode::kSequence
-                        : layout == Layout::k1d
-                            ? models::VitClassifier::Mode::kTensor1D
-                            : models::VitClassifier::Mode::kSerial;
-      models::VitClassifier m(env, mode, mc);
+      models::VitClassifier m(env, mc);
       train(m, on_randn(t::Shape{kBatch, mc.patches, mc.patch_dim}));
     } else {
       models::TransformerClassifier::Config mc;

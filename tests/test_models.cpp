@@ -100,7 +100,7 @@ TEST(Gpt, TensorParallelMatchesSerial) {
   std::vector<float> losses(2);
   std::vector<t::Tensor> emb_grad(2), pos_grad(2);
   cluster.run([&](int g) {
-    models::GptModel m(tp::Env{&ctx, g}, models::GptModel::Mode::kTensor1D, cfg);
+    models::GptModel m(tp::Env{&ctx, g}, cfg);
     losses[static_cast<std::size_t>(g)] = m.train_batch(toks, 2);
     emb_grad[static_cast<std::size_t>(g)] = m.parameters()[0]->grad.clone();
     pos_grad[static_cast<std::size_t>(g)] = m.parameters()[1]->grad.clone();
@@ -133,8 +133,7 @@ TEST(Vit, ParamCountIndependentOfMode) {
 
   std::vector<std::int64_t> shard_params(2);
   cluster.run([&](int g) {
-    models::VitClassifier m(tp::Env{&ctx, g},
-                            models::VitClassifier::Mode::kTensor1D, vc);
+    models::VitClassifier m(tp::Env{&ctx, g}, vc);
     std::int64_t n = 0;
     for (nn::Parameter* p : m.parameters()) n += p->numel();
     shard_params[static_cast<std::size_t>(g)] = n;
@@ -237,6 +236,59 @@ TEST(TransformerClassifierModes, TrainsToLowerLoss) {
   EXPECT_LT(last, first);
 }
 
+// ---- every model reads its layout from the context ------------------------------------
+
+#include "models/classifier.hpp"
+
+namespace {
+
+/// What a model constructor throws on rank 0 of `cfg`'s context ("" when it
+/// builds).
+template <class Make>
+std::string rejection(const core::Config& cfg, Make make) {
+  sim::Cluster cluster(sim::Topology::uniform(cfg.world_size(), 100e9));
+  col::Backend backend(cluster);
+  core::ParallelContext ctx(backend, cfg);
+  try {
+    make(tp::Env{&ctx, 0});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(ModelShell, RejectsLayoutsItDoesNotBuild) {
+  core::Config seq;
+  seq.sequence_parallel_size = 2;
+  seq.tensor_mode = core::TpMode::k1d;  // sequence wins over the tensor mode
+  core::Config grid;
+  grid.tensor_parallel_size = 4;
+  grid.tensor_mode = core::TpMode::k2d;
+  EXPECT_EQ(rejection(seq,
+                      [](const tp::Env& env) {
+                        models::Classifier m(env, {8, 16, 8, 1, 1});
+                      }),
+            "Classifier does not build the sequence layout");
+  EXPECT_EQ(rejection(seq,
+                      [](const tp::Env& env) {
+                        models::TransformerClassifier m(env, tc_config());
+                      }),
+            "TransformerClassifier does not build the sequence layout");
+  EXPECT_EQ(rejection(grid,
+                      [](const tp::Env& env) {
+                        models::VitClassifier m(env, {});
+                      }),
+            "VitClassifier does not build the 2d layout");
+  EXPECT_EQ(rejection(grid,
+                      [](const tp::Env& env) {
+                        models::GptModel m(env, tiny_gpt());
+                      }),
+            "GptModel does not build the 2d layout");
+}
+
+
 TEST(Gpt, VocabParallelScalesToFourRanks) {
   auto cfg = tiny_gpt();  // vocab 64 % 4 == 0
   cfg.heads = 4;          // 1D attention needs heads % p == 0
@@ -256,7 +308,7 @@ TEST(Gpt, VocabParallelScalesToFourRanks) {
 
   std::vector<float> losses(4);
   cluster.run([&](int g) {
-    models::GptModel m(tp::Env{&ctx, g}, models::GptModel::Mode::kTensor1D, cfg);
+    models::GptModel m(tp::Env{&ctx, g}, cfg);
     losses[static_cast<std::size_t>(g)] = m.train_batch(toks, 2);
     // a second step after zeroing grads must also work (state is reusable)
     for (nn::Parameter* p : m.parameters()) p->grad.fill(0.0f);

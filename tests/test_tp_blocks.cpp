@@ -61,15 +61,17 @@ TEST(GridLayerNorm, MatchesSerialLayerNorm) {
     auto ln = tp::ShardedLayerNorm::grid(w.env(g), "ln", h);
     ln->parameters()[0]->value = t::chunk(gamma, 0, q, c);
     ln->parameters()[1]->value = t::chunk(beta, 0, q, c);
-    y[g] = ln->forward(tp::shard_tokens(x, q, 1, 0, r, c));
-    dx[g] = ln->backward(tp::shard_tokens(dy, q, 1, 0, r, c));
+    y[g] = ln->forward(tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c));
+    dx[g] = ln->backward(tp::Linear2p5D::shard_activation(dy, q, 1, 0, r, c));
     dg[g] = ln->parameters()[0]->grad.clone();
   });
   for (int g = 0; g < p; ++g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    EXPECT_TRUE(t::allclose(y[g], tp::shard_tokens(y_ref, q, 1, 0, r, c), 1e-4f))
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear2p5D::shard_activation(y_ref, q, 1, 0, r, c), 1e-4f))
         << g;
-    EXPECT_TRUE(t::allclose(dx[g], tp::shard_tokens(dx_ref, q, 1, 0, r, c), 1e-4f))
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, 1, 0, r, c), 1e-4f))
         << g;
     // gamma grads: chunk c of the serial gradient (summed over all tokens)
     EXPECT_TRUE(t::allclose(dg[g], t::chunk(serial.parameters()[0]->grad, 0, q, c),
@@ -93,15 +95,16 @@ TEST(GridAttention, MatchesSerialAttention) {
   w.cluster.run([&](int g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
     tp::GridAttention attn(w.env(g), "a", h, heads, 11);
-    y[g] = attn.forward(tp::shard_tokens(x, q, 1, 0, r, c));
-    dx[g] = attn.backward(tp::shard_tokens(dy, q, 1, 0, r, c));
+    y[g] = attn.forward(tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c));
+    dx[g] = attn.backward(tp::Linear2p5D::shard_activation(dy, q, 1, 0, r, c));
   });
   for (int g = 0; g < p; ++g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    EXPECT_TRUE(t::allclose(y[g], tp::shard_tokens(y_ref, q, 1, 0, r, c), 1e-4f))
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear2p5D::shard_activation(y_ref, q, 1, 0, r, c), 1e-4f))
         << "rank " << g;
-    EXPECT_TRUE(
-        t::allclose(dx[g], tp::shard_tokens(dx_ref, q, 1, 0, r, c), 1e-4f))
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, 1, 0, r, c), 1e-4f))
         << "rank " << g;
   }
 }
@@ -121,15 +124,16 @@ TEST(GridBlock2D, MatchesSerialTransformerBlock) {
   w.cluster.run([&](int g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
     tp::GridTransformerBlock blk(w.env(g), "t", h, heads, f, 21);
-    y[g] = blk.forward(tp::shard_tokens(x, q, 1, 0, r, c));
-    dx[g] = blk.backward(tp::shard_tokens(dy, q, 1, 0, r, c));
+    y[g] = blk.forward(tp::Linear2p5D::shard_activation(x, q, 1, 0, r, c));
+    dx[g] = blk.backward(tp::Linear2p5D::shard_activation(dy, q, 1, 0, r, c));
   });
   for (int g = 0; g < p; ++g) {
     const int r = w.ctx.row_coord(g), c = w.ctx.col_coord(g);
-    EXPECT_TRUE(t::allclose(y[g], tp::shard_tokens(y_ref, q, 1, 0, r, c), 1e-3f))
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear2p5D::shard_activation(y_ref, q, 1, 0, r, c), 1e-3f))
         << "rank " << g;
-    EXPECT_TRUE(
-        t::allclose(dx[g], tp::shard_tokens(dx_ref, q, 1, 0, r, c), 1e-3f))
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, 1, 0, r, c), 1e-3f))
         << "rank " << g;
   }
 }
@@ -150,16 +154,16 @@ TEST(GridBlock2p5D, MatchesSerialTransformerBlock) {
     const int dd = w.ctx.depth_coord(g), r = w.ctx.row_coord(g),
               c = w.ctx.col_coord(g);
     tp::GridTransformerBlock blk(w.env(g), "t", h, heads, f, 31);
-    y[g] = blk.forward(tp::shard_tokens(x, q, d, dd, r, c));
-    dx[g] = blk.backward(tp::shard_tokens(dy, q, d, dd, r, c));
+    y[g] = blk.forward(tp::Linear2p5D::shard_activation(x, q, d, dd, r, c));
+    dx[g] = blk.backward(tp::Linear2p5D::shard_activation(dy, q, d, dd, r, c));
   });
   for (int g = 0; g < p; ++g) {
     const int dd = g / (q * q), r = (g % (q * q)) / q, c = g % q;
-    EXPECT_TRUE(
-        t::allclose(y[g], tp::shard_tokens(y_ref, q, d, dd, r, c), 1e-3f))
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear2p5D::shard_activation(y_ref, q, d, dd, r, c), 1e-3f))
         << "rank " << g;
-    EXPECT_TRUE(
-        t::allclose(dx[g], tp::shard_tokens(dx_ref, q, d, dd, r, c), 1e-3f))
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear2p5D::shard_activation(dx_ref, q, d, dd, r, c), 1e-3f))
         << "rank " << g;
   }
 }
@@ -269,16 +273,16 @@ TEST(GridBlock3D, AttentionMatchesSerial) {
   w.cluster.run([&](int g) {
     const int i = w.ctx.cube_i(g), j = w.ctx.cube_j(g), k = w.ctx.cube_k(g);
     tp::Attention3D attn(w.env(g), "a", h, heads, 41);
-    y[g] = attn.forward(tp::shard_tokens_3d(x, l, i, j, k));
-    dx[g] = attn.backward(tp::shard_tokens_3d(dy, l, i, j, k));
+    y[g] = attn.forward(tp::Linear3D::shard_input(x, l, i, j, k));
+    dx[g] = attn.backward(tp::Linear3D::shard_input(dy, l, i, j, k));
   });
   for (int g = 0; g < p; ++g) {
     const int i = g / (l * l), j = (g / l) % l, k = g % l;
-    EXPECT_TRUE(
-        t::allclose(y[g], tp::shard_tokens_3d(y_ref, l, i, j, k), 1e-4f))
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear3D::shard_input(y_ref, l, i, j, k), 1e-4f))
         << "rank " << g;
-    EXPECT_TRUE(
-        t::allclose(dx[g], tp::shard_tokens_3d(dx_ref, l, i, j, k), 1e-4f))
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear3D::shard_input(dx_ref, l, i, j, k), 1e-4f))
         << "rank " << g;
   }
 }
@@ -301,16 +305,16 @@ TEST(GridBlock3D, LayerNormMatchesSerial) {
     const int i = w.ctx.cube_i(g), j = w.ctx.cube_j(g), k = w.ctx.cube_k(g);
     auto ln = tp::ShardedLayerNorm::cube(w.env(g), "ln", h);
     ln->parameters()[0]->value = t::chunk(gamma, 0, l * l, k * l + j);
-    y[g] = ln->forward(tp::shard_tokens_3d(x, l, i, j, k));
-    dx[g] = ln->backward(tp::shard_tokens_3d(dy, l, i, j, k));
+    y[g] = ln->forward(tp::Linear3D::shard_input(x, l, i, j, k));
+    dx[g] = ln->backward(tp::Linear3D::shard_input(dy, l, i, j, k));
     dg[g] = ln->parameters()[0]->grad.clone();
   });
   for (int g = 0; g < p; ++g) {
     const int i = g / (l * l), j = (g / l) % l, k = g % l;
-    EXPECT_TRUE(
-        t::allclose(y[g], tp::shard_tokens_3d(y_ref, l, i, j, k), 1e-4f)) << g;
-    EXPECT_TRUE(
-        t::allclose(dx[g], tp::shard_tokens_3d(dx_ref, l, i, j, k), 1e-4f)) << g;
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear3D::shard_input(y_ref, l, i, j, k), 1e-4f)) << g;
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear3D::shard_input(dx_ref, l, i, j, k), 1e-4f)) << g;
     EXPECT_TRUE(t::allclose(
         dg[g], t::chunk(serial.parameters()[0]->grad, 0, l * l, k * l + j),
         1e-3f))
@@ -333,16 +337,16 @@ TEST(GridBlock3D, FullBlockMatchesSerial) {
   w.cluster.run([&](int g) {
     const int i = w.ctx.cube_i(g), j = w.ctx.cube_j(g), k = w.ctx.cube_k(g);
     tp::TransformerBlock3D blk(w.env(g), "t", h, heads, f, 61);
-    y[g] = blk.forward(tp::shard_tokens_3d(x, l, i, j, k));
-    dx[g] = blk.backward(tp::shard_tokens_3d(dy, l, i, j, k));
+    y[g] = blk.forward(tp::Linear3D::shard_input(x, l, i, j, k));
+    dx[g] = blk.backward(tp::Linear3D::shard_input(dy, l, i, j, k));
   });
   for (int g = 0; g < p; ++g) {
     const int i = g / (l * l), j = (g / l) % l, k = g % l;
-    EXPECT_TRUE(
-        t::allclose(y[g], tp::shard_tokens_3d(y_ref, l, i, j, k), 1e-3f))
+    EXPECT_TRUE(t::allclose(
+        y[g], tp::Linear3D::shard_input(y_ref, l, i, j, k), 1e-3f))
         << "rank " << g;
-    EXPECT_TRUE(
-        t::allclose(dx[g], tp::shard_tokens_3d(dx_ref, l, i, j, k), 1e-3f))
+    EXPECT_TRUE(t::allclose(
+        dx[g], tp::Linear3D::shard_input(dx_ref, l, i, j, k), 1e-3f))
         << "rank " << g;
   }
 }

@@ -106,41 +106,36 @@ Adam::Adam(std::vector<nn::Parameter*> params, Hyper hyper)
   }
 }
 
-void Adam::update_range(std::size_t idx, std::int64_t begin, std::int64_t end) {
-  nn::Parameter& p = *params_[idx];
-  auto pv = p.value.data();
-  auto pg = p.grad.data();
-  auto pm = m_[idx].data();
-  auto pvv = v_[idx].data();
-  const float b1 = hyper_.beta1, b2 = hyper_.beta2;
-  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t_));
-  // Elementwise-independent, and update_range is only entered from a single
-  // thread (Adam::step / HybridAdam::step), so the team parallelism is safe.
-#pragma omp parallel for simd schedule(static) \
-    if (parallel : end - begin >= (1 << 14))
-  for (std::int64_t i = begin; i < end; ++i) {
+void Adam::update(const Hyper& h, std::int64_t t, std::span<float> w,
+                  std::span<const float> g, std::span<float> m,
+                  std::span<float> v) {
+  const float b1 = h.beta1, b2 = h.beta2;
+  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t));
+  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t));
+  const auto n = static_cast<std::int64_t>(w.size());
+  // Elementwise-independent, and callers enter from a single thread per
+  // rank (Adam::step, HybridAdam::step, ZeroOptimizer::step), so the team
+  // parallelism is safe.
+#pragma omp parallel for simd schedule(static) if (parallel : n >= (1 << 14))
+  for (std::int64_t i = 0; i < n; ++i) {
     const auto ii = static_cast<std::size_t>(i);
-    float g = pg[ii];
-    if (hyper_.weight_decay != 0.0f && !hyper_.decoupled) {
-      g += hyper_.weight_decay * pv[ii];
-    }
-    pm[ii] = b1 * pm[ii] + (1.0f - b1) * g;
-    pvv[ii] = b2 * pvv[ii] + (1.0f - b2) * g * g;
-    const float mhat = pm[ii] / bc1;
-    const float vhat = pvv[ii] / bc2;
-    float update = mhat / (std::sqrt(vhat) + hyper_.eps);
-    if (hyper_.weight_decay != 0.0f && hyper_.decoupled) {
-      update += hyper_.weight_decay * pv[ii];
-    }
-    pv[ii] -= hyper_.lr * update;
+    float gi = g[ii];
+    if (h.weight_decay != 0.0f && !h.decoupled) gi += h.weight_decay * w[ii];
+    m[ii] = b1 * m[ii] + (1.0f - b1) * gi;
+    v[ii] = b2 * v[ii] + (1.0f - b2) * gi * gi;
+    const float mhat = m[ii] / bc1;
+    const float vhat = v[ii] / bc2;
+    float delta = mhat / (std::sqrt(vhat) + h.eps);
+    if (h.weight_decay != 0.0f && h.decoupled) delta += h.weight_decay * w[ii];
+    w[ii] -= h.lr * delta;
   }
 }
 
 void Adam::step() {
   ++t_;
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    update_range(i, 0, params_[i]->numel());
+    update(hyper_, t_, params_[i]->value.data(), params_[i]->grad.data(),
+           m_[i].data(), v_[i].data());
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -100,11 +101,15 @@ class Adam : public Optimizer {
 
   [[nodiscard]] std::int64_t steps_taken() const { return t_; }
 
- protected:
-  /// Update elements [begin, end) of parameter `idx` (used by HybridAdam to
-  /// split one parameter's update between host and device).
-  void update_range(std::size_t idx, std::int64_t begin, std::int64_t end);
+  /// The elementwise Adam update at step `t` (1-based): moves `w` by the
+  /// bias-corrected step of gradient `g` and updates the moments `m` and `v`
+  /// in place; all four spans have one length. Adam::step (and so
+  /// HybridAdam) and ZeRO's shard update all run this one kernel.
+  static void update(const Hyper& h, std::int64_t t, std::span<float> w,
+                     std::span<const float> g, std::span<float> m,
+                     std::span<float> v);
 
+ protected:
   Hyper hyper_;
   std::int64_t t_ = 0;
   std::vector<tensor::Tensor> m_, v_;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,22 +19,27 @@ enum class TensorState {
   kCompute,  ///< gathered: the full tensor is materialized on this rank
 };
 
-/// Decides which flat-index range each rank owns. The default partitions
-/// evenly with the remainder spread over the first ranks, but the interface
-/// is open — the paper's extensibility story.
-class ShardingStrategy {
- public:
-  virtual ~ShardingStrategy() = default;
-
-  struct Range {
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-    [[nodiscard]] std::int64_t size() const { return end - begin; }
-  };
-
-  [[nodiscard]] virtual Range shard_range(std::int64_t numel, int rank,
-                                          int world) const;
+/// The padded-chunk layout every ZeRO shard follows: `numel` elements split
+/// over `world` members in equal chunks of ceil(numel / world). Member
+/// `index` owns the flat range [begin, end) of chunk `index`, clipped to
+/// numel (so a tail chunk may be short or empty); the wire always moves
+/// whole chunks, the tail zero-padded.
+struct ShardLayout {
+  std::int64_t numel = 0;   ///< elements of the full tensor
+  std::int64_t chunk = 0;   ///< padded chunk size every member holds
+  std::int64_t padded = 0;  ///< chunk * world: the full size on the wire
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+  [[nodiscard]] std::int64_t size() const { return end - begin; }
 };
+
+[[nodiscard]] ShardLayout shard_layout(std::int64_t numel, int index,
+                                       int world);
+
+/// Copy `layout`'s range of `full` (layout.numel elements) into `chunk`
+/// (layout.chunk elements), zero-filling the padding after it.
+void copy_chunk(std::span<const float> full, const ShardLayout& layout,
+                std::span<float> chunk);
 
 /// Observer hooks fired on every lifecycle transition; users plug these in
 /// to trace, prefetch, or account placement decisions.
@@ -44,26 +50,25 @@ struct LifecycleHooks {
 };
 
 /// The unified sharded-tensor interface: a tensor whose full value is
-/// logically (numel) elements but physically only this rank's shard, unless
-/// gathered into kCompute state. Gather/release drive real all-gather
-/// traffic on the owning process group; ZeRO-3 parameter sharding and the
-/// chunk manager are built on this.
+/// logically (numel) elements but physically only this rank's chunk of its
+/// shard_layout, unless gathered into kCompute state. Gather/release drive
+/// real all-gather traffic on the owning process group; ZeRO-3 parameter
+/// sharding is built on this.
 class ShardedTensor {
  public:
   /// Shard `full` over `group`; every member constructs with the same full
   /// content (e.g. from a shared seed) and keeps only its shard.
   ShardedTensor(std::string name, const tensor::Tensor& full,
-                collective::Group& group, int grank,
-                const ShardingStrategy& strategy, LifecycleHooks hooks = {});
+                collective::Group& group, int grank, LifecycleHooks hooks = {});
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] TensorState state() const { return state_; }
-  [[nodiscard]] std::int64_t full_numel() const { return full_numel_; }
+  [[nodiscard]] const ShardLayout& layout() const { return layout_; }
   [[nodiscard]] const tensor::Shape& full_shape() const { return full_shape_; }
 
-  /// This rank's shard (always materialized).
+  /// This rank's padded chunk (always materialized). Handles copied from it
+  /// share its storage: ZeRO-3 updates its master weights here in place.
   [[nodiscard]] tensor::Tensor& shard() { return shard_; }
-  [[nodiscard]] ShardingStrategy::Range range() const { return range_; }
 
   /// Transition to kCompute: all-gather the shards; returns the full tensor.
   /// SPMD — every group member must call it together.
@@ -80,9 +85,7 @@ class ShardedTensor {
   collective::Group& group_;
   int grank_;
   tensor::Shape full_shape_;
-  std::int64_t full_numel_;
-  ShardingStrategy::Range range_;
-  std::int64_t padded_shard_;  // equal shard size used on the wire
+  ShardLayout layout_;
   tensor::Tensor shard_;
   tensor::Tensor gathered_;
   TensorState state_ = TensorState::kHold;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <deque>
 #include <istream>
 #include <ostream>
@@ -16,14 +15,12 @@ namespace t = ca::tensor;
 ZeroOptimizer::ZeroOptimizer(const tp::Env& env, collective::Group& group,
                              std::vector<nn::Parameter*> params,
                              optim::Adam::Hyper hyper, int stage,
-                             bool average_grads,
                              std::optional<tensor::Dtype> wire)
     : env_(env),
       group_(group),
       params_(std::move(params)),
       hyper_(hyper),
       stage_(stage),
-      average_(average_grads),
       wire_(wire.value_or(env.ctx->comm_dtype())) {
   assert(stage_ >= 1 && stage_ <= 3);
   const int world = group_.size();
@@ -31,25 +28,21 @@ ZeroOptimizer::ZeroOptimizer(const tp::Env& env, collective::Group& group,
   shards_.reserve(params_.size());
   for (nn::Parameter* p : params_) {
     ParamShard s;
-    s.padded = (p->numel() + world - 1) / world;
-    // master shard = my slice of the initial full value
-    s.master = t::Tensor(t::Shape{s.padded}, 0.0f);
-    const std::int64_t begin = idx * s.padded;
-    const std::int64_t end = std::min(p->numel(), begin + s.padded);
-    auto src = p->value.data();
-    auto dst = s.master.data();
-    for (std::int64_t i = begin; i < end; ++i)
-      dst[static_cast<std::size_t>(i - begin)] = src[static_cast<std::size_t>(i)];
-    s.m = t::Tensor(t::Shape{s.padded}, 0.0f);
-    s.v = t::Tensor(t::Shape{s.padded}, 0.0f);
+    s.layout = shard_layout(p->numel(), idx, world);
     if (stage_ == 3) {
       s.sharded = std::make_unique<ShardedTensor>(p->name, p->value, group_,
-                                                  env_.grank, strategy_);
+                                                  env_.grank);
+      s.master = s.sharded->shard();
       // full value lives only in kCompute state; keep a 0-element handle so
       // accidental use before gather_params() trips an assert.
       p->value = t::Tensor(t::Shape{0});
       p->grad = t::Tensor(t::Shape{0});
+    } else {
+      s.master = t::Tensor(t::Shape{s.layout.chunk});
+      copy_chunk(p->value.data(), s.layout, s.master.data());
     }
+    s.m = t::Tensor(t::Shape{s.layout.chunk}, 0.0f);
+    s.v = t::Tensor(t::Shape{s.layout.chunk}, 0.0f);
     shards_.push_back(std::move(s));
   }
 }
@@ -61,13 +54,12 @@ void ZeroOptimizer::gather_params() {
     if (mx != nullptr) {
       // Stage-3 param reconstruction goes through ShardedTensor's fp32
       // all_gather, not the step()'s wire-dtype pipeline.
-      mx->counter("zero.gather_bytes")
-          .inc(shards_[i].padded * group_.size() * 4);
+      mx->counter("zero.gather_bytes").inc(shards_[i].layout.padded * 4);
     }
     // A fresh buffer per gather, and release() drops only the sharded
     // tensor's handle: the parameter takes the storage over, uncopied.
     params_[i]->value = shards_[i].sharded->gather();
-    params_[i]->grad = t::Tensor(shards_[i].sharded->full_shape(), 0.0f);
+    params_[i]->grad = t::Tensor(params_[i]->value.shape(), 0.0f);
     shards_[i].sharded->release();
   }
 }
@@ -80,35 +72,12 @@ void ZeroOptimizer::release_params() {
   }
 }
 
-void ZeroOptimizer::adam_update(ParamShard& s, const t::Tensor& grad_shard) {
-  auto pm = s.m.data();
-  auto pv = s.v.data();
-  auto pw = s.master.data();
-  auto pg = grad_shard.data();
-  const float b1 = hyper_.beta1, b2 = hyper_.beta2;
-  const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t_));
-  // Gradient averaging is fused into the reduce's copy-out (see step()), so
-  // grad_shard already holds the averaged gradient.
-  for (std::size_t i = 0; i < pw.size(); ++i) {
-    float g = pg[i];
-    if (hyper_.weight_decay != 0.0f && !hyper_.decoupled) g += hyper_.weight_decay * pw[i];
-    pm[i] = b1 * pm[i] + (1.0f - b1) * g;
-    pv[i] = b2 * pv[i] + (1.0f - b2) * g * g;
-    float update = (pm[i] / bc1) / (std::sqrt(pv[i] / bc2) + hyper_.eps);
-    if (hyper_.weight_decay != 0.0f && hyper_.decoupled) update += hyper_.weight_decay * pw[i];
-    pw[i] -= hyper_.lr * update;
-  }
-}
-
 void ZeroOptimizer::step() {
   obs::TraceSpan span(env_.dev().trace(), obs::Category::kMarker, "zero.step");
   obs::MetricsSink* mx = env_.dev().metrics();
   const double t_step0 = env_.dev().clock();
   ++t_;
-  const int world = group_.size();
-  const int idx = group_.index_of(env_.grank);
-  const float avg = average_ ? 1.0f / static_cast<float>(world) : 1.0f;
+  const float avg = 1.0f / static_cast<float>(group_.size());
   const std::int64_t elem_bytes = t::dtype_bytes(wire_);
 
   // The per-parameter pipeline (grad sync -> shard update -> param
@@ -116,7 +85,7 @@ void ZeroOptimizer::step() {
   // collectives: while parameter i's reduce is on the wire, parameters
   // i-1, i-2, ... are being Adam-updated and re-gathered. The window bounds
   // the live wire buffers so sharding still saves memory. Gradient averaging
-  // is fused into the reduces' copy-out (adam_update gets averaged grads).
+  // is fused into the reduces' copy-out (the update gets averaged grads).
   constexpr std::size_t kWindow = 4;
 
   struct GradInFlight {
@@ -142,64 +111,52 @@ void ZeroOptimizer::step() {
 
   auto retire_grad = [&](GradInFlight& pg) {
     pg.h.wait();
-    nn::Parameter& p = *params_[pg.i];
     ParamShard& s = shards_[pg.i];
     if (stage_ == 1) {
-      const std::int64_t begin = idx * s.padded;
-      const std::int64_t end = std::min(p.grad.numel(), begin + s.padded);
-      auto src = p.grad.data();
-      auto dst = pg.grad_shard.data();
-      for (std::int64_t e = begin; e < end; ++e)
-        dst[static_cast<std::size_t>(e - begin)] =
-            src[static_cast<std::size_t>(e)];
+      copy_chunk(params_[pg.i]->grad.data(), s.layout, pg.grad_shard.data());
     }
-    adam_update(s, pg.grad_shard);
-    if (stage_ != 3) {
-      GatherInFlight g;
-      g.i = pg.i;
-      g.wire = t::Tensor(t::Shape{s.padded * world});
-      g.h = group_.all_gather_async(env_.grank, s.master.data(), g.wire.data(),
-                                    wire_);
-      if (mx != nullptr) {
-        // Shard traffic: the gathered size is the all_gather's modeled
-        // payload (NCCL convention — see modeled_bytes in group.cpp).
-        mx->counter("zero.gather_bytes").inc(s.padded * world * elem_bytes);
-      }
-      gathers.push_back(std::move(g));
-      if (gathers.size() > kWindow) {
-        retire_gather(gathers.front());
-        gathers.pop_front();
-      }
-    } else {
-      // write back into the shard; the next gather_params() serves fresh values
-      auto dst = s.sharded->shard().data();
-      auto src = s.master.data();
-      std::copy(src.begin(), src.end(), dst.begin());
+    optim::Adam::update(hyper_, t_, s.master.data(), pg.grad_shard.data(),
+                        s.m.data(), s.v.data());
+    // Stage 3 updated the sharded storage the next gather_params() serves.
+    if (stage_ == 3) return;
+    GatherInFlight g;
+    g.i = pg.i;
+    g.wire = t::Tensor(t::Shape{s.layout.padded});
+    g.h = group_.all_gather_async(env_.grank, s.master.data(), g.wire.data(),
+                                  wire_);
+    if (mx != nullptr) {
+      // Shard traffic: the gathered size is the all_gather's modeled
+      // payload (NCCL convention — see modeled_bytes in group.cpp).
+      mx->counter("zero.gather_bytes").inc(s.layout.padded * elem_bytes);
+    }
+    gathers.push_back(std::move(g));
+    if (gathers.size() > kWindow) {
+      retire_gather(gathers.front());
+      gathers.pop_front();
     }
   };
 
   for (std::size_t i = 0; i < params_.size(); ++i) {
     nn::Parameter& p = *params_[i];
     ParamShard& s = shards_[i];
-    assert(p.grad.numel() ==
-           (stage_ == 3 ? s.sharded->full_numel() : p.numel()));
+    assert(p.grad.numel() == s.layout.numel);
 
     GradInFlight pg;
     pg.i = i;
-    pg.grad_shard = t::Tensor(t::Shape{s.padded}, 0.0f);
+    pg.grad_shard = t::Tensor(t::Shape{s.layout.chunk}, 0.0f);
     if (mx != nullptr) {
       mx->counter("zero.reduce_bytes")
-          .inc((stage_ == 1 ? p.grad.numel() : s.padded * world) * elem_bytes);
+          .inc((stage_ == 1 ? s.layout.numel : s.layout.padded) * elem_bytes);
     }
     if (stage_ == 1) {
       pg.h = group_.all_reduce_async(env_.grank, p.grad.data(), avg, wire_);
     } else {
       // Reduce-scatter the full gradient; only a ragged tail needs a
       // zero-padded copy to make equal chunks.
-      if (p.grad.numel() == s.padded * world) {
+      if (s.layout.numel == s.layout.padded) {
         pg.wire = p.grad;
       } else {
-        pg.wire = t::Tensor(t::Shape{s.padded * world}, 0.0f);
+        pg.wire = t::Tensor(t::Shape{s.layout.padded}, 0.0f);
         auto src = p.grad.data();
         std::copy(src.begin(), src.end(), pg.wire.data().begin());
       }
@@ -226,58 +183,36 @@ void ZeroOptimizer::step() {
 }
 
 void ZeroOptimizer::save_state(std::ostream& os) {
-  const int world = group_.size();
   core::write_i64(os, t_);
   core::write_i64(os, static_cast<std::int64_t>(shards_.size()));
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    ParamShard& s = shards_[i];
-    const std::int64_t full =
-        stage_ == 3 ? s.sharded->full_numel() : params_[i]->numel();
-    t::Tensor wire(t::Shape{s.padded * world});
+  for (ParamShard& s : shards_) {
+    t::Tensor wire(t::Shape{s.layout.padded});
     for (t::Tensor* part : {&s.master, &s.m, &s.v}) {
       group_.all_gather(env_.grank, part->data(), wire.data());
-      core::write_i64(os, full);
-      core::write_f32s(os, wire.data().data(), full);
+      core::write_i64(os, s.layout.numel);
+      core::write_f32s(os, wire.data().data(), s.layout.numel);
     }
   }
 }
 
 void ZeroOptimizer::load_state(std::istream& is) {
-  const int idx = group_.index_of(env_.grank);
   t_ = core::read_i64(is);
   if (core::read_i64(is) != static_cast<std::int64_t>(shards_.size())) {
     throw std::runtime_error("zero state: parameter count mismatch");
   }
   std::vector<float> full;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    ParamShard& s = shards_[i];
-    const std::int64_t expect =
-        stage_ == 3 ? s.sharded->full_numel() : params_[i]->numel();
+  for (ParamShard& s : shards_) {
     for (t::Tensor* part : {&s.master, &s.m, &s.v}) {
       const std::int64_t n = core::read_i64(is);
-      if (n != expect) {
+      if (n != s.layout.numel) {
         throw std::runtime_error("zero state: tensor size mismatch");
       }
-      full.assign(static_cast<std::size_t>(n), 0.0f);
+      full.resize(static_cast<std::size_t>(n));
       core::read_f32s(is, full.data(), n);
-      // Slice by THIS group's layout — `padded` was computed from the
-      // current world size, so a checkpoint written at another DP width
-      // re-shards here.
-      const std::int64_t begin = idx * s.padded;
-      const std::int64_t end = std::min(n, begin + s.padded);
-      auto dst = part->data();
-      std::fill(dst.begin(), dst.end(), 0.0f);
-      for (std::int64_t e = begin; e < end; ++e) {
-        dst[static_cast<std::size_t>(e - begin)] =
-            full[static_cast<std::size_t>(e)];
-      }
-    }
-    if (stage_ == 3) {
-      // The sharded storage serves the next gather_params(); keep it in
-      // sync with the restored master shard.
-      auto dst = s.sharded->shard().data();
-      auto src = s.master.data();
-      std::copy(src.begin(), src.end(), dst.begin());
+      // Slice by THIS group's layout, so a checkpoint written at another DP
+      // width re-shards here. In place: at stage 3 the master is the sharded
+      // storage the next gather_params() serves.
+      copy_chunk(full, s.layout, part->data());
     }
   }
   if (stage_ != 3) {
@@ -287,24 +222,22 @@ void ZeroOptimizer::load_state(std::istream& is) {
     // in a half-wire run the live params at step k were wire-rounded
     // masters, and rounding the restored (identical fp32) masters again
     // reproduces them exactly — bit-identical resume holds per wire dtype.
-    const int world = group_.size();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       ParamShard& s = shards_[i];
-      t::Tensor wire(t::Shape{s.padded * world});
+      t::Tensor wire(t::Shape{s.layout.padded});
       group_.all_gather(env_.grank, s.master.data(), wire.data(), wire_);
       auto src = wire.data();
       auto dst = params_[i]->value.data();
-      std::copy(src.begin(), src.begin() + params_[i]->numel(), dst.begin());
+      std::copy(src.begin(), src.begin() + s.layout.numel, dst.begin());
     }
   }
 }
 
 std::int64_t ZeroOptimizer::model_state_bytes() const {
   std::int64_t full = 0, shard = 0;
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    full += stage_ == 3 ? shards_[i].sharded->full_numel()
-                        : params_[i]->numel();
-    shard += shards_[i].padded;
+  for (const ParamShard& s : shards_) {
+    full += s.layout.numel;
+    shard += s.layout.chunk;
   }
   const std::int64_t kF = 4;
   switch (stage_) {

@@ -22,7 +22,7 @@ namespace ca::zero {
 ///    gather_params() and release_params() around forward/backward.
 ///
 /// All methods are SPMD over the group. Training is numerically identical to
-/// serial Adam on the summed/averaged gradient, which test_zero verifies.
+/// serial Adam on the averaged gradient, which test_zero verifies.
 class ZeroOptimizer {
  public:
   /// `wire` is the element type gradient sync (all-reduce / reduce-scatter)
@@ -33,8 +33,7 @@ class ZeroOptimizer {
   /// re-sharding is wire-dtype-independent).
   ZeroOptimizer(const tp::Env& env, collective::Group& group,
                 std::vector<nn::Parameter*> params, optim::Adam::Hyper hyper,
-                int stage, bool average_grads = true,
-                std::optional<tensor::Dtype> wire = std::nullopt);
+                int stage, std::optional<tensor::Dtype> wire = std::nullopt);
 
   /// Stage 3: materialize full parameter values (all-gather) into the
   /// module's Parameters and zero fresh gradient buffers. No-op otherwise.
@@ -69,24 +68,23 @@ class ZeroOptimizer {
   [[nodiscard]] std::int64_t model_state_bytes() const;
 
  private:
+  /// One parameter's shard: its layout over the group, recorded once, and
+  /// the fp32 master and Adam moment chunks (layout.chunk elements each).
+  /// At stage 3 `sharded` holds the master itself (one storage), so
+  /// gather_params() serves what the last update wrote.
   struct ParamShard {
-    std::int64_t padded = 0;        // wire chunk size
-    tensor::Tensor master;          // (padded) fp32 master shard
-    tensor::Tensor m, v;            // Adam moments, shard-sized
-    std::unique_ptr<ShardedTensor> sharded;  // stage 3 storage
+    ShardLayout layout;
+    tensor::Tensor master, m, v;
+    std::unique_ptr<ShardedTensor> sharded;  // stage 3 only
   };
-
-  void adam_update(ParamShard& s, const tensor::Tensor& grad_shard);
 
   tp::Env env_;
   collective::Group& group_;
   std::vector<nn::Parameter*> params_;
   optim::Adam::Hyper hyper_;
   int stage_;
-  bool average_;
   tensor::Dtype wire_ = tensor::Dtype::kF32;
   std::int64_t t_ = 0;
-  ShardingStrategy strategy_;
   std::vector<ParamShard> shards_;
 };
 

@@ -404,7 +404,7 @@ TEST(Halfwire, ZeroBf16CheckpointResumesBitIdentically) {
       nn::Linear model("m", 4, 3, 62);
       zero::ZeroOptimizer opt(w.env(g), w.ctx.data_group(g),
                               model.parameters(), {}, /*stage=*/2,
-                              /*average_grads=*/true, t::Dtype::kBF16);
+                              t::Dtype::kBF16);
       train_steps(opt, model, 0, 4);
       opt.gather_params();
       want[static_cast<std::size_t>(g)] = model.weight().value.clone();
@@ -419,8 +419,7 @@ TEST(Halfwire, ZeroBf16CheckpointResumesBitIdentically) {
     w.cluster.run([&](int g) {
       nn::Linear model("m", 4, 3, 62);
       zero::ZeroOptimizer opt(w.env(g), w.ctx.data_group(g),
-                              model.parameters(), {}, 2, true,
-                              t::Dtype::kBF16);
+                              model.parameters(), {}, 2, t::Dtype::kBF16);
       train_steps(opt, model, 0, 2);
       std::ostringstream os;
       opt.save_state(os);
@@ -436,8 +435,7 @@ TEST(Halfwire, ZeroBf16CheckpointResumesBitIdentically) {
     w.cluster.run([&](int g) {
       nn::Linear model("m", 4, 3, 62);
       zero::ZeroOptimizer opt(w.env(g), w.ctx.data_group(g),
-                              model.parameters(), {}, 2, true,
-                              t::Dtype::kBF16);
+                              model.parameters(), {}, 2, t::Dtype::kBF16);
       std::istringstream is(blobs[0]);
       opt.load_state(is);
       train_steps(opt, model, 2, 4);

@@ -49,10 +49,9 @@ TEST(ShardedTensor, GatherReconstructsFullValue) {
   const int p = 4;
   DpWorld w(p);
   auto full = t::randn(t::Shape{3, 7}, 5);  // 21 elements: uneven shards
-  zero::ShardingStrategy strategy;
   std::vector<t::Tensor> gathered(p);
   w.cluster.run([&](int g) {
-    zero::ShardedTensor st("w", full, w.ctx.data_group(g), g, strategy);
+    zero::ShardedTensor st("w", full, w.ctx.data_group(g), g);
     EXPECT_EQ(st.state(), zero::TensorState::kHold);
     gathered[g] = st.gather().clone();
     EXPECT_EQ(st.state(), zero::TensorState::kCompute);
@@ -68,10 +67,9 @@ TEST(ShardedTensor, ReleaseWritesBackUpdatedValues) {
   const int p = 2;
   DpWorld w(p);
   auto full = t::arange(8).reshape(t::Shape{2, 4});
-  zero::ShardingStrategy strategy;
   std::vector<t::Tensor> second(p);
   w.cluster.run([&](int g) {
-    zero::ShardedTensor st("w", full, w.ctx.data_group(g), g, strategy);
+    zero::ShardedTensor st("w", full, w.ctx.data_group(g), g);
     auto updated = t::mul_scalar(st.gather(), 2.0f);
     st.release(&updated);
     second[g] = st.gather().clone();
@@ -84,7 +82,6 @@ TEST(ShardedTensor, ReleaseWritesBackUpdatedValues) {
 TEST(ShardedTensor, LifecycleHooksFire) {
   DpWorld w(2);
   auto full = t::ones(t::Shape{4});
-  zero::ShardingStrategy strategy;
   std::vector<int> transitions(2, 0);
   w.cluster.run([&](int g) {
     zero::LifecycleHooks hooks;
@@ -92,7 +89,7 @@ TEST(ShardedTensor, LifecycleHooksFire) {
                                    zero::TensorState) {
       ++transitions[static_cast<std::size_t>(g)];
     };
-    zero::ShardedTensor st("w", full, w.ctx.data_group(g), g, strategy, hooks);
+    zero::ShardedTensor st("w", full, w.ctx.data_group(g), g, hooks);
     st.gather();
     st.release();
   });
@@ -101,12 +98,11 @@ TEST(ShardedTensor, LifecycleHooksFire) {
 }
 
 TEST(ShardingStrategy, PaddedEqualRanges) {
-  zero::ShardingStrategy s;
   // 10 elements over 4 ranks: padded chunk 3
-  EXPECT_EQ(s.shard_range(10, 0, 4).size(), 3);
-  EXPECT_EQ(s.shard_range(10, 2, 4).size(), 3);
-  EXPECT_EQ(s.shard_range(10, 3, 4).size(), 1);  // tail
-  EXPECT_EQ(s.shard_range(10, 3, 4).begin, 9);
+  EXPECT_EQ(zero::shard_layout(10, 0, 4).size(), 3);
+  EXPECT_EQ(zero::shard_layout(10, 2, 4).size(), 3);
+  EXPECT_EQ(zero::shard_layout(10, 3, 4).size(), 1);  // tail
+  EXPECT_EQ(zero::shard_layout(10, 3, 4).begin, 9);
 }
 
 // ---- ZeroOptimizer stage equivalence ------------------------------------------------

@@ -106,7 +106,11 @@ Group::PubToken Group::publish(int idx, const float* ptr, std::int64_t count,
   ptrs_[slot][i] = ptr;
   counts_[slot][i] = count;
   clocks_[slot][i] = clock;
-  sync(idx);
+  try {
+    barrier_.arrive_and_wait();
+  } catch (const sim::RendezvousAborted&) {
+    watchdog_expired(idx);
+  }
   // This op's slot entries are stable from here to the end of the op: a rank
   // can only overwrite them two publishes later, and it reaches that publish
   // only after every rank has finished this op and published the next one.
@@ -122,15 +126,7 @@ void Group::ensure_arena(int idx, std::int64_t elems) {
       std::bit_ceil(static_cast<std::uint64_t>(std::max<std::int64_t>(elems, 1024))));
   if (idx == 0) arena_.resize(static_cast<std::size_t>(cap));
   me.arena_seen = cap;
-  sync(idx);
-}
-
-void Group::sync(int idx) {
-  try {
-    barrier_.arrive_and_wait();
-  } catch (const sim::RendezvousAborted&) {
-    watchdog_expired(idx);
-  }
+  barrier_.arrive_and_wait_all();  // after publish: see run_collective
 }
 
 void Group::watchdog_expired(int idx) {
@@ -391,11 +387,15 @@ double Group::run_collective(int grank, Op op, const float* in,
   }
   if (sched.arena_elems > 0) ensure_arena(idx, sched.arena_elems);
 
+  // Past publish every member runs the phases to the end: an abort cuts
+  // short only the publish rendezvous, so a member that finished its copies
+  // cannot unwind (and free its published buffer) while a peer still reads
+  // it.
   for (const auto& ph : sched.phases) {
     for (const auto& a : ph.actions[static_cast<std::size_t>(idx)]) {
       run_action(idx, tok.slot, a, out, scale);
     }
-    if (ph.barrier_after) sync(idx);
+    if (ph.barrier_after) barrier_.arrive_and_wait_all();
   }
 
   // Half-wire copy-out: the *result* crosses the wire too. Only the reducing

@@ -259,16 +259,16 @@ class Group {
 
   /// Publish my pointer + count + `clock` into this op's parity slot and
   /// rendezvous (one barrier). After it returns, every member's slot entries
-  /// for this op are readable until the end of the op.
+  /// for this op are readable until the end of the op. This is the op's one
+  /// watchdog-guarded rendezvous: when the SPMD region aborts (a member died
+  /// or threw) while this member waits, it charges the watchdog budget to
+  /// its clock, records a fault span, and raises CommTimeoutError describing
+  /// the operation it was stuck in — the no-hang guarantee of the fault
+  /// model (DESIGN.md section 7). The op's later barriers wait for every
+  /// member, aborted or not.
   PubToken publish(int idx, const float* ptr, std::int64_t count, double clock);
 
-  /// One watchdog-guarded barrier crossing for member `idx`. When the SPMD
-  /// region aborts (a member died or threw) while this member waits, charges
-  /// the watchdog budget to its clock, records a fault span, and raises
-  /// CommTimeoutError describing the operation it was stuck in — the no-hang
-  /// guarantee of the fault model (DESIGN.md section 7).
-  void sync(int idx);
-  /// sync()'s abort path: the watchdog charge, fault span and throw.
+  /// publish()'s abort path: the watchdog charge, fault span and throw.
   [[noreturn]] void watchdog_expired(int idx);
 
   /// Ensure the scratch arena holds at least `elems` floats. Deterministic

@@ -1,5 +1,7 @@
 #include "sim/cluster.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
@@ -71,8 +73,10 @@ void Cluster::run(const std::function<void(int)>& fn) {
   } else {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(n));
+    const int team = omp_team_per_rank(n);
     for (int r = 0; r < n; ++r) {
       threads.emplace_back([&, r] {
+        omp_set_num_threads(team);
         // Let samplers on shared pools (host/NVMe) stamp allocations from
         // this thread with this rank's simulated clock.
         obs::ThreadClock::bind(

@@ -328,6 +328,24 @@ class AbortableBarrier {
     }
   }
 
+  /// A rendezvous an abort cannot cut short: it waits for every member even
+  /// after the region aborted. Use it only where every member is certain to
+  /// arrive, as at the barriers after a collective's publish (fail-stop
+  /// lands before publish, and an aborted publish releases no member): a
+  /// member released early would unwind and free a buffer its peers are
+  /// still copying from.
+  void arrive_and_wait_all() {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (++count_ == n_) {
+      count_ = 0;
+      ++gen_;
+      cv_.notify_all();
+      return;
+    }
+    const std::uint64_t my_gen = gen_;
+    cv_.wait(lk, [&] { return gen_ != my_gen; });
+  }
+
  private:
   std::ptrdiff_t n_, count_ = 0;
   std::uint64_t gen_ = 0;

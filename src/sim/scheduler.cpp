@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <cxxabi.h>
+#include <omp.h>
 #include <pthread.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -308,7 +309,9 @@ char* stack_lo(const Stack& s) {
 class Pool {
  public:
   Pool(int workers, std::size_t stack_bytes)
-      : nworkers_(workers), stack_bytes_(stack_bytes) {}
+      : nworkers_(workers),
+        stack_bytes_(stack_bytes),
+        omp_team_(omp_team_per_rank(workers)) {}
 
   void run(int n, const std::function<void(int)>& body,
            const std::function<const double*(int)>& clock_of) {
@@ -328,11 +331,17 @@ class Pool {
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(nworkers_));
     for (int w = caller_works ? 1 : 0; w < nworkers_; ++w) {
-      workers.emplace_back([this] { worker_loop(); });
+      workers.emplace_back([this] {
+        omp_set_num_threads(omp_team_);
+        worker_loop();
+      });
     }
     if (caller_works) {
       const double* clock = obs::ThreadClock::current();
+      const int team = omp_get_max_threads();
+      omp_set_num_threads(omp_team_);
       worker_loop();
+      omp_set_num_threads(team);
       obs::ThreadClock::bind(clock);
     }
     for (auto& t : workers) t.join();
@@ -462,6 +471,7 @@ class Pool {
 
   int nworkers_;
   std::size_t stack_bytes_;
+  int omp_team_;
   const std::function<void(int)>* body_ = nullptr;
 
   std::mutex mu_;
@@ -508,6 +518,11 @@ std::optional<SimBackend> parse_backend(const std::string& name) {
   if (name == "threads") return SimBackend::kThreads;
   if (name == "tasks") return SimBackend::kTasks;
   return std::nullopt;
+}
+
+int omp_team_per_rank(int concurrent) {
+  return std::max(1, std::min(omp_get_max_threads(),
+                              omp_get_num_procs() / std::max(1, concurrent)));
 }
 
 const char* backend_name(SimBackend b) {

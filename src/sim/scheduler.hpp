@@ -47,6 +47,14 @@ class TaskWaitQueue {
   detail::Fiber* tail_ = nullptr;
 };
 
+/// The OpenMP team each of `concurrent` ranks running side by side gets in
+/// an SPMD region: the hardware threads split evenly over them, at least 1,
+/// and never wider than the calling thread's own setting (so a process run
+/// with OMP_NUM_THREADS=1 keeps one thread per rank). Without the split,
+/// every rank's tensor kernels would open a full team and the ranks' teams
+/// together would oversubscribe the cores.
+[[nodiscard]] int omp_team_per_rank(int concurrent);
+
 /// The run-to-blocking-point fiber scheduler behind SimBackend::kTasks.
 /// `run` turns each rank into a stackful fiber (mmap'd stack, guard page at
 /// the low end, kept on a process-wide free list for the next run; switched
@@ -62,6 +70,7 @@ class TaskScheduler {
  public:
   struct Options {
     /// Worker threads; 0 = one per hardware thread, clamped to the world size.
+    /// Each worker runs its fibers with an omp_team_per_rank(workers) team.
     int workers = 0;
     /// Per-fiber stack bytes; 0 = default (1 MiB, more under sanitizers).
     std::size_t stack_bytes = 0;

@@ -63,8 +63,6 @@ class ShardedTensor {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] TensorState state() const { return state_; }
-  [[nodiscard]] const ShardLayout& layout() const { return layout_; }
-  [[nodiscard]] const tensor::Shape& full_shape() const { return full_shape_; }
 
   /// This rank's padded chunk (always materialized). Handles copied from it
   /// share its storage: ZeRO-3 updates its master weights here in place.

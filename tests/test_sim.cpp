@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
+#include <vector>
 
 #include "sim/cluster.hpp"
+#include "sim/fault.hpp"
 #include "sim/memory.hpp"
 #include "sim/topology.hpp"
 
@@ -123,6 +130,48 @@ TEST(Cluster, SpmdRunsEveryRank) {
   std::atomic<int> sum{0};
   cluster.run([&](int rank) { sum += rank + 1; });
   EXPECT_EQ(sum.load(), 10);
+}
+
+TEST(Cluster, RanksSplitTheOpenMpTeam) {
+  // Ranks running side by side share the cores: each gets the hardware
+  // threads divided by the ranks (or workers) at once, never more than the
+  // caller's own team, and the caller's setting is left as it was.
+  const int caller = omp_get_max_threads();
+  const int want = std::max(1, std::min(caller, omp_get_num_procs() / 4));
+  for (const auto backend :
+       {sim::SimBackend::kThreads, sim::SimBackend::kTasks}) {
+    sim::Cluster cluster(sim::Topology::uniform(4, 1e9));
+    cluster.set_backend(backend);
+    cluster.set_workers(4);  // tasks: four workers, so four ranks at once
+    std::vector<int> team(4, 0);
+    cluster.run([&](int rank) {
+      team[static_cast<std::size_t>(rank)] = omp_get_max_threads();
+    });
+    for (int t : team) EXPECT_EQ(t, want);
+    EXPECT_EQ(omp_get_max_threads(), caller);
+  }
+}
+
+TEST(AbortableBarrier, WaitAllOutlastsAnAbort) {
+  // The barriers after a collective's publish: an abort must not release a
+  // member before every member arrived, or it would unwind and free a
+  // buffer its peers still read.
+  sim::FaultState fs;
+  sim::AbortableBarrier barrier(2, &fs);
+  std::atomic<bool> released{false};
+  std::thread member([&] {
+    barrier.arrive_and_wait_all();
+    released = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  fs.abort(1, "rank 1: injected", /*device_death=*/false);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(released.load());  // woken by the abort, still waiting
+  barrier.arrive_and_wait_all();
+  member.join();
+  EXPECT_TRUE(released.load());
+  // The abortable arrival (a publish) still throws at once.
+  EXPECT_THROW(barrier.arrive_and_wait(), sim::RendezvousAborted);
 }
 
 TEST(Cluster, RethrowsRankException) {

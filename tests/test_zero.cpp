@@ -1,6 +1,6 @@
 // ZeRO tests: sharded tensor lifecycle, stage 1/2/3 equivalence with serial
-// Adam, chunk manager accounting, offload policies, and the Figure 14
-// dynamic-vs-static simulation.
+// Adam, checkpoint re-sharding across DP widths, chunk manager accounting,
+// offload policies, and the Figure 14 dynamic-vs-static simulation.
 
 #include <gtest/gtest.h>
 

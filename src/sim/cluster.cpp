@@ -1,7 +1,5 @@
 #include "sim/cluster.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
@@ -76,7 +74,7 @@ void Cluster::run(const std::function<void(int)>& fn) {
     const int team = omp_team_per_rank(n);
     for (int r = 0; r < n; ++r) {
       threads.emplace_back([&, r] {
-        omp_set_num_threads(team);
+        set_omp_team(team);
         // Let samplers on shared pools (host/NVMe) stamp allocations from
         // this thread with this rank's simulated clock.
         obs::ThreadClock::bind(

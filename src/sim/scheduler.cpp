@@ -332,16 +332,16 @@ class Pool {
     workers.reserve(static_cast<std::size_t>(nworkers_));
     for (int w = caller_works ? 1 : 0; w < nworkers_; ++w) {
       workers.emplace_back([this] {
-        omp_set_num_threads(omp_team_);
+        set_omp_team(omp_team_);
         worker_loop();
       });
     }
     if (caller_works) {
       const double* clock = obs::ThreadClock::current();
       const int team = omp_get_max_threads();
-      omp_set_num_threads(omp_team_);
+      set_omp_team(omp_team_);
       worker_loop();
-      omp_set_num_threads(team);
+      set_omp_team(team);
       obs::ThreadClock::bind(clock);
     }
     for (auto& t : workers) t.join();
@@ -521,8 +521,15 @@ std::optional<SimBackend> parse_backend(const std::string& name) {
 }
 
 int omp_team_per_rank(int concurrent) {
+  // Once per process: omp_get_num_procs() asks the kernel for the affinity
+  // mask, and cost-only regions are only microseconds long.
+  static const int procs = omp_get_num_procs();
   return std::max(1, std::min(omp_get_max_threads(),
-                              omp_get_num_procs() / std::max(1, concurrent)));
+                              procs / std::max(1, concurrent)));
+}
+
+void set_omp_team(int team) {
+  if (omp_get_max_threads() != team) omp_set_num_threads(team);
 }
 
 const char* backend_name(SimBackend b) {

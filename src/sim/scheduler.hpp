@@ -54,6 +54,9 @@ class TaskWaitQueue {
 /// every rank's tensor kernels would open a full team and the ranks' teams
 /// together would oversubscribe the cores.
 [[nodiscard]] int omp_team_per_rank(int concurrent);
+/// Set the calling thread's OpenMP team to `team`; a no-op (no libgomp
+/// per-thread state is created) when it already is.
+void set_omp_team(int team);
 
 /// The run-to-blocking-point fiber scheduler behind SimBackend::kTasks.
 /// `run` turns each rank into a stackful fiber (mmap'd stack, guard page at

@@ -253,7 +253,8 @@ void check_reshard(int stage) {
       }
     });
     for (int g = 0; g < p; ++g) {
-      EXPECT_EQ(bytes[static_cast<std::size_t>(g)], bytes[0]) << "dp4 rank " << g;
+      EXPECT_EQ(bytes[static_cast<std::size_t>(g)], bytes[0])
+          << "dp4 rank " << g;
     }
     saved = bytes[0];
   }

@@ -1,23 +1,12 @@
 #include "core/context.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 #include "core/knobs.hpp"
 
 namespace ca::core {
-
-namespace {
-/// Assign `group` to `slots[r]` for every rank r in the group.
-void assign(std::vector<collective::Group*>& slots, collective::Group& group) {
-  for (int r : group.ranks()) slots.at(static_cast<std::size_t>(r)) = &group;
-}
-}  // namespace
-
-int ParallelContext::tp_slot() const {
-  return config_.tensor_parallel_size * config_.sequence_parallel_size;
-}
 
 ParallelContext::ParallelContext(collective::Backend& backend, Config config)
     : ParallelContext(backend, std::move(config), std::vector<int>{}) {}
@@ -61,9 +50,6 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
     identity = identity && members_[static_cast<std::size_t>(v)] == v;
   }
   identity = identity && world == cluster_world;
-  const int tp = tp_slot();
-  const int pp = config_.pipeline_parallel_size;
-  const int dp = config_.data_parallel_size;
 
   // The context-level knobs (env > config > default). The algorithm lands on
   // every group the backend creates.
@@ -72,115 +58,75 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
       collective::AlgoSelector::parse(knobs.text(Knob::kCollectiveAlgo)));
   comm_dtype_ = *tensor::parse_dtype(knobs.text(Knob::kCommDtype));
 
-  data_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  tensor_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  row_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  col_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  depth_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  cube_i_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  cube_j_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-  cube_k_groups_.resize(static_cast<std::size_t>(cluster_world), nullptr);
-
-  // Every loop below enumerates VIRTUAL ranks and maps them to physical
-  // cluster ranks through `phys` before the group is created, so the same
-  // layout arithmetic drives both the identity and the elastic form.
-  const auto phys = [this](int v) {
-    return members_[static_cast<std::size_t>(v)];
-  };
+  // The axis table. 2D is the grid at depth 1, and a depth-1 grid has no
+  // depth axis (so no depth groups, and depth_coord reads 0).
+  const int slot = config_.tensor_parallel_size * config_.sequence_parallel_size;
+  extent_[kData] = config_.data_parallel_size;
+  extent_[kPipe] = config_.pipeline_parallel_size;
+  if (is_grid(config_.tensor_mode)) {
+    grid_side_ = Config::exact_sqrt(config_.tensor_parallel_size / depth_);
+    if (depth_ > 1) extent_[kDepth] = depth_;
+    extent_[kRow] = extent_[kCol] = grid_side_;
+  } else if (config_.tensor_mode == TpMode::k3d) {
+    grid_side_ = Config::exact_cbrt(config_.tensor_parallel_size);
+    extent_[kCubeI] = extent_[kCubeJ] = extent_[kCubeK] = grid_side_;
+  }
+  int split = 1;  // the sub-axes' share of the slot
+  for (int a = kDepth; a < kAxes; ++a) split *= std::max(extent_[a], 1);
+  extent_[kTensor] = slot / split;
+  int stride = 1;
+  for (int a = kAxes - 1; a >= 0; --a) {
+    stride_[a] = stride;
+    stride *= std::max(extent_[a], 1);
+  }
 
   world_group_ = identity ? &backend_.world()
                           : &backend_.create_group(members_, "world");
 
-  // Data groups: same (pipe, tp) slot across all data replicas.
-  for (int p = 0; p < pp; ++p) {
-    for (int t = 0; t < tp; ++t) {
-      std::vector<int> ranks;
-      ranks.reserve(static_cast<std::size_t>(dp));
-      for (int d = 0; d < dp; ++d) ranks.push_back(phys((d * pp + p) * tp + t));
-      assign(data_groups_, backend_.create_group(std::move(ranks), "data"));
+  // Every group is "the ranks that differ only in these axes", enumerated
+  // over VIRTUAL ranks and mapped to physical cluster ranks before the group
+  // is created, so one loop drives the identity and the elastic form.
+  struct KindSpec {
+    const char* name;
+    std::initializer_list<Axis> axes;
+  };
+  const KindSpec kinds[kKinds] = {
+      {"data", {kData}},
+      {"tensor", {kTensor, kDepth, kRow, kCol, kCubeI, kCubeJ, kCubeK}},
+      {"row", {kCol}},
+      {"col", {kRow}},
+      {"depth", {kDepth}},
+      {"cube_i", {kCubeI}},
+      {"cube_j", {kCubeJ}},
+      {"cube_k", {kCubeK}},
+  };
+  for (int kind = 0; kind < kKinds; ++kind) {
+    std::vector<Axis> axes;
+    int size = 1;
+    for (Axis a : kinds[kind].axes) {
+      if (extent_[a] == 0) continue;
+      axes.push_back(a);
+      size *= extent_[a];
     }
-  }
-
-  // Tensor groups: tp consecutive ranks.
-  for (int d = 0; d < dp; ++d) {
-    for (int p = 0; p < pp; ++p) {
-      const int base = (d * pp + p) * tp;
+    auto& slots = groups_[kind];
+    slots.assign(static_cast<std::size_t>(cluster_world), nullptr);
+    if (axes.empty()) continue;
+    for (int base = 0; base < world; ++base) {
+      bool first = true;  // base is the member at digit 0 on every axis
+      for (Axis a : axes) first = first && coord(base, a) == 0;
+      if (!first) continue;
       std::vector<int> ranks;
-      ranks.reserve(static_cast<std::size_t>(tp));
-      for (int t = 0; t < tp; ++t) ranks.push_back(phys(base + t));
-      auto& g = backend_.create_group(std::move(ranks), "tensor");
-      assign(tensor_groups_, g);
-
-      // Sub-groups inside this tensor group, by mode.
-      switch (config_.tensor_mode) {
-        case TpMode::kNone:
-        case TpMode::k1d:
-          break;
-        case TpMode::k2d:
-        case TpMode::k2p5d: {
-          // One SUMMA grid per depth layer. 2D is the grid at depth 1, and a
-          // depth-1 grid has no depth groups.
-          const int layer = config_.tensor_parallel_size / depth_;
-          const int q = Config::exact_sqrt(layer);
-          grid_side_ = q;
-          for (int dd = 0; dd < depth_; ++dd) {
-            const int lbase = base + dd * layer;
-            for (int r = 0; r < q; ++r) {
-              std::vector<int> row;
-              for (int c = 0; c < q; ++c) {
-                row.push_back(phys(lbase + r * q + c));
-              }
-              assign(row_groups_, backend_.create_group(std::move(row), "row"));
-            }
-            for (int c = 0; c < q; ++c) {
-              std::vector<int> col;
-              for (int r = 0; r < q; ++r) {
-                col.push_back(phys(lbase + r * q + c));
-              }
-              assign(col_groups_, backend_.create_group(std::move(col), "col"));
-            }
-          }
-          if (depth_ == 1) break;
-          for (int cell = 0; cell < layer; ++cell) {
-            std::vector<int> dg;
-            for (int dd = 0; dd < depth_; ++dd) {
-              dg.push_back(phys(base + dd * layer + cell));
-            }
-            assign(depth_groups_, backend_.create_group(std::move(dg), "depth"));
-          }
-          break;
+      ranks.reserve(static_cast<std::size_t>(size));
+      for (int m = 0; m < size; ++m) {  // m's digits over `axes`, ascending
+        int v = base, rest = m;
+        for (auto a = axes.rbegin(); a != axes.rend(); ++a) {
+          v += rest % extent_[*a] * stride_[*a];
+          rest /= extent_[*a];
         }
-        case TpMode::k3d: {
-          const int l = Config::exact_cbrt(config_.tensor_parallel_size);
-          grid_side_ = l;
-          // coords: t = (i * l + j) * l + k
-          for (int j = 0; j < l; ++j)
-            for (int k = 0; k < l; ++k) {  // vary i
-              std::vector<int> g3;
-              for (int i = 0; i < l; ++i) {
-                g3.push_back(phys(base + (i * l + j) * l + k));
-              }
-              assign(cube_i_groups_, backend_.create_group(std::move(g3), "cube_i"));
-            }
-          for (int i = 0; i < l; ++i)
-            for (int k = 0; k < l; ++k) {  // vary j
-              std::vector<int> g3;
-              for (int j = 0; j < l; ++j) {
-                g3.push_back(phys(base + (i * l + j) * l + k));
-              }
-              assign(cube_j_groups_, backend_.create_group(std::move(g3), "cube_j"));
-            }
-          for (int i = 0; i < l; ++i)
-            for (int j = 0; j < l; ++j) {  // vary k
-              std::vector<int> g3;
-              for (int k = 0; k < l; ++k) {
-                g3.push_back(phys(base + (i * l + j) * l + k));
-              }
-              assign(cube_k_groups_, backend_.create_group(std::move(g3), "cube_k"));
-            }
-          break;
-        }
+        ranks.push_back(members_[static_cast<std::size_t>(v)]);
       }
+      auto& g = backend_.create_group(std::move(ranks), kinds[kind].name);
+      for (int r : g.ranks()) slots[static_cast<std::size_t>(r)] = &g;
     }
   }
 }
@@ -194,110 +140,28 @@ int ParallelContext::virtual_rank(int grank) const {
   return v;
 }
 
-int ParallelContext::data_rank(int grank) const {
-  return virtual_rank(grank) / (config_.pipeline_parallel_size * tp_slot());
-}
-
-int ParallelContext::pipeline_rank(int grank) const {
-  return (virtual_rank(grank) / tp_slot()) % config_.pipeline_parallel_size;
-}
-
-int ParallelContext::tensor_rank(int grank) const {
-  return virtual_rank(grank) % tp_slot();
-}
-
 int ParallelContext::pipeline_prev(int grank) const {
   return pipeline_rank(grank) == 0
              ? -1
              : members_[static_cast<std::size_t>(virtual_rank(grank) -
-                                                 tp_slot())];
+                                                 stride_[kPipe])];
 }
 
 int ParallelContext::pipeline_next(int grank) const {
-  return pipeline_rank(grank) == config_.pipeline_parallel_size - 1
+  return is_last_stage(grank)
              ? -1
              : members_[static_cast<std::size_t>(virtual_rank(grank) +
-                                                 tp_slot())];
+                                                 stride_[kPipe])];
 }
 
-bool ParallelContext::is_first_stage(int grank) const {
-  return pipeline_rank(grank) == 0;
-}
-
-bool ParallelContext::is_last_stage(int grank) const {
-  return pipeline_rank(grank) == config_.pipeline_parallel_size - 1;
-}
-
-namespace {
-collective::Group& require_group(const std::vector<collective::Group*>& v,
-                                 int grank, const char* what) {
-  collective::Group* g = v.at(static_cast<std::size_t>(grank));
+collective::Group& ParallelContext::group(Kind kind, int grank,
+                                          const char* what) const {
+  collective::Group* g = groups_[kind].at(static_cast<std::size_t>(grank));
   if (g == nullptr) {
     throw std::logic_error(std::string(what) +
                            " group not available under this configuration");
   }
   return *g;
-}
-}  // namespace
-
-collective::Group& ParallelContext::data_group(int grank) {
-  return require_group(data_groups_, grank, "data");
-}
-
-collective::Group& ParallelContext::tensor_group(int grank) {
-  return require_group(tensor_groups_, grank, "tensor");
-}
-collective::Group& ParallelContext::sequence_group(int grank) {
-  return require_group(tensor_groups_, grank, "sequence");
-}
-collective::Group& ParallelContext::row_group(int grank) {
-  return require_group(row_groups_, grank, "row");
-}
-collective::Group& ParallelContext::col_group(int grank) {
-  return require_group(col_groups_, grank, "col");
-}
-collective::Group& ParallelContext::depth_group(int grank) {
-  return require_group(depth_groups_, grank, "depth");
-}
-collective::Group& ParallelContext::cube_i_group(int grank) {
-  return require_group(cube_i_groups_, grank, "cube-i");
-}
-collective::Group& ParallelContext::cube_j_group(int grank) {
-  return require_group(cube_j_groups_, grank, "cube-j");
-}
-collective::Group& ParallelContext::cube_k_group(int grank) {
-  return require_group(cube_k_groups_, grank, "cube-k");
-}
-
-int ParallelContext::row_coord(int grank) const {
-  assert(grid_side_ > 0);
-  const int layer = grid_side_ * grid_side_;
-  return tensor_rank(grank) % layer / grid_side_;
-}
-
-int ParallelContext::col_coord(int grank) const {
-  assert(grid_side_ > 0);
-  return tensor_rank(grank) % grid_side_;
-}
-
-int ParallelContext::depth_coord(int grank) const {
-  assert(grid_side_ > 0);
-  return tensor_rank(grank) / (grid_side_ * grid_side_);
-}
-
-int ParallelContext::cube_i(int grank) const {
-  assert(config_.tensor_mode == TpMode::k3d);
-  return tensor_rank(grank) / (grid_side_ * grid_side_);
-}
-
-int ParallelContext::cube_j(int grank) const {
-  assert(config_.tensor_mode == TpMode::k3d);
-  return tensor_rank(grank) / grid_side_ % grid_side_;
-}
-
-int ParallelContext::cube_k(int grank) const {
-  assert(config_.tensor_mode == TpMode::k3d);
-  return tensor_rank(grank) % grid_side_;
 }
 
 }  // namespace ca::core

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <vector>
 
 #include "collective/backend.hpp"
@@ -18,7 +20,10 @@ namespace ca::core {
 /// to the best-connected devices):
 ///   grank = (data_rank * pipeline_size + pipe_rank) * tp_size + tp_rank
 /// Sequence parallelism occupies the same innermost slot as tensor
-/// parallelism (the two are mutually exclusive).
+/// parallelism (the two are mutually exclusive). One mixed-radix axis table
+/// describes this layout, the tensor slot split further into depth x row x
+/// col on the grid and i x j x k on the cube; every group ("the ranks that
+/// differ only in these axes") and every coordinate is read from it.
 ///
 /// Construction happens on the launching thread before the SPMD region; all
 /// query methods are then safe to call concurrently from rank threads.
@@ -72,35 +77,63 @@ class ParallelContext {
 
   // ---- rank decomposition ----------------------------------------------------
 
-  [[nodiscard]] int data_rank(int grank) const;
-  [[nodiscard]] int pipeline_rank(int grank) const;
-  /// Rank inside the tensor (or sequence) group.
-  [[nodiscard]] int tensor_rank(int grank) const;
+  [[nodiscard]] int data_rank(int grank) const {
+    return coord(virtual_rank(grank), kData);
+  }
+  [[nodiscard]] int pipeline_rank(int grank) const {
+    return coord(virtual_rank(grank), kPipe);
+  }
+  /// Rank inside the tensor (or sequence) group: the whole slot's digits.
+  [[nodiscard]] int tensor_rank(int grank) const {
+    return virtual_rank(grank) % stride_[kPipe];
+  }
 
   /// Global rank of the previous/next pipeline stage, or -1 at the ends.
   [[nodiscard]] int pipeline_prev(int grank) const;
   [[nodiscard]] int pipeline_next(int grank) const;
-  [[nodiscard]] bool is_first_stage(int grank) const;
-  [[nodiscard]] bool is_last_stage(int grank) const;
+  [[nodiscard]] bool is_first_stage(int grank) const {
+    return pipeline_rank(grank) == 0;
+  }
+  [[nodiscard]] bool is_last_stage(int grank) const {
+    return pipeline_rank(grank) == extent_[kPipe] - 1;
+  }
 
   // ---- groups -------------------------------------------------------------------
 
-  [[nodiscard]] collective::Group& data_group(int grank);
-  [[nodiscard]] collective::Group& tensor_group(int grank);
+  [[nodiscard]] collective::Group& data_group(int grank) {
+    return group(kDataGroup, grank, "data");
+  }
+  [[nodiscard]] collective::Group& tensor_group(int grank) {
+    return group(kTensorGroup, grank, "tensor");
+  }
   /// Alias of tensor_group when sequence parallelism is configured.
-  [[nodiscard]] collective::Group& sequence_group(int grank);
+  [[nodiscard]] collective::Group& sequence_group(int grank) {
+    return group(kTensorGroup, grank, "sequence");
+  }
 
   // 2D / 2.5D: the SUMMA grid inside one (depth layer of a) tensor group.
-  [[nodiscard]] collective::Group& row_group(int grank);
-  [[nodiscard]] collective::Group& col_group(int grank);
+  [[nodiscard]] collective::Group& row_group(int grank) {
+    return group(kRowGroup, grank, "row");
+  }
+  [[nodiscard]] collective::Group& col_group(int grank) {
+    return group(kColGroup, grank, "col");
+  }
   /// The group across depth layers holding the same grid cell; exists only
   /// when depth() > 1.
-  [[nodiscard]] collective::Group& depth_group(int grank);
+  [[nodiscard]] collective::Group& depth_group(int grank) {
+    return group(kDepthGroup, grank, "depth");
+  }
 
   // 3D: groups that vary exactly one cube coordinate.
-  [[nodiscard]] collective::Group& cube_i_group(int grank);
-  [[nodiscard]] collective::Group& cube_j_group(int grank);
-  [[nodiscard]] collective::Group& cube_k_group(int grank);
+  [[nodiscard]] collective::Group& cube_i_group(int grank) {
+    return group(kCubeIGroup, grank, "cube-i");
+  }
+  [[nodiscard]] collective::Group& cube_j_group(int grank) {
+    return group(kCubeJGroup, grank, "cube-j");
+  }
+  [[nodiscard]] collective::Group& cube_k_group(int grank) {
+    return group(kCubeKGroup, grank, "cube-k");
+  }
 
   // ---- grid coordinates -----------------------------------------------------------
 
@@ -110,34 +143,58 @@ class ParallelContext {
   /// mode (a "2d" config's tensor_depth is ignored).
   [[nodiscard]] int depth() const { return depth_; }
 
-  [[nodiscard]] int row_coord(int grank) const;    // 2D/2.5D
-  [[nodiscard]] int col_coord(int grank) const;    // 2D/2.5D
-  [[nodiscard]] int depth_coord(int grank) const;  // 2D/2.5D (0 in 2D)
-  [[nodiscard]] int cube_i(int grank) const;       // 3D
-  [[nodiscard]] int cube_j(int grank) const;
-  [[nodiscard]] int cube_k(int grank) const;
+  // 2D/2.5D (depth_coord is 0 in 2D)
+  [[nodiscard]] int row_coord(int grank) const { return grid(grank, kRow); }
+  [[nodiscard]] int col_coord(int grank) const { return grid(grank, kCol); }
+  [[nodiscard]] int depth_coord(int grank) const {
+    return grid(grank, kDepth);
+  }
+  // 3D
+  [[nodiscard]] int cube_i(int grank) const { return cube(grank, kCubeI); }
+  [[nodiscard]] int cube_j(int grank) const { return cube(grank, kCubeJ); }
+  [[nodiscard]] int cube_k(int grank) const { return cube(grank, kCubeK); }
 
  private:
-  [[nodiscard]] int tp_slot() const;  // tensor*sequence size (innermost extent)
+  /// The mixed-radix axes of a virtual rank, outermost first. The tensor
+  /// slot is `kTensor` times the mode's sub-axes: depth x row x col on the
+  /// grid, i x j x k on the cube. kTensor keeps what the sub-axes do not
+  /// split (the whole slot under 1D and sequence parallelism). An axis of
+  /// extent 0 is absent: its coordinate reads 0 and it builds no group.
+  enum Axis { kData, kPipe, kTensor, kDepth, kRow, kCol, kCubeI, kCubeJ,
+              kCubeK, kAxes };
+  /// One kind of process group: the ranks that differ only in `axes`.
+  enum Kind { kDataGroup, kTensorGroup, kRowGroup, kColGroup, kDepthGroup,
+              kCubeIGroup, kCubeJGroup, kCubeKGroup, kKinds };
+
+  /// v's digit on axis a.
+  [[nodiscard]] int coord(int v, Axis a) const {
+    return extent_[a] == 0 ? 0 : v / stride_[a] % extent_[a];
+  }
+  [[nodiscard]] int grid(int grank, Axis a) const {
+    assert(grid_side_ > 0);
+    return coord(virtual_rank(grank), a);
+  }
+  [[nodiscard]] int cube(int grank, Axis a) const {
+    assert(config_.tensor_mode == TpMode::k3d);
+    return coord(virtual_rank(grank), a);
+  }
+  /// Group `kind` of physical rank grank; `what` names it in the error
+  /// thrown when this configuration has no such group.
+  [[nodiscard]] collective::Group& group(Kind kind, int grank,
+                                         const char* what) const;
 
   collective::Backend& backend_;
   Config config_;
   tensor::Dtype comm_dtype_ = tensor::Dtype::kF32;
   int grid_side_ = 0;
   int depth_ = 1;
+  std::array<int, kAxes> extent_{};
+  std::array<int, kAxes> stride_{};
   std::vector<int> members_;  ///< virtual -> physical
   std::vector<int> virt_of_;  ///< physical -> virtual, -1 for non-members
   collective::Group* world_group_ = nullptr;
-
-  // one entry per physical cluster rank (nullptr on non-members)
-  std::vector<collective::Group*> data_groups_;
-  std::vector<collective::Group*> tensor_groups_;
-  std::vector<collective::Group*> row_groups_;
-  std::vector<collective::Group*> col_groups_;
-  std::vector<collective::Group*> depth_groups_;
-  std::vector<collective::Group*> cube_i_groups_;
-  std::vector<collective::Group*> cube_j_groups_;
-  std::vector<collective::Group*> cube_k_groups_;
+  /// groups_[kind][physical rank] (nullptr on non-members)
+  std::array<std::vector<collective::Group*>, kKinds> groups_;
 };
 
 }  // namespace ca::core

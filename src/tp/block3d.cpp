@@ -6,6 +6,25 @@ namespace ca::tp {
 
 namespace t = ca::tensor;
 
+namespace {
+/// Rearrange a fused (h, 3h) QKV weight so column chunk c of the new layout
+/// is [Wq chunk c | Wk chunk c | Wv chunk c] — what the cube's local
+/// attention needs from its Linear3D output.
+t::Tensor permute_qkv_columns(const t::Tensor& full, int q) {
+  const std::int64_t h = full.dim(0);
+  auto wq = t::narrow(full, 1, 0, h);
+  auto wk = t::narrow(full, 1, h, h);
+  auto wv = t::narrow(full, 1, 2 * h, h);
+  std::vector<t::Tensor> cols;
+  for (int c = 0; c < q; ++c) {
+    cols.push_back(t::chunk(wq, 1, q, c));
+    cols.push_back(t::chunk(wk, 1, q, c));
+    cols.push_back(t::chunk(wv, 1, q, c));
+  }
+  return t::cat(cols, 1);
+}
+}  // namespace
+
 // ---- Attention3D -------------------------------------------------------------------
 
 Attention3D::Attention3D(const Env& env, std::string name, std::int64_t hidden,
@@ -16,9 +35,10 @@ Attention3D::Attention3D(const Env& env, std::string name, std::int64_t hidden,
       local_heads_(heads / l_),
       // The W block (chunk j*l+i of the permuted columns) straddles the
       // q/k/v sections, so its ShardSpec describes the permuted matrix and
-      // checkpoints restore only onto a 3D cube of the same side.
+      // checkpoints restore only onto a 3D cube of the same side (still
+      // open: a spec for it needs a permuted column order).
       qkv_(env, name + ".qkv",
-           detail::permute_qkv_columns(
+           permute_qkv_columns(
                t::randn(t::Shape{hidden, 3 * hidden}, seed, 0.0f,
                         1.0f / std::sqrt(static_cast<float>(hidden))),
                env.ctx->grid_side()),

@@ -15,8 +15,8 @@
 #include <cmath>
 
 #include "nn/layers.hpp"
-#include "tp/block_grid.hpp"
 #include "tp/linear3d.hpp"
+#include "tp/sharded_layernorm.hpp"
 
 namespace ca::tp {
 

@@ -24,29 +24,10 @@
 
 namespace ca::tp {
 
-namespace detail {
-/// Rearrange a fused (h, 3h) QKV weight so column chunk c of the new layout
-/// is [Wq chunk c | Wk chunk c | Wv chunk c] — what the grid block's local
-/// attention needs from its SUMMA output.
-inline tensor::Tensor permute_qkv_columns(const tensor::Tensor& full, int q) {
-  namespace t = ca::tensor;
-  const std::int64_t h = full.dim(0);
-  auto wq = t::narrow(full, 1, 0, h);
-  auto wk = t::narrow(full, 1, h, h);
-  auto wv = t::narrow(full, 1, 2 * h, h);
-  std::vector<t::Tensor> cols;
-  for (int c = 0; c < q; ++c) {
-    cols.push_back(t::chunk(wq, 1, q, c));
-    cols.push_back(t::chunk(wk, 1, q, c));
-    cols.push_back(t::chunk(wv, 1, q, c));
-  }
-  return t::cat(cols, 1);
-}
-}  // namespace detail
-
-/// Multi-head self-attention on grid blocks: SUMMA QKV projection (columns
-/// permuted per-chunk so each block holds its heads' q/k/v), local attention
-/// over the full sequence of the local batch slice, SUMMA output projection.
+/// Multi-head self-attention on grid blocks: SUMMA QKV projection (the fused
+/// weight in three column sections, so each block holds its heads' q/k/v),
+/// local attention over the full sequence of the local batch slice, SUMMA
+/// output projection.
 /// Requires batch % (d*q) == 0 and heads % q == 0.
 class GridAttention : public nn::Module {
  public:
@@ -54,18 +35,14 @@ class GridAttention : public nn::Module {
                 std::int64_t heads, std::uint64_t seed)
       : env_(env),
         local_heads_(heads / env.ctx->grid_side()),
+        // Column block c of the [q|k|v] weight's three sections is
+        // [Wq_c | Wk_c | Wv_c]: the heads of grid column c.
         qkv_(env, name + ".qkv",
-             detail::permute_qkv_columns(
-                 tensor::randn(tensor::Shape{hidden, 3 * hidden}, seed, 0.0f,
-                               1.0f / std::sqrt(static_cast<float>(hidden))),
-                 env.ctx->grid_side())),
+             tensor::randn(tensor::Shape{hidden, 3 * hidden}, seed, 0.0f,
+                           1.0f / std::sqrt(static_cast<float>(hidden))),
+             /*with_bias=*/true, /*col_sections=*/3),
         proj_(env, name + ".proj", hidden, hidden, seed + 1) {
     assert(heads % env.ctx->grid_side() == 0 && hidden % heads == 0);
-    // Column chunk c of the permuted weight is [Wq_c | Wk_c | Wv_c]: chunk c
-    // of each of the serial weight's three sections, so checkpoints store
-    // the serial [q|k|v] form.
-    qkv_.weight().shard->col_sections = 3;
-    qkv_.bias()->shard->col_sections = 3;
   }
 
   tensor::Tensor forward(const tensor::Tensor& x) override {

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "tp/relayout.hpp"
+
 namespace ca::tp {
 
 namespace t = ca::tensor;
@@ -10,12 +12,15 @@ namespace t = ca::tensor;
 namespace {
 constexpr std::int64_t kF = 4;  // bytes per fp32 element
 
-/// Full-then-slice initialization so shards recompose the serial weight.
-t::Tensor shard_cols(const t::Tensor& full, int p, int idx) {
-  return t::chunk(full, -1, p, idx);
+/// The serial layer's seeded (in, out) weight; every rank slices its shard
+/// out of it, so N shards together are bit-identical to nn::Linear.
+t::Tensor serial_weight(std::int64_t in, std::int64_t out, std::uint64_t seed) {
+  return t::randn(t::Shape{in, out}, seed, 0.0f,
+                  1.0f / std::sqrt(static_cast<float>(in)));
 }
-t::Tensor shard_rows(const t::Tensor& full, int p, int idx) {
-  return t::chunk(full, 0, p, idx);
+int tp_size(const Env& env) { return env.ctx->tensor_group(env.grank).size(); }
+int tp_index(const Env& env) {
+  return env.ctx->tensor_group(env.grank).index_of(env.grank);
 }
 }  // namespace
 
@@ -29,21 +34,11 @@ Linear1DCol::Linear1DCol(const Env& env, std::string name, std::int64_t in,
       out_(out),
       gather_output_(gather_output),
       with_bias_(with_bias),
-      weight_(name + ".weight",
-              shard_cols(t::randn(t::Shape{in, out}, seed, 0.0f,
-                                  1.0f / std::sqrt(static_cast<float>(in))),
-                         env.ctx->tensor_group(env.grank).size(),
-                         env.ctx->tensor_group(env.grank).index_of(env.grank))),
-      bias_(name + ".bias",
-            t::zeros(t::Shape{out / env.ctx->tensor_group(env.grank).size()})),
+      weight_(shard_parameter(name + ".weight", serial_weight(in, out, seed),
+                              {in, out, 1, 0, tp_size(env), tp_index(env)})),
+      bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out}),
+                            {out, 0, tp_size(env), tp_index(env)})),
       acts_(env.mem()) {
-  assert(out % env_.ctx->tensor_group(env_.grank).size() == 0);
-  {
-    auto& g = env_.ctx->tensor_group(env_.grank);
-    const int p = g.size(), idx = g.index_of(env_.grank);
-    weight_.shard = nn::ShardSpec{in, out, 1, 0, p, idx};
-    bias_.shard = nn::ShardSpec{out, 0, p, idx};
-  }
   param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
   env_.mem().alloc(param_bytes_);  // parameters + gradients
 }
@@ -93,21 +88,12 @@ Linear1DRow::Linear1DRow(const Env& env, std::string name, std::int64_t in,
       in_(in),
       out_(out),
       with_bias_(with_bias),
-      weight_(name + ".weight",
-              shard_rows(t::randn(t::Shape{in, out}, seed, 0.0f,
-                                  1.0f / std::sqrt(static_cast<float>(in))),
-                         env.ctx->tensor_group(env.grank).size(),
-                         env.ctx->tensor_group(env.grank).index_of(env.grank))),
-      bias_(name + ".bias", t::zeros(t::Shape{out})),
+      weight_(shard_parameter(name + ".weight", serial_weight(in, out, seed),
+                              {in, out, tp_size(env), tp_index(env), 1, 0})),
+      // bias is replicated: rank 0 of the group is the gather primary
+      bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out}),
+                            {out, 0, 1, 0, 1, 0, 1, tp_index(env) == 0})),
       acts_(env.mem()) {
-  assert(in % env_.ctx->tensor_group(env_.grank).size() == 0);
-  {
-    auto& g = env_.ctx->tensor_group(env_.grank);
-    const int p = g.size(), idx = g.index_of(env_.grank);
-    weight_.shard = nn::ShardSpec{in, out, p, idx, 1, 0};
-    // bias is replicated: rank 0 of the group is the gather primary
-    bias_.shard = nn::ShardSpec{out, 0, 1, 0, 1, 0, 1, idx == 0};
-  }
   param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
   env_.mem().alloc(param_bytes_);
 }
@@ -162,48 +148,28 @@ Attention1D::Attention1D(const Env& env, std::string name, std::int64_t hidden,
                          std::int64_t heads, std::uint64_t seed)
     : env_(env),
       hidden_(hidden),
-      local_heads_(0),
+      local_heads_(heads / tp_size(env)),
       head_dim_(hidden / heads),
-      local_hidden_(0),
-      qkv_weight_(name + ".qkv.weight", t::Tensor()),
-      qkv_bias_(name + ".qkv.bias", t::Tensor()),
-      proj_weight_(name + ".proj.weight", t::Tensor()),
-      proj_bias_(name + ".proj.bias", t::Tensor()),
+      local_hidden_(hidden / tp_size(env)),
+      // The fused qkv store is three independent column partitions ([q|k|v]
+      // slices), hence col_sections = 3.
+      qkv_weight_(shard_parameter(
+          name + ".qkv.weight", serial_weight(hidden, 3 * hidden, seed),
+          {hidden, 3 * hidden, 1, 0, tp_size(env), tp_index(env), 3})),
+      qkv_bias_(shard_parameter(name + ".qkv.bias",
+                                t::zeros(t::Shape{3 * hidden}),
+                                {3 * hidden, 0, tp_size(env), tp_index(env), 1,
+                                 0, 3})),
+      proj_weight_(shard_parameter(
+          name + ".proj.weight", serial_weight(hidden, hidden, seed + 1),
+          {hidden, hidden, tp_size(env), tp_index(env), 1, 0})),
+      proj_bias_(shard_parameter(name + ".proj.bias",
+                                 t::zeros(t::Shape{hidden}),
+                                 {hidden, 0, 1, 0, 1, 0, 1, tp_index(env) == 0})),
       acts_(env.mem()) {
-  auto& g = env_.ctx->tensor_group(env_.grank);
-  const int p = g.size();
-  const int idx = g.index_of(env_.grank);
   assert(hidden % heads == 0);
-  assert(heads % p == 0 &&
+  assert(heads % tp_size(env) == 0 &&
          "1D attention requires #heads divisible by the parallel size");
-  local_heads_ = heads / p;
-  local_hidden_ = hidden / p;
-
-  // Serial-compatible shards: q/k/v column slices idx of the fused weight.
-  auto full = t::randn(t::Shape{hidden, 3 * hidden}, seed, 0.0f,
-                       1.0f / std::sqrt(static_cast<float>(hidden)));
-  auto q = t::chunk(t::narrow(full, -1, 0, hidden), -1, p, idx);
-  auto k = t::chunk(t::narrow(full, -1, hidden, hidden), -1, p, idx);
-  auto v = t::chunk(t::narrow(full, -1, 2 * hidden, hidden), -1, p, idx);
-  qkv_weight_.value = t::cat(std::vector<t::Tensor>{q, k, v}, -1);
-  qkv_weight_.grad = t::zeros(qkv_weight_.value.shape());
-  qkv_bias_.value = t::zeros(t::Shape{3 * local_hidden_});
-  qkv_bias_.grad = t::zeros(t::Shape{3 * local_hidden_});
-
-  auto proj_full = t::randn(t::Shape{hidden, hidden}, seed + 1, 0.0f,
-                            1.0f / std::sqrt(static_cast<float>(hidden)));
-  proj_weight_.value = t::chunk(proj_full, 0, p, idx);  // (h/p, h)
-  proj_weight_.grad = t::zeros(proj_weight_.value.shape());
-  proj_bias_.value = t::zeros(t::Shape{hidden});
-  proj_bias_.grad = t::zeros(t::Shape{hidden});
-
-  // The fused qkv store is three independent column partitions ([q|k|v]
-  // slices), hence col_sections = 3.
-  qkv_weight_.shard = nn::ShardSpec{hidden, 3 * hidden, 1, 0, p, idx, 3};
-  qkv_bias_.shard = nn::ShardSpec{3 * hidden, 0, p, idx, 1, 0, 3};
-  proj_weight_.shard = nn::ShardSpec{hidden, hidden, p, idx, 1, 0};
-  proj_bias_.shard = nn::ShardSpec{hidden, 0, 1, 0, 1, 0, 1, idx == 0};
-
   param_bytes_ = 2 * (qkv_weight_.numel() + qkv_bias_.numel() +
                       proj_weight_.numel() + proj_bias_.numel()) * kF;
   env_.mem().alloc(param_bytes_);

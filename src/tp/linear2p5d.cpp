@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "tp/relayout.hpp"
+
 namespace ca::tp {
 
 namespace t = ca::tensor;
@@ -19,7 +21,8 @@ Linear2p5D::Linear2p5D(const Env& env, std::string name, std::int64_t in,
                  with_bias) {}
 
 Linear2p5D::Linear2p5D(const Env& env, std::string name,
-                       const t::Tensor& full_weight, bool with_bias)
+                       const t::Tensor& full_weight, bool with_bias,
+                       int col_sections)
     : env_(env),
       in_(full_weight.dim(0)),
       out_(full_weight.dim(1)),
@@ -29,21 +32,15 @@ Linear2p5D::Linear2p5D(const Env& env, std::string name,
       r_(env.ctx->row_coord(env.grank)),
       c_(env.ctx->col_coord(env.grank)),
       dd_(env.ctx->depth_coord(env.grank)),
-      weight_(name + ".weight", t::Tensor()),
-      bias_(name + ".bias", t::Tensor()),
+      // depth row-slab dd of grid block (r, c) == row block r*d+dd of q*d
+      weight_(shard_parameter(
+          name + ".weight", full_weight,
+          {in_, out_, q_ * d_, r_ * d_ + dd_, q_, c_, col_sections})),
+      // bias holds column block c, replicated along grid rows and depth
+      bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out_}),
+                            {out_, 0, q_, c_, 1, 0, col_sections,
+                             r_ == 0 && dd_ == 0})),
       acts_(env.mem()) {
-  assert(in_ % (q_ * d_) == 0 && out_ % q_ == 0);
-  const auto& full = full_weight;
-  auto block = t::chunk(t::chunk(full, 0, q_, r_), 1, q_, c_);
-  weight_.value = t::chunk(block, 0, d_, dd_);  // depth row-slab of the block
-  weight_.grad = t::zeros(weight_.value.shape());
-  bias_.value = t::zeros(t::Shape{out_ / q_});
-  bias_.grad = t::zeros(t::Shape{out_ / q_});
-  // depth row-slab dd of grid block (r, c) == row block r*d+dd of q*d
-  weight_.shard = nn::ShardSpec{in_, out_, q_ * d_, r_ * d_ + dd_, q_, c_};
-  // bias holds column block c, replicated along grid rows and depth
-  bias_.shard =
-      nn::ShardSpec{out_, 0, q_, c_, 1, 0, 1, r_ == 0 && dd_ == 0};
   param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
   env_.mem().alloc(param_bytes_);
 }

@@ -37,10 +37,12 @@ class Linear2p5D : public nn::Module {
   Linear2p5D(const Env& env, std::string name, std::int64_t in,
              std::int64_t out, std::uint64_t seed, bool with_bias = true);
   /// Construct from an explicit full weight (every rank passes the same
-  /// tensor and keeps its slab) — used by the fused-QKV attention layers
-  /// whose column layout is not a plain chunk of a seeded weight.
+  /// tensor and keeps its slab). With `col_sections` > 1 the weight's
+  /// columns are that many independent sections (a fused [q|k|v] QKV
+  /// weight), and column block c holds chunk c of every section.
   Linear2p5D(const Env& env, std::string name,
-             const tensor::Tensor& full_weight, bool with_bias = true);
+             const tensor::Tensor& full_weight, bool with_bias = true,
+             int col_sections = 1);
   ~Linear2p5D() override;
 
   tensor::Tensor forward(const tensor::Tensor& x) override;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "tp/relayout.hpp"
+
 namespace ca::tp {
 
 namespace t = ca::tensor;
@@ -28,21 +30,13 @@ Linear3D::Linear3D(const Env& env, std::string name,
       i_(env.ctx->cube_i(env.grank)),
       j_(env.ctx->cube_j(env.grank)),
       k_(env.ctx->cube_k(env.grank)),
-      weight_(name + ".weight", t::Tensor()),
-      bias_(name + ".bias", t::Tensor()),
+      // rows chunk k, cols chunk (j*l + i)
+      weight_(shard_parameter(name + ".weight", full_weight,
+                              {in_, out_, l_, k_, l_ * l_, j_ * l_ + i_})),
+      // bias holds chunk j of l, replicated over the i and k cube axes
+      bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out_}),
+                            {out_, 0, l_, j_, 1, 0, 1, i_ == 0 && k_ == 0})),
       acts_(env.mem()) {
-  assert(in_ % (l_ * l_) == 0 && out_ % (l_ * l_) == 0);
-  const auto& full = full_weight;
-  // rows chunk k, cols chunk (j*l + i)
-  weight_.value =
-      t::chunk(t::chunk(full, 0, l_, k_), 1, l_ * l_, j_ * l_ + i_);
-  weight_.grad = t::zeros(weight_.value.shape());
-  bias_.value = t::zeros(t::Shape{out_ / l_});
-  bias_.grad = t::zeros(t::Shape{out_ / l_});
-  weight_.shard = nn::ShardSpec{in_, out_, l_, k_, l_ * l_, j_ * l_ + i_};
-  // bias holds chunk j of l, replicated over the i and k cube axes
-  bias_.shard =
-      nn::ShardSpec{out_, 0, l_, j_, 1, 0, 1, i_ == 0 && k_ == 0};
   param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
   env_.mem().alloc(param_bytes_);
 }

@@ -81,6 +81,18 @@ tensor::Tensor gather_full(collective::Group& group, int grank,
   return full;
 }
 
+nn::Parameter shard_parameter(std::string name, const tensor::Tensor& full,
+                              const nn::ShardSpec& spec) {
+  if (full.numel() != spec.full_numel()) {
+    throw std::invalid_argument("relayout: '" + name +
+                                "' does not match its shard spec");
+  }
+  nn::Parameter p(std::move(name), tensor::Tensor(local_shape(spec)));
+  slice_from_full(spec, full.data(), p.value.data());
+  p.shard = spec;
+  return p;
+}
+
 tensor::Shape local_shape(const nn::ShardSpec& spec) {
   check(spec);
   if (spec.full_cols == 0) {

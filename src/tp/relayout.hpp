@@ -1,6 +1,7 @@
 #pragma once
 
 #include <span>
+#include <string>
 
 #include "collective/group.hpp"
 #include "nn/module.hpp"
@@ -8,12 +9,21 @@
 
 namespace ca::tp {
 
-/// Layout-crossing checkpoint transforms (DESIGN.md section 13): every TP
-/// layer tags its parameters with an nn::ShardSpec, and these three
-/// functions move tensors between that local shard form and the full
-/// (unsharded) form the checkpoint stores. Because the full form is
-/// layout-free, state saved on any tensor grid (1D row/col, 2D, 2.5D, 3D,
-/// or plain replication) restores onto any other.
+/// One description of where a sharded tensor lives (DESIGN.md section 13):
+/// every TP layer builds its parameters from an nn::ShardSpec with
+/// shard_parameter, and the checkpoint moves tensors between that local
+/// shard form and the full (unsharded) form it stores through the same
+/// spec. Because the full form is layout-free, state saved on any tensor
+/// grid (1D row/col, 2D, 2.5D, 3D, or plain replication) restores onto any
+/// other.
+
+/// The parameter `name` whose value is `spec`'s block of the serial tensor
+/// `full` (slice_from_full), whose grad is zeros, and whose shard is `spec`.
+/// Every rank passes the same `full`; throws std::invalid_argument when the
+/// spec does not divide it.
+[[nodiscard]] nn::Parameter shard_parameter(std::string name,
+                                            const tensor::Tensor& full,
+                                            const nn::ShardSpec& spec);
 
 /// Scatter-add this rank's local block into the full buffer at the
 /// positions `spec` describes. Pure local math; `full` must hold

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tp/comm_helpers.hpp"
+#include "tp/relayout.hpp"
 
 namespace ca::tp {
 
@@ -20,11 +21,9 @@ ShardedLayerNorm::ShardedLayerNorm(const Env& env, std::string name,
       eps_(eps),
       stat_groups_(std::move(stat_groups)),
       grad_groups_(std::move(grad_groups)),
-      gamma_(name + ".gamma", t::ones(t::Shape{local_h_})),
-      beta_(name + ".beta", t::zeros(t::Shape{local_h_})) {
+      gamma_(shard_parameter(name + ".gamma", t::ones(t::Shape{hidden}), slice)),
+      beta_(shard_parameter(name + ".beta", t::zeros(t::Shape{hidden}), slice)) {
   assert(slice.full_rows == hidden && slice.full_cols == 0);
-  gamma_.shard = slice;
-  beta_.shard = slice;
 }
 
 std::unique_ptr<ShardedLayerNorm> ShardedLayerNorm::grid(const Env& env,

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "tp/relayout.hpp"
+
 namespace ca::tp {
 
 namespace t = ca::tensor;
@@ -19,19 +21,13 @@ VocabParallelEmbedding::VocabParallelEmbedding(const Env& env,
     : env_(env),
       vocab_(vocab),
       hidden_(hidden),
-      begin_(0),
-      end_(0),
-      table_(name + ".table", t::Tensor()) {
-  auto& g = env_.ctx->tensor_group(env_.grank);
-  const int p = g.size();
-  const int idx = g.index_of(env_.grank);
-  assert(vocab % p == 0);
-  begin_ = idx * (vocab / p);
-  end_ = begin_ + vocab / p;
-  // slice of the serial table from the same seed
-  auto full = t::randn(t::Shape{vocab, hidden}, seed, 0.0f, 0.02f);
-  table_.value = t::chunk(full, 0, p, idx);
-  table_.grad = t::zeros(table_.value.shape());
+      // rows block idx of p of the serial table from the same seed
+      table_(shard_parameter(
+          name + ".table", t::randn(t::Shape{vocab, hidden}, seed, 0.0f, 0.02f),
+          {vocab, hidden, env.ctx->tensor_group(env.grank).size(),
+           env.ctx->tensor_group(env.grank).index_of(env.grank), 1, 0})) {
+  begin_ = table_.shard->row_index * table_.value.dim(0);
+  end_ = begin_ + table_.value.dim(0);
   param_bytes_ = 2 * table_.numel() * kF;
   env_.mem().alloc(param_bytes_);
 }

@@ -7,12 +7,11 @@
 
 #include "collective/cost_replay.hpp"
 #include "tensor/convert.hpp"
+#include "tensor/tensor.hpp"
 
 namespace ca::collective {
 
 namespace {
-/// Below this many elements a rank-local loop is not worth an OpenMP team.
-constexpr std::int64_t kOmpMinElems = 1 << 16;
 /// Cache-friendly block for the reducing actions: the block stays L1-resident
 /// while every member's contribution is added to it.
 constexpr std::int64_t kReduceBlock = 2048;
@@ -22,7 +21,8 @@ constexpr std::size_t kPriceMemo = 8;
 
 /// dst[0, n) = src[0, n), OpenMP-parallel for large n.
 void copy_elems(const float* src, float* dst, std::int64_t n) {
-#pragma omp parallel for schedule(static) if (n >= kOmpMinElems)
+#pragma omp parallel for schedule(static) \
+    if (parallel : n >= tensor::kOmpMinElems)
   for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i];
 }
 
@@ -34,7 +34,8 @@ void copy_elems_scaled(const float* src, float* dst, std::int64_t n,
     copy_elems(src, dst, n);
     return;
   }
-#pragma omp parallel for simd schedule(static) if (parallel : n >= kOmpMinElems)
+#pragma omp parallel for simd schedule(static) \
+    if (parallel : n >= tensor::kOmpMinElems)
   for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] * scale;
 }
 
@@ -154,7 +155,8 @@ void Group::reduce_members(int slot, std::int64_t src, float* dst,
                            std::int64_t len, float scale) {
   const int p = size();
   const auto& ptrs = ptrs_[slot];
-#pragma omp parallel for schedule(static) if (len >= kOmpMinElems)
+#pragma omp parallel for schedule(static) \
+    if (parallel : len >= tensor::kOmpMinElems)
   for (std::int64_t b = 0; b < len; b += kReduceBlock) {
     const std::int64_t e = std::min(len, b + kReduceBlock);
     // Member order 0,1,...,p-1 keeps the sum bit-identical to the serial

@@ -10,11 +10,6 @@ namespace ca::optim {
 
 namespace t = ca::tensor;
 
-namespace {
-// Below this many elements the omp fork/join overhead exceeds the loop body.
-constexpr std::int64_t kOmpMinElems = 1 << 16;
-}  // namespace
-
 bool LossScaler::has_overflow(const std::vector<nn::Parameter*>& params) {
   for (const nn::Parameter* p : params) {
     const auto g = p->grad.data();
@@ -22,7 +17,7 @@ bool LossScaler::has_overflow(const std::vector<nn::Parameter*>& params) {
     // Branch-free OR-reduction over the finiteness predicate vectorizes and
     // parallelizes (no early exit, but the scan is memory-bound anyway).
     int bad = 0;
-#pragma omp parallel for simd if (parallel : n >= kOmpMinElems) \
+#pragma omp parallel for simd if (parallel : n >= t::kOmpMinElems) \
     schedule(static) reduction(| : bad)
     for (std::int64_t e = 0; e < n; ++e) {
       bad |= !std::isfinite(g[static_cast<std::size_t>(e)]);
@@ -51,7 +46,8 @@ bool MixedPrecision::step() {
       auto src = live_[i]->grad.data();
       auto dst = masters_[i]->grad.data();
       const std::int64_t n = static_cast<std::int64_t>(src.size());
-#pragma omp parallel for simd if (parallel : n >= kOmpMinElems) schedule(static)
+#pragma omp parallel for simd if (parallel : n >= t::kOmpMinElems) \
+    schedule(static)
       for (std::int64_t e = 0; e < n; ++e) {
         dst[static_cast<std::size_t>(e)] =
             src[static_cast<std::size_t>(e)] * inv;

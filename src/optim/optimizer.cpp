@@ -76,7 +76,8 @@ void Sgd::step() {
       auto pvel = velocity_[i].data();
       const float mom = momentum_, lr = lr_;
       const auto n = static_cast<std::int64_t>(pv.size());
-#pragma omp parallel for simd schedule(static) if (parallel : n >= (1 << 14))
+#pragma omp parallel for simd schedule(static) \
+    if (parallel : n >= t::kOmpMinElems)
       for (std::int64_t e = 0; e < n; ++e) {
         const auto ii = static_cast<std::size_t>(e);
         const float vel = mom * pvel[ii] + pg[ii];
@@ -116,7 +117,8 @@ void Adam::update(const Hyper& h, std::int64_t t, std::span<float> w,
   // Elementwise-independent, and callers enter from a single thread per
   // rank (Adam::step, HybridAdam::step, ZeroOptimizer::step), so the team
   // parallelism is safe.
-#pragma omp parallel for simd schedule(static) if (parallel : n >= (1 << 14))
+#pragma omp parallel for simd schedule(static) \
+    if (parallel : n >= t::kOmpMinElems)
   for (std::int64_t i = 0; i < n; ++i) {
     const auto ii = static_cast<std::size_t>(i);
     float gi = g[ii];

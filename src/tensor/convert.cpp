@@ -4,16 +4,9 @@
 #include <cstring>
 
 #include "tensor/half.hpp"
+#include "tensor/tensor.hpp"
 
 namespace ca::tensor {
-namespace {
-
-// Below this element count the omp fork/join overhead outweighs the convert
-// work (same threshold as the elementwise kernels in ops.cpp).
-constexpr std::int64_t kOmpMinElems = 1 << 16;
-
-}  // namespace
-
 void round_trip_f16(const float* src, float* dst, std::int64_t n) {
 #pragma omp parallel for simd if (parallel : n >= kOmpMinElems) schedule(static)
   for (std::int64_t i = 0; i < n; ++i) dst[i] = fp16_round_trip(src[i]);

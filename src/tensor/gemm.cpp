@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "tensor/tensor.hpp"
+
 namespace ca::tensor::detail {
 
 namespace {
@@ -207,7 +209,8 @@ void gemm_blocked(std::int64_t m, std::int64_t n, std::int64_t k,
       const std::int64_t kc = std::min(kKc, k - pc);
       pack_b(b + pc * b_rs + jc * b_cs, b_rs, b_cs, kc, nc, bpack.data());
 
-#pragma omp parallel for schedule(static) if (threaded && m > kMc)
+#pragma omp parallel for schedule(static) \
+    if (parallel : threaded && m > kMc && m * nc * kc >= kOmpMinElems)
       for (std::int64_t ic = 0; ic < m; ic += kMc) {
         const std::int64_t mc = std::min(kMc, m - ic);
         auto& apack = apack_buffer();

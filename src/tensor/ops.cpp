@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <random>
 
@@ -114,7 +115,8 @@ Tensor binary_op(const Tensor& a, const Tensor& b, F f) {
   auto pa = a.data(), pb = b.data();
   auto po = out.data();
   const std::size_t n = pa.size();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : std::ssize(po) >= kOmpMinElems)
   for (std::size_t i = 0; i < n; ++i) po[i] = f(pa[i], pb[i]);
   return out;
 }
@@ -133,7 +135,8 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 Tensor add_scalar(const Tensor& a, float s) {
   Tensor out = a.clone();
   auto po = out.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : std::ssize(po) >= kOmpMinElems)
   for (std::size_t i = 0; i < po.size(); ++i) po[i] += s;
   return out;
 }
@@ -148,7 +151,8 @@ void add_(Tensor& a, const Tensor& b) {
   assert(a.shape().numel() == b.shape().numel());
   auto pa = a.data();
   auto pb = b.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : std::ssize(pa) >= kOmpMinElems)
   for (std::size_t i = 0; i < pa.size(); ++i) pa[i] += pb[i];
 }
 
@@ -156,13 +160,15 @@ void axpy_(Tensor& a, float alpha, const Tensor& x) {
   assert(a.numel() == x.numel());
   auto pa = a.data();
   auto px = x.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : std::ssize(pa) >= kOmpMinElems)
   for (std::size_t i = 0; i < pa.size(); ++i) pa[i] += alpha * px[i];
 }
 
 void scale_(Tensor& a, float s) {
   auto pa = a.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : std::ssize(pa) >= kOmpMinElems)
   for (std::size_t i = 0; i < pa.size(); ++i) pa[i] *= s;
 }
 
@@ -178,7 +184,8 @@ void add_bias_(Tensor& a, const Tensor& bias) {
   auto pa = a.data();
   auto pb = bias.data();
   const std::int64_t rows = a.numel() / n;
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : a.numel() >= kOmpMinElems)
   for (std::int64_t r = 0; r < rows; ++r) {
     float* row = pa.data() + r * n;
     for (std::int64_t c = 0; c < n; ++c) row[c] += pb[static_cast<std::size_t>(c)];
@@ -205,7 +212,8 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : m * n * k >= kOmpMinElems)
   for (std::int64_t i = 0; i < m; ++i) {
     float* orow = po + i * n;
     const float* arow = pa + i * k;
@@ -228,7 +236,8 @@ Tensor naive_matmul_tn(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : m * n * k >= kOmpMinElems)
   for (std::int64_t i = 0; i < m; ++i) {
     float* orow = po + i * n;
     for (std::int64_t kk = 0; kk < k; ++kk) {
@@ -251,7 +260,8 @@ Tensor naive_matmul_nt(const Tensor& a, const Tensor& b) {
   const float* pa = a.data().data();
   const float* pb = b.data().data();
   float* po = out.data().data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : m * n * k >= kOmpMinElems)
   for (std::int64_t i = 0; i < m; ++i) {
     const float* arow = pa + i * k;
     float* orow = po + i * n;
@@ -344,7 +354,8 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, BmmMode mode) {
     std::int64_t a_rs = k, a_cs = 1, b_rs = n, b_cs = 1;
     if (mode == BmmMode::TN) a_rs = 1, a_cs = m;
     if (mode == BmmMode::NT) b_rs = 1, b_cs = k;
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : batch * m * n * k >= kOmpMinElems)
     for (std::int64_t bt = 0; bt < batch; ++bt) {
       detail::gemm_blocked(m, n, k, pa + bt * a_sz, a_rs, a_cs, pb + bt * b_sz,
                            b_rs, b_cs, po + bt * m * n, /*threaded=*/false);
@@ -352,7 +363,8 @@ Tensor bmm_impl(const Tensor& a, const Tensor& b, BmmMode mode) {
     return out;
   }
 
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : batch * m * n * k >= kOmpMinElems)
   for (std::int64_t bt = 0; bt < batch; ++bt) {
     const float* A = pa + bt * a_sz;
     const float* B = pb + bt * b_sz;
@@ -452,7 +464,8 @@ Tensor softmax_lastdim_scaled(const Tensor& a, float scale) {
   Tensor out(a.shape());
   auto pa = a.data();
   auto po = out.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : a.numel() >= kOmpMinElems)
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* x = pa.data() + r * n;
     float* y = po.data() + r * n;
@@ -495,7 +508,8 @@ Tensor softmax_backward_scaled(const Tensor& y, const Tensor& dy, float scale) {
   auto py = y.data();
   auto pdy = dy.data();
   auto pdx = dx.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : y.numel() >= kOmpMinElems)
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* yr = py.data() + r * n;
     const float* dyr = pdy.data() + r * n;
@@ -574,7 +588,8 @@ Tensor gelu(const Tensor& x) {
   Tensor out(x.shape());
   auto px = x.data();
   auto po = out.data();
-#pragma omp parallel for simd schedule(static)
+#pragma omp parallel for simd schedule(static) \
+    if (parallel : std::ssize(po) >= kOmpMinElems)
   for (std::size_t i = 0; i < px.size(); ++i) {
     const float v = px[i];
     po[i] = v * gelu_sigmoid(kGeluC * (v + kGeluK * v * v * v));
@@ -591,7 +606,8 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
   auto px = x.data();
   auto pdy = dy.data();
   auto pdx = dx.data();
-#pragma omp parallel for simd schedule(static)
+#pragma omp parallel for simd schedule(static) \
+    if (parallel : std::ssize(pdx) >= kOmpMinElems)
   for (std::size_t i = 0; i < px.size(); ++i) {
     const float v = px[i];
     const float s = gelu_sigmoid(kGeluC * (v + kGeluK * v * v * v));
@@ -634,7 +650,8 @@ Tensor layernorm_forward(const Tensor& x, const Tensor& gamma,
   auto pm = mean.data();
   auto pr = rstd.data();
   auto py = y.data();
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : x.numel() >= kOmpMinElems)
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* xr = px.data() + r * h;
     float* yr = py.data() + r * h;
@@ -716,7 +733,8 @@ Tensor layernorm_backward(const Tensor& x, const Tensor& dy,
   auto pdg = dgamma.data();
   auto pdb = dbeta.data();
   // dx rows are independent — parallelize over rows.
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : x.numel() >= kOmpMinElems)
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* xr = px.data() + r * h;
     const float* dyr = pdy.data() + r * h;
@@ -744,7 +762,8 @@ Tensor layernorm_backward(const Tensor& x, const Tensor& dy,
   // (race-free: each thread owns a disjoint set of columns). Per-column
   // double partials accumulate in ascending-row order, then one float add
   // preserves the grad-accumulation contract (+= into caller buffers).
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (parallel : x.numel() >= kOmpMinElems)
   for (std::int64_t i = 0; i < h; ++i) {
     double dg = 0.0, db = 0.0;
     for (std::int64_t r = 0; r < rows; ++r) {
@@ -816,7 +835,8 @@ float cross_entropy(const Tensor& logits, std::span<const std::int64_t> labels,
   // max/denominator serve both the loss (log-softmax of the true class) and
   // the gradient, with the softmax normalization and the 1/n batch scaling
   // fused into one sweep.
-#pragma omp parallel for schedule(static) reduction(+ : loss)
+#pragma omp parallel for schedule(static) \
+    if (parallel : logits.numel() >= kOmpMinElems) reduction(+ : loss)
   for (std::int64_t r = 0; r < n; ++r) {
     const std::int64_t y = labels[static_cast<std::size_t>(r)];
     assert(y >= 0 && y < c);

@@ -10,6 +10,13 @@
 
 namespace ca::tensor {
 
+/// Below this many elements of work a loop runs on the calling thread: an
+/// OpenMP team's fork/join costs more than the loop saves, and rank threads
+/// running tiny kernels side by side would oversubscribe the cores. Every
+/// `omp parallel` region in the library gates on it with an
+/// `if (parallel : work >= kOmpMinElems)` clause.
+inline constexpr std::int64_t kOmpMinElems = 1 << 16;
+
 /// Dense, contiguous, row-major fp32 tensor.
 ///
 /// Copying a Tensor is shallow (the storage is shared, as in PyTorch); use

@@ -40,9 +40,8 @@ void copy_elems_scaled(const float* src, float* dst, std::int64_t n,
 }
 
 /// The op's modeled payload under its byte convention — what the selector,
-/// the cost model, and the emitted comm span all agree on (and what
-/// build_schedule stores in CommSchedule::bytes). `elem_bytes` is the wire
-/// element width: a half wire halves every formula.
+/// the cost model, and the emitted comm span all agree on. `elem_bytes` is
+/// the wire element width: a half wire halves every formula.
 std::int64_t modeled_bytes(Op op, std::int64_t n_in, std::int64_t n_out, int p,
                            std::int64_t elem_bytes) {
   switch (op) {
@@ -308,8 +307,8 @@ double Group::run_collective(int grank, Op op, const float* in,
                              tensor::Dtype wire) {
   const int idx = index_of(grank);
   auto& me = members_[static_cast<std::size_t>(idx)];
-  const std::int64_t elem_bytes = tensor::dtype_bytes(wire);
-  const std::int64_t bytes = modeled_bytes(op, n_in, n_out, size(), elem_bytes);
+  const std::int64_t bytes =
+      modeled_bytes(op, n_in, n_out, size(), tensor::dtype_bytes(wire));
   // Deterministic across members: same op/bytes/plan and a shared policy, so
   // every member compiles the same schedule with the same barrier count.
   const Priced pr = priced(idx, op, bytes, wire);
@@ -368,12 +367,12 @@ double Group::run_collective(int grank, Op op, const float* in,
   }
 
   const SchedKey key{static_cast<int>(op), static_cast<int>(algo), n_in, n_out,
-                     root, static_cast<int>(wire)};
+                     root};
   auto it = me.schedules.find(key);
   if (it == me.schedules.end()) {
     it = me.schedules
              .emplace(key, build_schedule(op, algo, size(), n_in, n_out, root,
-                                          owner_perm_, elem_bytes))
+                                          owner_perm_))
              .first;
   }
   const CommSchedule& sched = it->second;

@@ -377,11 +377,9 @@ class Group {
   std::vector<std::int64_t> counts_[2];
   std::vector<double> clocks_[2];
 
-  /// Cache key of a compiled schedule: (op, algo, n_in, n_out, root, wire).
-  /// Wire dtype is part of the key because the schedule's modeled bytes are
-  /// priced at the wire element width.
-  using SchedKey =
-      std::tuple<int, int, std::int64_t, std::int64_t, int, int>;
+  /// Cache key of a compiled schedule: (op, algo, n_in, n_out, root). A
+  /// schedule is in elements, so one entry serves every wire dtype.
+  using SchedKey = std::tuple<int, int, std::int64_t, std::int64_t, int>;
 
   // Per-member private state (each member thread touches only its own entry);
   // padded to a cache line to keep the counters from false-sharing.
@@ -403,7 +401,7 @@ class Group {
     double lane_busy = 0.0;
     // Deferred async ops, executed in issue order by wait()/flush().
     std::deque<PendingOp> pending;
-    // Compiled schedules, one per (op, algo, sizes, root, wire) this member
+    // Compiled schedules, one per (op, algo, sizes, root) this member
     // has executed: steady-state steps replay cached schedules and allocate
     // nothing. Private per member, so no synchronization is needed.
     std::map<SchedKey, CommSchedule> schedules;

@@ -6,8 +6,6 @@ namespace ca::collective {
 
 namespace {
 
-constexpr std::int64_t kFloatBytes = 4;
-
 CommPhase phase(int p, bool barrier_after) {
   CommPhase ph;
   ph.actions.resize(static_cast<std::size_t>(p));
@@ -43,9 +41,6 @@ CommPhase reduce_chunks_phase(int p, std::int64_t n,
 CommSchedule all_reduce_schedule(Algo algo, int p, std::int64_t n,
                                  const std::vector<int>& perm) {
   CommSchedule s;
-  s.op = Op::kAllReduce;
-  s.algo = algo;
-  s.bytes = n * kFloatBytes;
   s.arena_elems = n;
   s.check_uniform_counts = true;
 
@@ -81,9 +76,6 @@ CommSchedule all_reduce_schedule(Algo algo, int p, std::int64_t n,
 CommSchedule reduce_schedule(Algo algo, int p, std::int64_t n, int root,
                              const std::vector<int>& perm) {
   CommSchedule s;
-  s.op = Op::kReduce;
-  s.algo = algo;
-  s.bytes = n * kFloatBytes;
   s.arena_elems = n;
   s.check_uniform_counts = true;
 
@@ -103,13 +95,10 @@ CommSchedule reduce_schedule(Algo algo, int p, std::int64_t n, int root,
   return s;
 }
 
-CommSchedule reduce_scatter_schedule(Algo algo, int p, std::int64_t n_in,
+CommSchedule reduce_scatter_schedule(int p, std::int64_t n_in,
                                      std::int64_t n_out) {
   assert(n_in == n_out * p);
   CommSchedule s;
-  s.op = Op::kReduceScatter;
-  s.algo = algo;
-  s.bytes = n_in * kFloatBytes;
   s.check_uniform_counts = true;
 
   // Ownership-chunked by definition: member i produces only its out chunk,
@@ -125,14 +114,10 @@ CommSchedule reduce_scatter_schedule(Algo algo, int p, std::int64_t n_in,
   return s;
 }
 
-CommSchedule all_gather_schedule(Algo algo, int p, std::int64_t n_in,
+CommSchedule all_gather_schedule(int p, std::int64_t n_in,
                                  std::int64_t n_out) {
   assert(n_out == n_in * p);
   CommSchedule s;
-  s.op = Op::kAllGather;
-  s.algo = algo;
-  // Payload convention: bytes = the full gathered size (matches NCCL docs).
-  s.bytes = n_out * kFloatBytes;
   s.arena_elems = n_out;
   s.check_uniform_counts = true;
 
@@ -155,11 +140,8 @@ CommSchedule all_gather_schedule(Algo algo, int p, std::int64_t n_in,
   return s;
 }
 
-CommSchedule broadcast_schedule(Algo algo, int p, std::int64_t n, int root) {
+CommSchedule broadcast_schedule(int p, std::int64_t n, int root) {
   CommSchedule s;
-  s.op = Op::kBroadcast;
-  s.algo = algo;
-  s.bytes = n * kFloatBytes;
   s.check_uniform_counts = true;
 
   // Root's buffer is read directly by every other member; trailing barrier
@@ -177,9 +159,6 @@ CommSchedule all_to_all_schedule(int p, std::int64_t n) {
   assert(n % p == 0);
   const std::int64_t chunk = n / p;
   CommSchedule s;
-  s.op = Op::kAllToAll;
-  s.algo = Algo::kChunked;
-  s.bytes = n * kFloatBytes;
   s.check_uniform_counts = true;
 
   CommPhase p1 = phase(p, /*barrier_after=*/true);
@@ -198,9 +177,6 @@ CommSchedule all_to_all_schedule(int p, std::int64_t n) {
 
 CommSchedule gather_schedule(int p, std::int64_t n_in, int root) {
   CommSchedule s;
-  s.op = Op::kGather;
-  s.algo = Algo::kChunked;
-  s.bytes = n_in * p * kFloatBytes;
   s.check_uniform_counts = true;
 
   CommPhase p1 = phase(p, /*barrier_after=*/true);
@@ -214,9 +190,6 @@ CommSchedule gather_schedule(int p, std::int64_t n_in, int root) {
 
 CommSchedule scatter_schedule(int p, std::int64_t n_out, int root) {
   CommSchedule s;
-  s.op = Op::kScatter;
-  s.algo = Algo::kChunked;
-  s.bytes = n_out * p * kFloatBytes;
 
   CommPhase p1 = phase(p, /*barrier_after=*/true);
   for (int m = 0; m < p; ++m) {
@@ -240,31 +213,24 @@ std::pair<std::int64_t, std::int64_t> chunk_range(std::int64_t n, int idx,
 
 CommSchedule build_schedule(Op op, Algo algo, int p, std::int64_t n_in,
                             std::int64_t n_out, int root,
-                            const std::vector<int>& owner_perm,
-                            std::int64_t elem_bytes) {
-  const auto priced = [elem_bytes](CommSchedule s) {
-    // The per-op builders compute the payload at fp32 width; re-price for
-    // the wire element width (exact: every formula is elems * kFloatBytes).
-    s.bytes = s.bytes / kFloatBytes * elem_bytes;
-    return s;
-  };
+                            const std::vector<int>& owner_perm) {
   switch (op) {
     case Op::kAllReduce:
-      return priced(all_reduce_schedule(algo, p, n_in, owner_perm));
+      return all_reduce_schedule(algo, p, n_in, owner_perm);
     case Op::kReduce:
-      return priced(reduce_schedule(algo, p, n_in, root, owner_perm));
+      return reduce_schedule(algo, p, n_in, root, owner_perm);
     case Op::kReduceScatter:
-      return priced(reduce_scatter_schedule(algo, p, n_in, n_out));
+      return reduce_scatter_schedule(p, n_in, n_out);
     case Op::kAllGather:
-      return priced(all_gather_schedule(algo, p, n_in, n_out));
+      return all_gather_schedule(p, n_in, n_out);
     case Op::kBroadcast:
-      return priced(broadcast_schedule(algo, p, n_in, root));
+      return broadcast_schedule(p, n_in, root);
     case Op::kAllToAll:
-      return priced(all_to_all_schedule(p, n_in));
+      return all_to_all_schedule(p, n_in);
     case Op::kGather:
-      return priced(gather_schedule(p, n_in, root));
+      return gather_schedule(p, n_in, root);
     case Op::kScatter:
-      return priced(scatter_schedule(p, n_out, root));
+      return scatter_schedule(p, n_out, root);
   }
   assert(false && "unknown op");
   return {};

@@ -47,13 +47,11 @@ struct CommPhase {
 };
 
 /// A compiled collective: the explicit step list the schedule engine
-/// executes, plus the metadata settle() needs to charge simulated time and
-/// interconnect bytes. Built once per (op, algo, sizes, root) and cached per
-/// member; execution allocates nothing.
+/// executes. Offsets and counts are in elements, so one schedule serves
+/// every wire dtype (the modeled bytes come from modeled_bytes, not from
+/// here). Built once per (op, algo, sizes, root) and cached per member;
+/// execution allocates nothing.
 struct CommSchedule {
-  Op op = Op::kAllReduce;
-  Algo algo = Algo::kChunked;
-  std::int64_t bytes = 0;        ///< modeled payload (op-specific convention)
   std::int64_t arena_elems = 0;  ///< scratch requirement; 0 = arena untouched
   bool check_uniform_counts = false;  ///< assert every member published n_in
   std::vector<CommPhase> phases;
@@ -64,14 +62,12 @@ struct CommSchedule {
 /// element count; reduce_scatter: n_in = P * n_out; all_gather: n_out =
 /// P * n_in; rooted ops: n_in = buffer elements). `owner_perm` is the
 /// hierarchical chunk-ownership permutation (perm[c] = owning member of chunk
-/// c); pass an empty vector for identity. Ops without algorithm freedom
-/// (gather/scatter/all_to_all) ignore `algo`. `elem_bytes` is the wire
-/// element width (4 for an fp32 wire, 2 for f16/bf16): offsets and counts
-/// stay in elements, only the modeled `bytes` shrink with the wire format.
+/// c); pass an empty vector for identity. Only all_reduce and reduce read
+/// `algo` (it decides which member folds which chunk); the other ops move
+/// the same elements under every algorithm, which changes only their price.
 CommSchedule build_schedule(Op op, Algo algo, int p, std::int64_t n_in,
                             std::int64_t n_out, int root,
-                            const std::vector<int>& owner_perm,
-                            std::int64_t elem_bytes = 4);
+                            const std::vector<int>& owner_perm);
 
 /// [begin, end) of ownership chunk `idx` of an n-element buffer: near-equal
 /// contiguous split, remainder spread over low indices. (Shared with the

@@ -10,7 +10,6 @@ struct BertShape {
   std::int64_t layers = 12;
   std::int64_t hidden = 768;
   std::int64_t heads = 12;
-  std::int64_t ffn = 3072;
   std::int64_t batch = 0;
   std::int64_t seq = 0;
   std::int64_t bytes_per_elem = 2;  ///< fp16 training

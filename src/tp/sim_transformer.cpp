@@ -70,7 +70,6 @@ void SimTransformer::summa_linear(std::int64_t m, std::int64_t k,
   const std::int64_t be = shape_.bytes_per_elem;
   const std::int64_t x_blk = m * k / (q * q) * be;
   const std::int64_t w_blk = k * n / (q * q) * be;
-  const std::int64_t y_blk = m * n / (q * q) * be;
   const double flops = 2.0 * static_cast<double>(m) * k * n / (q * q * q);
 
   // forward: q steps of (broadcast X block along row, W block along col)
@@ -91,7 +90,6 @@ void SimTransformer::summa_linear(std::int64_t m, std::int64_t k,
     replay_.collective(col, Op::kReduce, w_blk);
     replay_.compute(flops);
   }
-  (void)y_blk;
 }
 
 void SimTransformer::step_grid() {

@@ -162,7 +162,8 @@ class ParallelContext {
   /// extent 0 is absent: its coordinate reads 0 and it builds no group.
   enum Axis { kData, kPipe, kTensor, kDepth, kRow, kCol, kCubeI, kCubeJ,
               kCubeK, kAxes };
-  /// One kind of process group: the ranks that differ only in `axes`.
+  /// The kinds of process group; each is the set of ranks that differ only
+  /// in its axes (the table in the constructor).
   enum Kind { kDataGroup, kTensorGroup, kRowGroup, kColGroup, kDepthGroup,
               kCubeIGroup, kCubeJGroup, kCubeKGroup, kKinds };
 

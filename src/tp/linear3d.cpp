@@ -37,6 +37,7 @@ Linear3D::Linear3D(const Env& env, std::string name,
       bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out_}),
                             {out_, 0, l_, j_, 1, 0, 1, i_ == 0 && k_ == 0})),
       acts_(env.mem()) {
+  assert(in_ % (l_ * l_) == 0 && out_ % (l_ * l_) == 0);
   param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
   env_.mem().alloc(param_bytes_);
 }

@@ -1,6 +1,7 @@
 #include "core/context.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -80,12 +81,16 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
     stride *= std::max(extent_[a], 1);
   }
 
+  for (auto& slots : groups_) {
+    slots.assign(static_cast<std::size_t>(cluster_world), nullptr);
+  }
   world_group_ = identity ? &backend_.world()
                           : &backend_.create_group(members_, "world");
 
   // Every group is "the ranks that differ only in these axes", enumerated
   // over VIRTUAL ranks and mapped to physical cluster ranks before the group
-  // is created, so one loop drives the identity and the elastic form.
+  // is created, so one loop drives the identity and the elastic form. Absent
+  // axes (extent 0) drop out; a kind with none of its axes builds no group.
   struct KindSpec {
     const char* name;
     std::initializer_list<Axis> axes;
@@ -101,16 +106,14 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
       {"cube_k", {kCubeK}},
   };
   for (int kind = 0; kind < kKinds; ++kind) {
-    std::vector<Axis> axes;
+    const std::initializer_list<Axis>& axes = kinds[kind].axes;
     int size = 1;
-    for (Axis a : kinds[kind].axes) {
-      if (extent_[a] == 0) continue;
-      axes.push_back(a);
-      size *= extent_[a];
+    bool present = false;
+    for (Axis a : axes) {
+      present = present || extent_[a] > 0;
+      size *= std::max(extent_[a], 1);
     }
-    auto& slots = groups_[kind];
-    slots.assign(static_cast<std::size_t>(cluster_world), nullptr);
-    if (axes.empty()) continue;
+    if (!present) continue;
     for (int base = 0; base < world; ++base) {
       bool first = true;  // base is the member at digit 0 on every axis
       for (Axis a : axes) first = first && coord(base, a) == 0;
@@ -119,14 +122,15 @@ ParallelContext::ParallelContext(collective::Backend& backend, Config config,
       ranks.reserve(static_cast<std::size_t>(size));
       for (int m = 0; m < size; ++m) {  // m's digits over `axes`, ascending
         int v = base, rest = m;
-        for (auto a = axes.rbegin(); a != axes.rend(); ++a) {
-          v += rest % extent_[*a] * stride_[*a];
-          rest /= extent_[*a];
+        for (auto a = std::rbegin(axes); a != std::rend(axes); ++a) {
+          const int n = std::max(extent_[*a], 1);
+          v += rest % n * stride_[*a];
+          rest /= n;
         }
         ranks.push_back(members_[static_cast<std::size_t>(v)]);
       }
       auto& g = backend_.create_group(std::move(ranks), kinds[kind].name);
-      for (int r : g.ranks()) slots[static_cast<std::size_t>(r)] = &g;
+      for (int r : g.ranks()) groups_[kind][static_cast<std::size_t>(r)] = &g;
     }
   }
 }

@@ -215,6 +215,13 @@ Qkv AttentionCore::backward(const t::Tensor& dctx) {
   return {std::move(dq), std::move(dk), std::move(dv)};
 }
 
+double AttentionCore::forward_flops() const {
+  return 4.0 * static_cast<double>(saved_.q.dim(0)) *
+         static_cast<double>(saved_.q.dim(1)) *
+         static_cast<double>(saved_.k.dim(1)) *
+         static_cast<double>(saved_.q.dim(2));
+}
+
 // ---- MultiHeadAttention ---------------------------------------------------------
 
 MultiHeadAttention::MultiHeadAttention(std::string name, std::int64_t hidden,

@@ -131,6 +131,10 @@ class AttentionCore {
   tensor::Tensor forward(Qkv qkv);
   /// dctx (B, sq, d) -> dq (B, sq, d), dk and dv (B, skv, d).
   Qkv backward(const tensor::Tensor& dctx);
+  /// FLOPs of the last forward's two batched products, 4·B·sq·skv·d; its
+  /// backward runs twice that. Every factor is an integer, so the product
+  /// is exact in double below 2^53.
+  [[nodiscard]] double forward_flops() const;
   /// The post-softmax probabilities (B, sq, skv) of the last forward.
   [[nodiscard]] const tensor::Tensor& probs() const { return probs_; }
 

@@ -30,15 +30,13 @@ RingAttention::RingAttention(const tp::Env& env, std::string name,
       heads_(heads),
       qkv_(name + ".qkv", hidden, 3 * hidden, seed),
       proj_(name + ".proj", hidden, hidden, seed + 1),
+      // replicated parameters + gradients
+      footprint_(env.mem(), tp::param_footprint({&qkv_.weight(), qkv_.bias(),
+                                                 &proj_.weight(),
+                                                 proj_.bias()})),
       acts_(env.mem()) {
   assert(hidden % heads == 0);
-  // replicated parameters + gradients
-  param_bytes_ = 2 * (qkv_.weight().numel() + qkv_.bias()->numel() +
-                      proj_.weight().numel() + proj_.bias()->numel()) * kF;
-  env_.mem().alloc(param_bytes_);
 }
-
-RingAttention::~RingAttention() { env_.mem().free(param_bytes_); }
 
 t::Tensor RingAttention::ring_collect(const t::Tensor& local) {
   auto& g = env_.ctx->sequence_group(env_.grank);

@@ -24,7 +24,6 @@ class RingAttention : public nn::Module {
  public:
   RingAttention(const tp::Env& env, std::string name, std::int64_t hidden,
                 std::int64_t heads, std::uint64_t seed);
-  ~RingAttention() override;
 
   /// x: (b, s/p, h) local sub-sequence; returns the same shape.
   tensor::Tensor forward(const tensor::Tensor& x) override;
@@ -40,9 +39,9 @@ class RingAttention : public nn::Module {
   std::int64_t hidden_, heads_;
   nn::Linear qkv_;   // replicated
   nn::Linear proj_;  // replicated
+  sim::ScopedAlloc footprint_;
   nn::AttentionCore core_;  // local q against the ring-collected K/V
   tp::ActivationTracker acts_;
-  std::int64_t param_bytes_ = 0;
 };
 
 /// Pre-LN Transformer block for sequence parallelism: RingAttention plus

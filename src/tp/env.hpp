@@ -1,6 +1,9 @@
 #pragma once
 
+#include <initializer_list>
+
 #include "core/context.hpp"
+#include "nn/module.hpp"
 #include "sim/cluster.hpp"
 
 namespace ca::tp {
@@ -18,6 +21,16 @@ struct Env {
   [[nodiscard]] sim::MemoryTracker& mem() const { return dev().mem(); }
   [[nodiscard]] core::ParallelContext& context() const { return *ctx; }
 };
+
+/// Simulated bytes of `params` and their gradients, fp32 each; null entries
+/// (an absent bias) count nothing. A layer charges them for its whole life
+/// through a `sim::ScopedAlloc` member declared after its parameters.
+[[nodiscard]] inline std::int64_t param_footprint(
+    std::initializer_list<const nn::Parameter*> params) {
+  std::int64_t numel = 0;
+  for (const nn::Parameter* p : params) numel += p != nullptr ? p->numel() : 0;
+  return 2 * numel * static_cast<std::int64_t>(sizeof(float));
+}
 
 /// Tracks the activation bytes a layer holds between forward and backward,
 /// so range tests observe the same peak-memory shape the paper measures.

@@ -1,7 +1,6 @@
 #include "tp/linear1d.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "tp/relayout.hpp"
 
@@ -11,13 +10,6 @@ namespace t = ca::tensor;
 
 namespace {
 constexpr std::int64_t kF = 4;  // bytes per fp32 element
-
-/// The serial layer's seeded (in, out) weight; every rank slices its shard
-/// out of it, so N shards together are bit-identical to nn::Linear.
-t::Tensor serial_weight(std::int64_t in, std::int64_t out, std::uint64_t seed) {
-  return t::randn(t::Shape{in, out}, seed, 0.0f,
-                  1.0f / std::sqrt(static_cast<float>(in)));
-}
 int tp_size(const Env& env) { return env.ctx->tensor_group(env.grank).size(); }
 int tp_index(const Env& env) {
   return env.ctx->tensor_group(env.grank).index_of(env.grank);
@@ -38,12 +30,9 @@ Linear1DCol::Linear1DCol(const Env& env, std::string name, std::int64_t in,
                               {in, out, 1, 0, tp_size(env), tp_index(env)})),
       bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out}),
                             {out, 0, tp_size(env), tp_index(env)})),
-      acts_(env.mem()) {
-  param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
-  env_.mem().alloc(param_bytes_);  // parameters + gradients
-}
-
-Linear1DCol::~Linear1DCol() { env_.mem().free(param_bytes_); }
+      footprint_(env.mem(),
+                 param_footprint({&weight_, with_bias ? &bias_ : nullptr})),
+      acts_(env.mem()) {}
 
 t::Tensor Linear1DCol::forward(const t::Tensor& x) {
   auto& g = env_.ctx->tensor_group(env_.grank);
@@ -93,12 +82,9 @@ Linear1DRow::Linear1DRow(const Env& env, std::string name, std::int64_t in,
       // bias is replicated: rank 0 of the group is the gather primary
       bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out}),
                             {out, 0, 1, 0, 1, 0, 1, tp_index(env) == 0})),
-      acts_(env.mem()) {
-  param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
-  env_.mem().alloc(param_bytes_);
-}
-
-Linear1DRow::~Linear1DRow() { env_.mem().free(param_bytes_); }
+      footprint_(env.mem(),
+                 param_footprint({&weight_, with_bias ? &bias_ : nullptr})),
+      acts_(env.mem()) {}
 
 t::Tensor Linear1DRow::forward(const t::Tensor& x) {
   auto& g = env_.ctx->tensor_group(env_.grank);
@@ -166,16 +152,13 @@ Attention1D::Attention1D(const Env& env, std::string name, std::int64_t hidden,
       proj_bias_(shard_parameter(name + ".proj.bias",
                                  t::zeros(t::Shape{hidden}),
                                  {hidden, 0, 1, 0, 1, 0, 1, tp_index(env) == 0})),
+      footprint_(env.mem(), param_footprint({&qkv_weight_, &qkv_bias_,
+                                             &proj_weight_, &proj_bias_})),
       acts_(env.mem()) {
   assert(hidden % heads == 0);
   assert(heads % tp_size(env) == 0 &&
          "1D attention requires #heads divisible by the parallel size");
-  param_bytes_ = 2 * (qkv_weight_.numel() + qkv_bias_.numel() +
-                      proj_weight_.numel() + proj_bias_.numel()) * kF;
-  env_.mem().alloc(param_bytes_);
 }
-
-Attention1D::~Attention1D() { env_.mem().free(param_bytes_); }
 
 t::Tensor Attention1D::forward(const t::Tensor& x) {
   auto& g = env_.ctx->tensor_group(env_.grank);

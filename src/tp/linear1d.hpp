@@ -20,7 +20,6 @@ class Linear1DCol : public nn::Module {
   Linear1DCol(const Env& env, std::string name, std::int64_t in,
               std::int64_t out, std::uint64_t seed, bool gather_output,
               bool with_bias = true);
-  ~Linear1DCol() override;
 
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
@@ -34,9 +33,9 @@ class Linear1DCol : public nn::Module {
   bool gather_output_, with_bias_;
   nn::Parameter weight_;  // (in, out/p)
   nn::Parameter bias_;    // (out/p)
+  sim::ScopedAlloc footprint_;
   tensor::Tensor saved_x_;
   ActivationTracker acts_;
-  std::int64_t param_bytes_ = 0;
 };
 
 /// Row-parallel linear: weight split along the INPUT dimension; input arrives
@@ -46,7 +45,6 @@ class Linear1DRow : public nn::Module {
  public:
   Linear1DRow(const Env& env, std::string name, std::int64_t in,
               std::int64_t out, std::uint64_t seed, bool with_bias = true);
-  ~Linear1DRow() override;
 
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
@@ -60,9 +58,9 @@ class Linear1DRow : public nn::Module {
   bool with_bias_;
   nn::Parameter weight_;  // (in/p, out)
   nn::Parameter bias_;    // (out), applied identically on all ranks
+  sim::ScopedAlloc footprint_;
   tensor::Tensor saved_x_;
   ActivationTracker acts_;
-  std::int64_t param_bytes_ = 0;
 };
 
 /// The Megatron MLP of Figure 4: column-parallel h->ffn (no gather), GELU on
@@ -83,7 +81,6 @@ class Attention1D : public nn::Module {
  public:
   Attention1D(const Env& env, std::string name, std::int64_t hidden,
               std::int64_t heads, std::uint64_t seed);
-  ~Attention1D() override;
 
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
@@ -96,10 +93,10 @@ class Attention1D : public nn::Module {
   nn::Parameter qkv_bias_;     // (3*h/p)
   nn::Parameter proj_weight_;  // (h/p, h)
   nn::Parameter proj_bias_;    // (h)
+  sim::ScopedAlloc footprint_;
   nn::AttentionCore core_;
   tensor::Tensor saved_x_, saved_merged_;  // merged: (b, s, h/p) context
   ActivationTracker acts_;
-  std::int64_t param_bytes_ = 0;
 };
 
 /// Pre-LN Transformer block with 1D-parallel attention and MLP; LayerNorms

@@ -1,7 +1,6 @@
 #include "tp/linear2p5d.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "tp/relayout.hpp"
 
@@ -14,18 +13,11 @@ constexpr std::int64_t kF = 4;
 }
 
 Linear2p5D::Linear2p5D(const Env& env, std::string name, std::int64_t in,
-                       std::int64_t out, std::uint64_t seed, bool with_bias)
-    : Linear2p5D(env, std::move(name),
-                 t::randn(t::Shape{in, out}, seed, 0.0f,
-                          1.0f / std::sqrt(static_cast<float>(in))),
-                 with_bias) {}
-
-Linear2p5D::Linear2p5D(const Env& env, std::string name,
-                       const t::Tensor& full_weight, bool with_bias,
+                       std::int64_t out, std::uint64_t seed, bool with_bias,
                        int col_sections)
     : env_(env),
-      in_(full_weight.dim(0)),
-      out_(full_weight.dim(1)),
+      in_(in),
+      out_(out),
       with_bias_(with_bias),
       q_(env.ctx->grid_side()),
       d_(env.ctx->depth()),
@@ -34,18 +26,15 @@ Linear2p5D::Linear2p5D(const Env& env, std::string name,
       dd_(env.ctx->depth_coord(env.grank)),
       // depth row-slab dd of grid block (r, c) == row block r*d+dd of q*d
       weight_(shard_parameter(
-          name + ".weight", full_weight,
+          name + ".weight", serial_weight(in, out, seed),
           {in_, out_, q_ * d_, r_ * d_ + dd_, q_, c_, col_sections})),
       // bias holds column block c, replicated along grid rows and depth
       bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out_}),
                             {out_, 0, q_, c_, 1, 0, col_sections,
                              r_ == 0 && dd_ == 0})),
-      acts_(env.mem()) {
-  param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
-  env_.mem().alloc(param_bytes_);
-}
-
-Linear2p5D::~Linear2p5D() { env_.mem().free(param_bytes_); }
+      footprint_(env.mem(),
+                 param_footprint({&weight_, with_bias ? &bias_ : nullptr})),
+      acts_(env.mem()) {}
 
 t::Tensor Linear2p5D::shard_activation(const t::Tensor& full, int q, int depth,
                                        int dd, int r, int c) {

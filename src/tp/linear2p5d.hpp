@@ -34,16 +34,13 @@ namespace ca::tp {
 ///   Y slab:  (rows/(d*k), out/k)
 class Linear2p5D : public nn::Module {
  public:
+  /// Every rank keeps its slab of the serial layer's seeded weight. With
+  /// `col_sections` > 1 the weight's columns are that many independent
+  /// sections (a fused [q|k|v] QKV weight), and column block c holds chunk c
+  /// of every section.
   Linear2p5D(const Env& env, std::string name, std::int64_t in,
-             std::int64_t out, std::uint64_t seed, bool with_bias = true);
-  /// Construct from an explicit full weight (every rank passes the same
-  /// tensor and keeps its slab). With `col_sections` > 1 the weight's
-  /// columns are that many independent sections (a fused [q|k|v] QKV
-  /// weight), and column block c holds chunk c of every section.
-  Linear2p5D(const Env& env, std::string name,
-             const tensor::Tensor& full_weight, bool with_bias = true,
+             std::int64_t out, std::uint64_t seed, bool with_bias = true,
              int col_sections = 1);
-  ~Linear2p5D() override;
 
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
@@ -74,9 +71,9 @@ class Linear2p5D : public nn::Module {
   int q_, d_, r_, c_, dd_;
   nn::Parameter weight_;  // (in/(k*d), out/k): depth slab of block (r, c)
   nn::Parameter bias_;    // (out/k), block c (replicated along rows and depth)
+  sim::ScopedAlloc footprint_;
   tensor::Tensor saved_x_;
   ActivationTracker acts_;
-  std::int64_t param_bytes_ = 0;
 };
 
 /// 2.5D-parallel MLP: Linear2p5D -> GELU -> Linear2p5D. GELU is local

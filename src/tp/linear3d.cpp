@@ -1,7 +1,7 @@
 #include "tp/linear3d.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "tp/relayout.hpp"
 
@@ -11,38 +11,56 @@ namespace t = ca::tensor;
 
 namespace {
 constexpr std::int64_t kF = 4;
+
+/// Read the columns of `m` as an outer x inner grid of equal column blocks
+/// in outer-major order and return them in inner-major order. A gathered
+/// sectioned weight turns from block-major [q_0|k_0|v_0|q_1|k_1|v_1|...]
+/// into section-major [q_0|q_1|...|k_0|k_1|...|v_0|v_1|...] with
+/// (outer, inner) = (blocks, sections); (sections, blocks) is the inverse.
+t::Tensor swap_column_blocks(const t::Tensor& m, int outer, int inner) {
+  const std::int64_t cols = m.dim(-1);
+  const std::int64_t w = cols / (outer * inner);
+  t::Tensor out(m.shape());
+  const float* src = m.data().data();
+  float* dst = out.data().data();
+  for (std::int64_t r = 0; r < m.numel() / cols; ++r) {
+    for (int a = 0; a < outer; ++a) {
+      for (int b = 0; b < inner; ++b) {
+        const float* from = src + r * cols + (a * inner + b) * w;
+        std::copy(from, from + w, dst + r * cols + (b * outer + a) * w);
+      }
+    }
+  }
+  return out;
 }
+}  // namespace
 
 Linear3D::Linear3D(const Env& env, std::string name, std::int64_t in,
-                   std::int64_t out, std::uint64_t seed, bool with_bias)
-    : Linear3D(env, std::move(name),
-               t::randn(t::Shape{in, out}, seed, 0.0f,
-                        1.0f / std::sqrt(static_cast<float>(in))),
-               with_bias) {}
-
-Linear3D::Linear3D(const Env& env, std::string name,
-                   const t::Tensor& full_weight, bool with_bias)
+                   std::int64_t out, std::uint64_t seed, bool with_bias,
+                   int col_sections)
     : env_(env),
-      in_(full_weight.dim(0)),
-      out_(full_weight.dim(1)),
+      in_(in),
+      out_(out),
       with_bias_(with_bias),
+      col_sections_(col_sections),
       l_(env.ctx->grid_side()),
       i_(env.ctx->cube_i(env.grank)),
       j_(env.ctx->cube_j(env.grank)),
       k_(env.ctx->cube_k(env.grank)),
-      // rows chunk k, cols chunk (j*l + i)
-      weight_(shard_parameter(name + ".weight", full_weight,
-                              {in_, out_, l_, k_, l_ * l_, j_ * l_ + i_})),
-      // bias holds chunk j of l, replicated over the i and k cube axes
+      // rows chunk k, cols chunk (j*l + i) of every section
+      weight_(shard_parameter(
+          name + ".weight", serial_weight(in, out, seed),
+          {in_, out_, l_, k_, l_ * l_, j_ * l_ + i_, col_sections})),
+      // bias holds chunk j of l of every section, replicated over the i and
+      // k cube axes
       bias_(shard_parameter(name + ".bias", t::zeros(t::Shape{out_}),
-                            {out_, 0, l_, j_, 1, 0, 1, i_ == 0 && k_ == 0})),
+                            {out_, 0, l_, j_, 1, 0, col_sections,
+                             i_ == 0 && k_ == 0})),
+      footprint_(env.mem(),
+                 param_footprint({&weight_, with_bias ? &bias_ : nullptr})),
       acts_(env.mem()) {
   assert(in_ % (l_ * l_) == 0 && out_ % (l_ * l_) == 0);
-  param_bytes_ = 2 * (weight_.numel() + (with_bias_ ? bias_.numel() : 0)) * kF;
-  env_.mem().alloc(param_bytes_);
 }
-
-Linear3D::~Linear3D() { env_.mem().free(param_bytes_); }
 
 t::Tensor Linear3D::shard_input(const t::Tensor& full, int l, int i, int j,
                                 int k) {
@@ -64,13 +82,20 @@ t::Tensor Linear3D::shard_output(const t::Tensor& full, int l, int i, int j,
 // streamed device implementation.
 namespace {
 constexpr std::int64_t kStreamChunks = 8;
+
+/// Tracked bytes of the double-buffered streams of the gathered X(i,k) `a`,
+/// the gathered W(k,j) `b` and their partial product.
+std::int64_t stream_bytes(const t::Tensor& a, const t::Tensor& b) {
+  const std::int64_t rows = a.numel() / a.dim(-1);
+  return 2 * (a.numel() + b.numel() + rows * b.dim(1)) * kF / kStreamChunks;
 }
+}  // namespace
 
 t::Tensor Linear3D::forward(const t::Tensor& x) {
   auto& gi = env_.ctx->cube_i_group(env_.grank);
   auto& gj = env_.ctx->cube_j_group(env_.grank);
   auto& gk = env_.ctx->cube_k_group(env_.grank);
-  assert(x.ndim() == 2 && x.dim(1) == in_ / (l_ * l_));
+  assert(x.dim(-1) == in_ / (l_ * l_));
 
   // held until backward: the local input and output shards
   acts_.hold(x.numel() * kF);
@@ -79,11 +104,11 @@ t::Tensor Linear3D::forward(const t::Tensor& x) {
   saved_a_ = all_gather_lastdim(gj, env_.grank, x, wire);  // (rows/l, in/l)
   saved_b_ =
       all_gather_lastdim(gi, env_.grank, weight_.value, wire);  // (in/l, out/l)
-  const std::int64_t a_blk = saved_a_.numel() * kF;
-  const std::int64_t b_blk = saved_b_.numel() * kF;
-  const std::int64_t y_blk = saved_a_.dim(0) * (out_ / l_) * kF;
-  sim::ScopedAlloc stream(env_.mem(),
-                          2 * (a_blk + b_blk + y_blk) / kStreamChunks);
+  // sectioned: the gathered blocks [q|k|v]_{jl+i} become [q_j|k_j|v_j]
+  if (col_sections_ > 1) {
+    saved_b_ = swap_column_blocks(saved_b_, l_, col_sections_);
+  }
+  sim::ScopedAlloc stream(env_.mem(), stream_bytes(saved_a_, saved_b_));
 
   auto partial = t::matmul(saved_a_, saved_b_);  // (rows/l, out/l)
   env_.dev().compute_fp32(2.0 * static_cast<double>(saved_a_.numel()) *
@@ -109,11 +134,7 @@ t::Tensor Linear3D::backward(const t::Tensor& dy) {
     t::add_(bias_.grad, db);
   }
 
-  const std::int64_t a_blk = saved_a_.numel() * kF;
-  const std::int64_t b_blk = saved_b_.numel() * kF;
-  const std::int64_t y_blk = saved_a_.dim(0) * (out_ / l_) * kF;
-  sim::ScopedAlloc stream(env_.mem(),
-                          2 * (a_blk + b_blk + y_blk) / kStreamChunks);
+  sim::ScopedAlloc stream(env_.mem(), stream_bytes(saved_a_, saved_b_));
 
   auto dy_full = all_gather_dim0(gk, env_.grank, dy, wire);  // (rows/l, out/l)
 
@@ -123,6 +144,10 @@ t::Tensor Linear3D::backward(const t::Tensor& dy) {
 
   // dW = X^T dY, partial over i; scatter back to the W layout.
   auto dw_partial = t::matmul_tn(saved_a_, dy_full);  // (in/l, out/l)
+  // sectioned: back to the gathered block order the scatter over i cuts
+  if (col_sections_ > 1) {
+    dw_partial = swap_column_blocks(dw_partial, col_sections_, l_);
+  }
   auto dw = reduce_scatter_lastdim(gi, env_.grank, dw_partial, wire);
   t::add_(weight_.grad, dw);
 
@@ -143,7 +168,7 @@ t::Tensor convert_3d_y_to_x(const Env& env, const t::Tensor& y) {
   auto rows_i = all_gather_dim0(gk, env.grank, y, wire);
   auto full_cols = all_gather_lastdim(gj, env.grank, rows_i, wire);
   // take the (k*l + j) column chunk: the next layer's X layout
-  return t::chunk(full_cols, 1, l * l, k * l + j);
+  return t::chunk(full_cols, -1, l * l, k * l + j);
 }
 
 t::Tensor convert_3d_x_to_y(const Env& env, const t::Tensor& dx) {
@@ -160,21 +185,7 @@ t::Tensor convert_3d_x_to_y(const Env& env, const t::Tensor& dx) {
   // rows sub-chunk k within my rows chunk i => global rows chunk i*l + k;
   // cols chunk j.
   auto rows_sub = t::chunk(full_cols, 0, l, k);
-  return t::chunk(rows_sub, 1, l, j);
-}
-
-t::Tensor Tokens3D::forward(const t::Tensor& x) {
-  const std::int64_t b = x.dim(0), s = x.dim(1);
-  auto y = layer_->forward(x.reshape(t::Shape{b * s, x.dim(2)}));
-  auto h = convert_3d_y_to_x(env_, y);
-  return h.reshape(t::Shape{b, s, h.dim(1)});
-}
-
-t::Tensor Tokens3D::backward(const t::Tensor& dy) {
-  const std::int64_t b = dy.dim(0), s = dy.dim(1);
-  auto dx = layer_->backward(
-      convert_3d_x_to_y(env_, dy.reshape(t::Shape{b * s, dy.dim(2)})));
-  return dx.reshape(t::Shape{b, s, dx.dim(1)});
+  return t::chunk(rows_sub, -1, l, j);
 }
 
 void Linear3D::collect_parameters(std::vector<nn::Parameter*>& out) {

@@ -40,6 +40,9 @@ class Convert3D : public nn::Module {
 ///   W block on (i,j,k): (in/l,  out/l^2)    rows chunk k,  col chunk j*l+i
 ///   Y block on (i,j,k): (rows/l^2, out/l)   rows chunk i*l+k, col chunk j
 ///
+/// The rows may be any leading dimensions with features last, chunked along
+/// the first: a (batch, seq, features) token tensor keeps full sequences.
+///
 /// Forward: all-gather X over the j axis (giving X(i,k) of (rows/l, in/l)),
 /// all-gather W over the i axis (giving W(k,j)), multiply, reduce-scatter the
 /// partial Y over the k axis. Backward mirrors it. Every tensor moves through
@@ -51,13 +54,13 @@ class Convert3D : public nn::Module {
 /// cube groups (Colossal-AI alternates layouts the same way).
 class Linear3D : public nn::Module {
  public:
+  /// Every rank keeps its block of the serial layer's seeded weight. With
+  /// `col_sections` > 1 the weight's columns are that many independent
+  /// sections (a fused [q|k|v] QKV weight): W block (i,j,k) holds column
+  /// chunk j*l+i of every section, so W(k,j) gathered over i is chunk j of
+  /// every section — the heads of cube column j.
   Linear3D(const Env& env, std::string name, std::int64_t in, std::int64_t out,
-           std::uint64_t seed, bool with_bias = true);
-  /// Construct from an explicit full weight (every rank passes the same
-  /// tensor and keeps its block) — used by fused-QKV attention layers.
-  Linear3D(const Env& env, std::string name, const tensor::Tensor& full_weight,
-           bool with_bias = true);
-  ~Linear3D() override;
+           std::uint64_t seed, bool with_bias = true, int col_sections = 1);
 
   tensor::Tensor forward(const tensor::Tensor& x) override;
   tensor::Tensor backward(const tensor::Tensor& dy) override;
@@ -78,32 +81,14 @@ class Linear3D : public nn::Module {
   Env env_;
   std::int64_t in_, out_;
   bool with_bias_;
+  int col_sections_;
   int l_, i_, j_, k_;
   nn::Parameter weight_;  // (in/l, out/l^2)
   nn::Parameter bias_;    // (out/l), N-chunk j, replicated over i and k
+  sim::ScopedAlloc footprint_;
   tensor::Tensor saved_a_;  // gathered X(i,k): (rows/l, in/l)
   tensor::Tensor saved_b_;  // gathered W(k,j): (in/l, out/l)
   ActivationTracker acts_;
-  std::int64_t param_bytes_ = 0;
-};
-
-/// Runs an X-in, Y-out 3D layer (Linear3D, Mlp3D) on every token of an
-/// X-layout (batch/l, seq, features/l^2) tensor and returns X layout: the
-/// tokens flatten into the layer's rows, and its Y-layout output converts
-/// back to X (convert_3d_y_to_x; the gradient takes the inverse path).
-class Tokens3D : public nn::Module {
- public:
-  Tokens3D(const Env& env, std::unique_ptr<nn::Module> layer)
-      : env_(env), layer_(std::move(layer)) {}
-  tensor::Tensor forward(const tensor::Tensor& x) override;
-  tensor::Tensor backward(const tensor::Tensor& dy) override;
-  void collect_parameters(std::vector<nn::Parameter*>& out) override {
-    layer_->collect_parameters(out);
-  }
-
- private:
-  Env env_;
-  std::unique_ptr<nn::Module> layer_;
 };
 
 /// 3D-parallel MLP; a Convert3D between GELU and fc2 turns fc1's Y-layout

@@ -1,5 +1,6 @@
 #include "tp/relayout.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -79,6 +80,12 @@ tensor::Tensor gather_full(collective::Group& group, int grank,
   if (spec.primary) add_to_full(spec, local.data(), full.data());
   group.all_reduce(grank, full.data(), 1.0f, tensor::Dtype::kF32);
   return full;
+}
+
+tensor::Tensor serial_weight(std::int64_t in, std::int64_t out,
+                             std::uint64_t seed) {
+  return tensor::randn(tensor::Shape{in, out}, seed, 0.0f,
+                       1.0f / std::sqrt(static_cast<float>(in)));
 }
 
 nn::Parameter shard_parameter(std::string name, const tensor::Tensor& full,

@@ -17,6 +17,12 @@ namespace ca::tp {
 /// grid (1D row/col, 2D, 2.5D, 3D, or plain replication) restores onto any
 /// other.
 
+/// The serial nn::Linear's seeded (in, out) weight. Every rank of every
+/// layout cuts its shard out of it, so the shards together are bit-identical
+/// to the serial layer built from the same seed.
+[[nodiscard]] tensor::Tensor serial_weight(std::int64_t in, std::int64_t out,
+                                           std::uint64_t seed);
+
 /// The parameter `name` whose value is `spec`'s block of the serial tensor
 /// `full` (slice_from_full), whose grad is zeros, and whose shard is `spec`.
 /// Every rank passes the same `full`; throws std::invalid_argument when the

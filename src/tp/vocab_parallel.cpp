@@ -9,10 +9,6 @@ namespace ca::tp {
 
 namespace t = ca::tensor;
 
-namespace {
-constexpr std::int64_t kF = 4;
-}
-
 VocabParallelEmbedding::VocabParallelEmbedding(const Env& env,
                                                std::string name,
                                                std::int64_t vocab,
@@ -25,15 +21,10 @@ VocabParallelEmbedding::VocabParallelEmbedding(const Env& env,
       table_(shard_parameter(
           name + ".table", t::randn(t::Shape{vocab, hidden}, seed, 0.0f, 0.02f),
           {vocab, hidden, env.ctx->tensor_group(env.grank).size(),
-           env.ctx->tensor_group(env.grank).index_of(env.grank), 1, 0})) {
+           env.ctx->tensor_group(env.grank).index_of(env.grank), 1, 0})),
+      footprint_(env.mem(), param_footprint({&table_})) {
   begin_ = table_.shard->row_index * table_.value.dim(0);
   end_ = begin_ + table_.value.dim(0);
-  param_bytes_ = 2 * table_.numel() * kF;
-  env_.mem().alloc(param_bytes_);
-}
-
-VocabParallelEmbedding::~VocabParallelEmbedding() {
-  env_.mem().free(param_bytes_);
 }
 
 t::Tensor VocabParallelEmbedding::forward(std::span<const std::int64_t> ids) {

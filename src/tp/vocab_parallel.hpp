@@ -16,7 +16,6 @@ class VocabParallelEmbedding {
  public:
   VocabParallelEmbedding(const Env& env, std::string name, std::int64_t vocab,
                          std::int64_t hidden, std::uint64_t seed);
-  ~VocabParallelEmbedding();
 
   /// ids: flattened (batch*seq); returns (ids.size(), hidden), full values
   /// on every rank.
@@ -32,8 +31,8 @@ class VocabParallelEmbedding {
   Env env_;
   std::int64_t vocab_, hidden_, begin_, end_;
   nn::Parameter table_;  // (vocab/p, hidden)
+  sim::ScopedAlloc footprint_;
   std::vector<std::int64_t> saved_ids_;
-  std::int64_t param_bytes_ = 0;
 };
 
 /// Vocabulary-parallel LM head + cross-entropy: logits stay sharded over the

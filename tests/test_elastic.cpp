@@ -624,24 +624,26 @@ TEST(LayerCheckpoint, Resume3d) {
   expect_layer_resume(cfg);
 }
 
-TEST(LayerCheckpoint, Relayout2Dto1D) {
-  // A TransformerClassifier checkpoint holds the serial full form on every
-  // layout: an untrained 2D grid and an untrained 1D pair built from one
-  // seed write identical bytes (fused QKV as [q|k|v], whole LayerNorm
-  // gamma/beta). After two Adam steps on the grid, the bytes restore onto the
-  // 1D pair and re-serialize byte-identically on every member.
-  auto layout = [](int p, core::TpMode mode) {
-    core::Config cfg;
-    cfg.tensor_parallel_size = p;
-    cfg.tensor_mode = mode;
-    return cfg;
-  };
-  std::string fresh_2d, trained_2d;
+namespace {
+
+core::Config tensor_layout(int p, core::TpMode mode) {
+  core::Config cfg;
+  cfg.tensor_parallel_size = p;
+  cfg.tensor_mode = mode;
+  return cfg;
+}
+
+/// A TransformerClassifier checkpoint holds the serial full form on every
+/// layout: untrained models built from one seed write identical bytes on
+/// `from` and on `to`. After two Adam steps on `from`, its bytes restore onto
+/// every member of `to` and re-serialize byte-identically.
+void expect_layer_relayout(const core::Config& from, const core::Config& to) {
+  std::string fresh_from, trained_from;
   {
-    const core::Config cfg = layout(4, core::TpMode::k2d);
-    sim::Cluster cluster(sim::Topology::uniform(4, 100e9));
+    const int p = from.world_size();
+    sim::Cluster cluster(sim::Topology::uniform(p, 100e9));
     col::Backend backend(cluster);
-    core::ParallelContext ctx(backend, cfg);
+    core::ParallelContext ctx(backend, from);
     std::mutex mu;
     cluster.run([&](int g) {
       const tp::Env env{&ctx, g};
@@ -655,19 +657,20 @@ TEST(LayerCheckpoint, Relayout2Dto1D) {
       engine::serialize_checkpoint(env, view, opt, 2, trained);
       if (g == 0) {
         std::lock_guard<std::mutex> lk(mu);
-        fresh_2d = fresh.str();
-        trained_2d = trained.str();
+        fresh_from = fresh.str();
+        trained_from = trained.str();
       }
     });
   }
-  ASSERT_FALSE(trained_2d.empty());
+  ASSERT_FALSE(trained_from.empty());
 
-  std::vector<std::string> fresh_1d(2), relaid_1d(2);
+  const int p = to.world_size();
+  std::vector<std::string> fresh_to(static_cast<std::size_t>(p));
+  std::vector<std::string> relaid_to(static_cast<std::size_t>(p));
   {
-    const core::Config cfg = layout(2, core::TpMode::k1d);
-    sim::Cluster cluster(sim::Topology::uniform(2, 100e9));
+    sim::Cluster cluster(sim::Topology::uniform(p, 100e9));
     col::Backend backend(cluster);
-    core::ParallelContext ctx(backend, cfg);
+    core::ParallelContext ctx(backend, to);
     cluster.run([&](int g) {
       const tp::Env env{&ctx, g};
       const auto gi = static_cast<std::size_t>(g);
@@ -677,20 +680,39 @@ TEST(LayerCheckpoint, Relayout2Dto1D) {
         ParamList view(m.parameters());
         std::ostringstream os;
         engine::serialize_checkpoint(env, view, opt, 0, os);
-        fresh_1d[gi] = os.str();
+        fresh_to[gi] = os.str();
       }
       models::TransformerClassifier m(env, layer_config(18));
       optim::Adam opt(m.parameters(), kLayerAdam);
       ParamList view(m.parameters());
-      std::istringstream is(trained_2d);
+      std::istringstream is(trained_from);
       EXPECT_EQ(engine::deserialize_checkpoint(env, view, opt, is), 2);
       std::ostringstream os;
       engine::serialize_checkpoint(env, view, opt, 2, os);
-      relaid_1d[gi] = os.str();
+      relaid_to[gi] = os.str();
     });
   }
-  for (std::size_t g = 0; g < 2; ++g) {
-    EXPECT_TRUE(fresh_1d[g] == fresh_2d) << "rank " << g;
-    EXPECT_TRUE(relaid_1d[g] == trained_2d) << "rank " << g;
+  for (std::size_t g = 0; g < relaid_to.size(); ++g) {
+    EXPECT_TRUE(fresh_to[g] == fresh_from) << "rank " << g;
+    EXPECT_TRUE(relaid_to[g] == trained_from) << "rank " << g;
   }
+}
+
+}  // namespace
+
+TEST(LayerCheckpoint, Relayout2Dto1D) {
+  // Fused QKV as [q|k|v] and whole LayerNorm gamma/beta on both layouts.
+  expect_layer_relayout(tensor_layout(4, core::TpMode::k2d),
+                        tensor_layout(2, core::TpMode::k1d));
+}
+
+TEST(LayerCheckpoint, Relayout3Dto1D) {
+  // The cube's QKV block is [q|k|v] sub-blocks of the serial weight.
+  expect_layer_relayout(tensor_layout(8, core::TpMode::k3d),
+                        tensor_layout(2, core::TpMode::k1d));
+}
+
+TEST(LayerCheckpoint, Relayout3Dto2D) {
+  expect_layer_relayout(tensor_layout(8, core::TpMode::k3d),
+                        tensor_layout(4, core::TpMode::k2d));
 }

@@ -164,12 +164,18 @@ TEST(ModelCheckpoint, ClassifierFreshEqualsSerial) {
   }
 }
 
-// 3D is left out: Attention3D's fused QKV block straddles the q/k/v sections,
-// so its spec describes the cube's permuted matrix, not the serial one.
+// The layouts other than 3D; TransformerClassifierFreshEqualsSerial3d covers
+// the cube.
 TEST(ModelCheckpoint, TransformerClassifierFreshEqualsSerialExcept3d) {
   for (const Layout& l : {kNone, k1d, k2d, k2p5d}) {
     expect_fresh_equals_serial<models::TransformerClassifier>(tc_config(), l);
   }
+}
+
+// Attention3D's fused QKV weight is the serial [q|k|v] matrix under a
+// three-section spec, so the cube writes the serial bytes too.
+TEST(ModelCheckpoint, TransformerClassifierFreshEqualsSerial3d) {
+  expect_fresh_equals_serial<models::TransformerClassifier>(tc_config(), k3d);
 }
 
 TEST(ModelCheckpoint, VitFreshEqualsSerial) {

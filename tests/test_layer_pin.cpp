@@ -306,13 +306,16 @@ const PinRun k2p5dBf16 =
     uniform({0x1.e7e51ep+1f, 0x1.5dd6c6p+1f, 0x1.0a68dcp+1f},
             0x9d9eece2160c72f3ull, 8, 0x1.e1d0d13299655p-9, 53232, 11648,
             kClassifierNames);
+// The 3D gradient hashes were re-recorded when the cube's QKV block became
+// [q|k|v] sub-blocks of the serial weight (a three-section spec): each rank
+// holds other elements of the same gradients, and every other field held.
 const PinRun k3dFp32 =
     uniform({0x1.e79afep+1f, 0x1.5e2184p+1f, 0x1.0a9282p+1f},
-            0x17a2e6eff358142full, 8, 0x1.77a6465da95f2p-9, 89664, 10656,
+            0xb0929ad5949c0dd3ull, 8, 0x1.77a6465da95f2p-9, 89664, 10656,
             kClassifierNames);
 const PinRun k3dBf16 =
     uniform({0x1.e7e236p+1f, 0x1.5e83aep+1f, 0x1.0a9acep+1f},
-            0xf143411557c4050bull, 8, 0x1.7797aec66da03p-9, 47664, 10656,
+            0x442cd18da9f0c627ull, 8, 0x1.7797aec66da03p-9, 47664, 10656,
             kClassifierNames);
 const PinRun kSequenceFp32 =
     uniform({0x1.113292p+1f, 0x1.33a5b2p+1f, 0x1.2455c8p+1f},

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 namespace ca::core {
@@ -57,6 +58,7 @@ struct Config {
   /// Where CheckpointHook writes (`checkpoint.dir`).
   std::string checkpoint_dir = ".";
 
+  /// The product of the four sizes; validate() guarantees it fits in int.
   [[nodiscard]] int world_size() const {
     return data_parallel_size * pipeline_parallel_size * tensor_parallel_size *
            sequence_parallel_size;
@@ -64,13 +66,14 @@ struct Config {
 
   /// Integer side length if n is a perfect square, else 0.
   static int exact_sqrt(int n) {
-    const int r = static_cast<int>(std::lround(std::sqrt(static_cast<double>(n))));
-    return r * r == n ? r : 0;
+    if (n < 0) return 0;
+    const std::int64_t r = std::llround(std::sqrt(static_cast<double>(n)));
+    return r * r == n ? static_cast<int>(r) : 0;
   }
   /// Integer side length if n is a perfect cube, else 0.
   static int exact_cbrt(int n) {
-    const int r = static_cast<int>(std::lround(std::cbrt(static_cast<double>(n))));
-    return r * r * r == n ? r : 0;
+    const std::int64_t r = std::llround(std::cbrt(static_cast<double>(n)));
+    return r * r * r == n ? static_cast<int>(r) : 0;
   }
 
   /// Throws std::invalid_argument when sizes are inconsistent with the mode's

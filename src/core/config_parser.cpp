@@ -1,5 +1,7 @@
 #include "core/config_parser.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,6 +43,19 @@ void Config::validate() const {
           "parallel sizes must be >= 1");
   require(tensor_parallel_size == 1 || sequence_parallel_size == 1,
           "tensor and sequence parallelism cannot be combined");
+  std::int64_t world = 1;
+  for (const int size : {data_parallel_size, pipeline_parallel_size,
+                         tensor_parallel_size, sequence_parallel_size}) {
+    world *= size;  // each factor and partial product fits in 31 bits
+    if (world > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument(
+          "world size data * pipeline * tensor * sequence = " +
+          std::to_string(data_parallel_size) + " * " +
+          std::to_string(pipeline_parallel_size) + " * " +
+          std::to_string(tensor_parallel_size) + " * " +
+          std::to_string(sequence_parallel_size) + " does not fit in int");
+    }
+  }
   validate_config_knobs(*this);
   require(checkpoint_interval >= 0, "checkpoint.interval must be >= 0");
   switch (tensor_mode) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "core/config.hpp"
 #include "core/context.hpp"
 
@@ -259,6 +263,78 @@ TEST(ConfigParser, RejectsUnknownKeysAndBadValues) {
   // validation runs too: 2D with non-square size
   EXPECT_THROW(core::parse_config("tensor.size=6 tensor.mode=2d"),
                std::invalid_argument);
+}
+
+TEST(ConfigParser, RejectsWorldSizeBeyondInt) {
+  // 65536 * 65536 wrapped to a world of 0 ranks and passed validation.
+  EXPECT_THROW(core::parse_config("data=65536 tensor.size=65536 tensor.mode=1d"),
+               std::invalid_argument);
+  EXPECT_THROW(core::parse_config("data=2147483647 pipeline=2"),
+               std::invalid_argument);
+  EXPECT_EQ(core::parse_config("data=2147483647").world_size(), 2147483647);
+  // the side checks of the largest sizes (46341^2 overflowed int)
+  EXPECT_THROW(core::parse_config("tensor.size=2147483647 tensor.mode=2d"),
+               std::invalid_argument);
+  EXPECT_THROW(core::parse_config("tensor.size=2147483647 tensor.mode=3d"),
+               std::invalid_argument);
+  EXPECT_EQ(core::Config::exact_sqrt(2147395600), 46340);
+  EXPECT_EQ(core::Config::exact_cbrt(2146689000), 1290);
+}
+
+TEST(ConfigSweep, MutatedListingOneStringsParseOrRaiseStructuredErrors) {
+  // Mutate a Listing-1 string the way CheckpointSweep damages a checkpoint:
+  // delete or substitute every byte, duplicate every key, and give every
+  // integer key huge, negative and boundary values. Each case must either
+  // parse into a config that validates with a world size that fits in int,
+  // or throw std::invalid_argument. The ASan+UBSan job runs this sweep, so
+  // undefined behaviour on the way (signed overflow) fails it too.
+  const std::string base =
+      "data=2 pipeline=2 tensor.size=8 tensor.mode=2.5d tensor.depth=2 "
+      "checkpoint.interval=5 comm_dtype=bf16 sim.workers=2";
+  int parsed = 0, rejected = 0;
+  const auto check = [&](const std::string& text) {
+    try {
+      const core::Config cfg = core::parse_config(text);
+      EXPECT_NO_THROW(cfg.validate()) << text;
+      const std::int64_t world =
+          std::int64_t{cfg.data_parallel_size} * cfg.pipeline_parallel_size *
+          cfg.tensor_parallel_size * cfg.sequence_parallel_size;
+      EXPECT_EQ(world, cfg.world_size()) << text;
+      EXPECT_GE(cfg.world_size(), 1) << text;
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "'" << text << "': unstructured error: " << e.what();
+    }
+  };
+  check(base);
+  ASSERT_EQ(parsed, 1);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    check(base.substr(0, i) + base.substr(i + 1));
+    for (const char c : {'0', '1', '9', '-', '=', '.', ' ', 'x', '\0'}) {
+      std::string sub = base;
+      sub[i] = c;
+      check(sub);
+    }
+  }
+  std::istringstream tokens(base);
+  for (std::string token; tokens >> token;) {
+    check(base + " " + token);
+    check(token + " " + base);
+  }
+  for (const char* key : {"data", "pipeline", "tensor.size", "tensor.depth",
+                          "sequence", "checkpoint.interval", "sim.workers"}) {
+    for (const char* value :
+         {"0", "-1", "-2147483648", "2147483647", "2147483648", "65536",
+          "46341", "1291", "99999999999999999999", "+4", " 4", "4 "}) {
+      check(base + " " + key + "=" + value);
+      check(std::string(key) + "=" + value);
+      check(std::string("data=65536 ") + key + "=" + value);
+    }
+  }
+  EXPECT_GT(parsed, 50);
+  EXPECT_GT(rejected, 500);
 }
 
 // ---- launch() convenience ------------------------------------------------------------

@@ -4,7 +4,10 @@
 //  1. Overhead: a DP training run with metrics ON must stay within 2% of the
 //     identical run with metrics OFF, and the OFF run's simulated clocks must
 //     be bit-identical to a never-enabled baseline (the disabled path is one
-//     predictable branch).
+//     predictable branch). Single wall samples of identical runs spread by
+//     more than 2%, so the gate takes the median of kRounds per-round on/off
+//     ratios, alternating which of the pair runs first, and reports the
+//     quartiles.
 //  2. Calibration: measured collective time vs the cost-model prediction per
 //     (System I-IV topology, algorithm) at >= 1 MiB must agree within 25%.
 //     On a clean simulator the two are exactly equal; this gate pins the
@@ -48,6 +51,7 @@ constexpr std::int64_t kHidden = 96;
 constexpr std::int64_t kBatch = 8;
 constexpr int kSteps = 12;
 constexpr int kRepeats = 5;  // min-of-N wall timing
+constexpr int kRounds = 9;   // off/on pairs behind the overhead gate
 
 enum class Metrics { kNever, kOff, kOn };
 
@@ -234,25 +238,54 @@ int main() {
 
   bench::header("metrics overhead: identical DP training, off vs on");
   const auto base = run_training(Metrics::kNever);
-  const auto off = run_training(Metrics::kOff);
-  const auto on = run_training(Metrics::kOn);
-  const double on_pct = (on.wall_ns - off.wall_ns) / off.wall_ns * 100.0;
-  const double off_pct = (off.wall_ns - base.wall_ns) / base.wall_ns * 100.0;
-  const bool sim_identical =
-      base.sim_s == off.sim_s && off.sim_s == on.sim_s &&
-      base.last_loss == off.last_loss && off.last_loss == on.last_loss;
+  std::vector<double> off_ns, on_ns, ratios;
+  bool sim_identical = true;
+  for (int round = 0; round < kRounds; ++round) {
+    TrainResult off, on;
+    if (round % 2 == 0) {
+      off = run_training(Metrics::kOff);
+      on = run_training(Metrics::kOn);
+    } else {
+      on = run_training(Metrics::kOn);
+      off = run_training(Metrics::kOff);
+    }
+    off_ns.push_back(off.wall_ns);
+    on_ns.push_back(on.wall_ns);
+    ratios.push_back(on.wall_ns / off.wall_ns);
+    sim_identical = sim_identical && base.sim_s == off.sim_s &&
+                    off.sim_s == on.sim_s && base.last_loss == off.last_loss &&
+                    off.last_loss == on.last_loss;
+  }
+  // nearest-rank quantile of an odd-sized sample
+  const auto quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+  };
+  const double off_med = quantile(off_ns, 0.5);
+  const double on_med = quantile(on_ns, 0.5);
+  const double on_pct = (quantile(ratios, 0.5) - 1.0) * 100.0;
+  const double on_q1_pct = (quantile(ratios, 0.25) - 1.0) * 100.0;
+  const double on_q3_pct = (quantile(ratios, 0.75) - 1.0) * 100.0;
+  const double off_pct = (off_med - base.wall_ns) / base.wall_ns * 100.0;
   std::printf(
-      "wall: never %8.0f us | off %8.0f us (%+5.2f%%) | on %8.0f us "
-      "(%+5.2f%%) | sim clock + losses %s\n",
-      base.wall_ns / 1e3, off.wall_ns / 1e3, off_pct, on.wall_ns / 1e3, on_pct,
+      "wall (median of %d rounds): never %8.0f us | off %8.0f us (%+5.2f%%) | "
+      "on %8.0f us | on/off %+5.2f%% (quartiles %+5.2f%% .. %+5.2f%%) | "
+      "sim clock + losses %s\n",
+      kRounds, base.wall_ns / 1e3, off_med / 1e3, off_pct, on_med / 1e3,
+      on_pct, on_q1_pct, on_q3_pct,
       sim_identical ? "bit-identical" : "DIVERGED");
   report.add("wall_step_never_ns", shape, base.wall_ns / kSteps, 0.0);
-  report.add("wall_step_off_ns", shape, off.wall_ns / kSteps, 0.0);
-  report.add("wall_step_on_ns", shape, on.wall_ns / kSteps, 0.0);
+  report.add("wall_step_off_ns", shape, off_med / kSteps, 0.0);
+  report.add("wall_step_on_ns", shape, on_med / kSteps, 0.0);
   report.add("metrics_overhead_on_pct", shape, on_pct, 0.0);
-  report.add("metrics_sim_wall_s", shape, on.sim_s * 1e9, 0.0);
+  report.add("metrics_overhead_on_q1_pct", shape, on_q1_pct, 0.0);
+  report.add("metrics_overhead_on_q3_pct", shape, on_q3_pct, 0.0);
+  report.add("metrics_sim_wall_s", shape, base.sim_s * 1e9, 0.0);
   if (on_pct >= 2.0) {
-    std::fprintf(stderr, "FAIL: metrics-on overhead %.2f%% >= 2%%\n", on_pct);
+    std::fprintf(stderr,
+                 "FAIL: metrics-on overhead (median on/off ratio) %.2f%% >= "
+                 "2%%\n",
+                 on_pct);
     ok = false;
   }
   if (!sim_identical) {

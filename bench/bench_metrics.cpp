@@ -51,7 +51,7 @@ constexpr std::int64_t kHidden = 96;
 constexpr std::int64_t kBatch = 8;
 constexpr int kSteps = 12;
 constexpr int kRepeats = 5;  // min-of-N wall timing
-constexpr int kRounds = 9;   // off/on pairs behind the overhead gate
+constexpr int kRounds = 15;  // off/on pairs behind the overhead gate
 
 enum class Metrics { kNever, kOff, kOn };
 
@@ -113,7 +113,6 @@ TrainResult run_training(Metrics mode) {
   }
   if (mode == Metrics::kOn) {
     obs::write_prometheus(*w.cluster.metrics(), "metrics.prom");
-    std::printf("wrote Prometheus dump to metrics.prom\n");
   }
   return res;
 }
@@ -237,6 +236,7 @@ int main() {
   bool ok = true;
 
   bench::header("metrics overhead: identical DP training, off vs on");
+  run_training(Metrics::kNever);  // warm-up: the first run pays cold caches
   const auto base = run_training(Metrics::kNever);
   std::vector<double> off_ns, on_ns, ratios;
   bool sim_identical = true;
@@ -274,6 +274,7 @@ int main() {
       kRounds, base.wall_ns / 1e3, off_med / 1e3, off_pct, on_med / 1e3,
       on_pct, on_q1_pct, on_q3_pct,
       sim_identical ? "bit-identical" : "DIVERGED");
+  std::printf("wrote Prometheus dump to metrics.prom\n");
   report.add("wall_step_never_ns", shape, base.wall_ns / kSteps, 0.0);
   report.add("wall_step_off_ns", shape, off_med / kSteps, 0.0);
   report.add("wall_step_on_ns", shape, on_med / kSteps, 0.0);
